@@ -9,7 +9,7 @@ the non-branch components close up into connected curves (the cosets).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from .diagram import LinkDiagram, validate, writhe
@@ -88,6 +88,9 @@ class CoverStructure:
     i of component c. lbar[c] and components_of[c] are None at the branch;
     elsewhere lbar[c] is the linking number with the branch mod q, and
     components_of[c] lists the sheet cosets that form closed lifted curves.
+
+    _memo keeps what cyclink.homology solves on this cover, at most one
+    answer per (curve, coset); it fills on the first query, not here.
     """
 
     q: int
@@ -96,6 +99,7 @@ class CoverStructure:
     sigma: tuple[tuple[WallHit, ...], ...]
     lbar: tuple[int | None, ...]
     components_of: tuple[tuple[tuple[int, ...], ...] | None, ...]
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def build_cover(diagram: LinkDiagram, q: int) -> CoverStructure:

@@ -69,9 +69,6 @@ class LinkDiagram:
         raise ValueError(f"no component named {key!r}")
 
 
-ValidationReport = list
-
-
 def validate(diagram: LinkDiagram) -> list[str]:
     """Check structural consistency; returns a list of violations, empty if valid."""
     problems: list[str] = []
@@ -174,6 +171,13 @@ def diagram_to_dict(diagram: LinkDiagram) -> dict:
     }
 
 
+def _integer(value, where: str) -> int:
+    # int() would read True as 1 and 1.9 as 1 without a word.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where} must be an integer, not {value!r}")
+    return value
+
+
 def diagram_from_dict(data: dict) -> LinkDiagram:
     if not isinstance(data, dict):
         raise ValueError("diagram JSON must be an object")
@@ -181,25 +185,21 @@ def diagram_from_dict(data: dict) -> LinkDiagram:
     if fmt != FORMAT:
         raise ValueError(f"unsupported diagram format {fmt!r}, expected {FORMAT!r}")
     try:
-        comps = tuple(
-            LinkComponent(
-                name=str(c["name"]),
-                underpasses=tuple(
-                    Underpass(
-                        sign=int(u["sign"]),
-                        over=OverstrandRef(
-                            int(u["over"]["component"]), int(u["over"]["arc"])
-                        ),
-                    )
-                    for u in c["underpasses"]
-                ),
-            )
-            for c in data["components"]
-        )
-        branch = int(data["branch"])
+        comps = []
+        for ci, c in enumerate(data["components"]):
+            ups = []
+            for ui, u in enumerate(c["underpasses"]):
+                at = f"component {ci} underpass {ui}: "
+                over = OverstrandRef(
+                    _integer(u["over"]["component"], at + "over.component"),
+                    _integer(u["over"]["arc"], at + "over.arc"),
+                )
+                ups.append(Underpass(_integer(u["sign"], at + "sign"), over))
+            comps.append(LinkComponent(name=str(c["name"]), underpasses=tuple(ups)))
+        branch = _integer(data["branch"], "branch")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed diagram JSON: {exc}") from exc
-    return LinkDiagram(components=comps, branch=branch)
+    return LinkDiagram(components=tuple(comps), branch=branch)
 
 
 def load_diagram(path) -> LinkDiagram:

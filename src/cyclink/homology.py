@@ -6,6 +6,10 @@ rationally iff a linear system over the wall coefficients is consistent.
 assemble_system writes that system down, bounding_chain solves it, and
 verify_boundary recomputes the boundary of a candidate chain cell by cell,
 independently of how the system was assembled.
+
+The matrix depends only on the cover: the first chain asked of a cover
+solves every lift of every curve in one elimination. Chains and integral
+multiples are kept on the cover, so a repeated query is a lookup.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from .rational_linalg import (
     minimal_scalar_integer_solution,
     parse_rational,
     solve_many,
-    solve_particular,
 )
 
 
@@ -58,19 +61,18 @@ class TwoChain:
         )
 
 
-def assemble_system(cover: CoverStructure, curve: int | str, coset):
-    """Linear system for chains bounding the given lifted curve.
+def _lift(cover: CoverStructure, curve: int | str, coset) -> tuple[int, tuple[int, ...]]:
+    """The component index and canonical coset of one liftable curve."""
+    ci = cover.diagram.component_index(curve)
+    if ci == cover.diagram.branch:
+        raise ValueError("cannot bound lifts of the branch component")
+    return ci, resolve_coset(cover, ci, coset)
 
-    Returns (A, b, columns) where columns maps (branch arc, sheet) to the
-    column index of that wall lift's coefficient. A depends only on the
-    cover; only b depends on which lifted curve is being bounded.
-    """
+
+def _system_matrix(cover: CoverStructure):
+    """The coefficient matrix of assemble_system, with its column map."""
     diagram = cover.diagram
     branch = diagram.branch
-    ci = diagram.component_index(curve)
-    if ci == branch:
-        raise ValueError("cannot bound lifts of the branch component")
-    group = resolve_coset(cover, ci, coset)
     q = cover.q
     comp = diagram.components[branch]
     n = comp.arc_count
@@ -80,7 +82,6 @@ def assemble_system(cover: CoverStructure, curve: int | str, coset):
     }
     width = n * q
     rows: list[list[int]] = []
-    rhs: list[int] = []
 
     # Vertical walls are built from sheet-gap cells, so the per-arc
     # coefficients must sum to zero.
@@ -89,77 +90,92 @@ def assemble_system(cover: CoverStructure, curve: int | str, coset):
         for j in range(1, q + 1):
             row[columns[(i, j)]] = 1
         rows.append(row)
-        rhs.append(0)
 
     for i, up in enumerate(comp.underpasses):
         oc, oa = up.over.component, up.over.arc
         eps = up.sign
         hit = cover.sigma[branch][i]
         for j in range(1, q + 1):
-            s_here = hit.superscript_of(j)
-            s_above = hit.superscript_of(wrap_sheet(j + 1, q))
-            acc: dict[int, int] = defaultdict(int)
-            acc[columns[(i, j)]] += 1
-            acc[columns[((i + 1) % n, j)]] -= 1
-            b_val = 0
-            if oc == branch:
-                acc[columns[(oa, s_here)]] -= eps
-                acc[columns[(oa, s_above)]] += eps
-            elif oc == ci:
-                b_val = eps * ((s_here in group) - (s_above in group))
-            # Walls of other curves carry coefficient zero: no terms.
             row = [0] * width
-            for col, val in acc.items():
-                row[col] = val
+            row[columns[(i, j)]] += 1
+            row[columns[((i + 1) % n, j)]] -= 1
+            if oc == branch:
+                row[columns[(oa, hit.superscript_of(j))]] -= eps
+                row[columns[(oa, hit.superscript_of(wrap_sheet(j + 1, q)))]] += eps
+            # Curve walls have fixed coefficients; _system_rhs carries them.
             rows.append(row)
-            rhs.append(b_val)
 
-    return rows, rhs, columns
+    return rows, columns
 
 
-def _chain_from_solution(cover, ci, group, solution):
-    if solution is None:
-        return None
+def _system_rhs(cover: CoverStructure, ci: int, group: tuple[int, ...]) -> list[int]:
+    """The right-hand side of assemble_system, row for row with the matrix."""
+    branch = cover.diagram.branch
     q = cover.q
-    n = cover.diagram.components[cover.diagram.branch].arc_count
-    x = tuple(
-        tuple(solution[i * q + (j - 1)] for j in range(1, q + 1))
-        for i in range(n)
-    )
-    return TwoChain(curve=ci, coset=group, x=x)
+    comp = cover.diagram.components[branch]
+    rhs = [0] * comp.arc_count
+    for i, up in enumerate(comp.underpasses):
+        hit = cover.sigma[branch][i]
+        for j in range(1, q + 1):
+            b_val = 0
+            if up.over.component == ci:
+                s_here = hit.superscript_of(j)
+                s_above = hit.superscript_of(wrap_sheet(j + 1, q))
+                b_val = up.sign * ((s_here in group) - (s_above in group))
+            rhs.append(b_val)
+    return rhs
+
+
+def assemble_system(cover: CoverStructure, curve: int | str, coset):
+    """Linear system for chains bounding the given lifted curve.
+
+    Returns (A, b, columns) where columns maps (branch arc, sheet) to the
+    column index of that wall lift's coefficient. A depends only on the
+    cover; only b depends on which lifted curve is being bounded.
+    """
+    ci, group = _lift(cover, curve, coset)
+    rows, columns = _system_matrix(cover)
+    return rows, _system_rhs(cover, ci, group), columns
+
+
+def _solved_chains(cover: CoverStructure) -> dict:
+    """Bounding chains of every lift of every curve, keyed by (curve, coset).
+
+    Solved with one elimination on the first call and kept on the cover.
+    """
+    chains = cover._memo.get("chains")
+    if chains is None:
+        # components_of is None at the branch, which has no lifts to bound.
+        lifts = [(ci, g) for ci, cosets in enumerate(cover.components_of) for g in cosets or ()]
+        matrix, _ = _system_matrix(cover)
+        solutions = solve_many(matrix, [_system_rhs(cover, *lift) for lift in lifts])
+        # Column i*q + (j-1) holds the lift of branch arc i to sheet j.
+        chains = {
+            (ci, group): None if x is None else TwoChain(
+                ci, group, tuple(tuple(x[k:k + cover.q]) for k in range(0, len(x), cover.q))
+            )
+            for (ci, group), x in zip(lifts, solutions)
+        }
+        cover._memo["chains"] = chains
+    return chains
 
 
 def bounding_chain(cover: CoverStructure, curve: int | str, coset) -> TwoChain | None:
     """One rational chain bounding the lifted curve, or None if none exists."""
-    ci = cover.diagram.component_index(curve)
-    matrix, rhs, _ = assemble_system(cover, ci, coset)
-    solution = solve_particular(matrix, rhs)
-    return _chain_from_solution(
-        cover, ci, resolve_coset(cover, ci, coset), solution
-    )
+    lift = _lift(cover, curve, coset)  # reject bad input before solving
+    return _solved_chains(cover)[lift]
 
 
 def bounding_chains(cover: CoverStructure, curve: int | str) -> dict[tuple[int, ...], TwoChain | None]:
     """Bounding chains for every lift coset of the curve, keyed by coset.
 
-    The coefficient matrix is shared by all cosets of one curve, so the
-    whole family is solved with a single elimination; unbounded lifts map
-    to None.
+    Unbounded lifts map to None. The dict is new on every call.
     """
     ci = cover.diagram.component_index(curve)
     if ci == cover.diagram.branch:
         raise ValueError("cannot bound lifts of the branch component")
-    cosets = cover.components_of[ci]
-    matrix = []
-    rhss = []
-    for group in cosets:
-        matrix, rhs, _ = assemble_system(cover, ci, group)
-        rhss.append(rhs)
-    solutions = solve_many(matrix, rhss)
-    return {
-        group: _chain_from_solution(cover, ci, group, solution)
-        for group, solution in zip(cosets, solutions)
-    }
+    chains = _solved_chains(cover)
+    return {group: chains[(ci, group)] for group in cover.components_of[ci]}
 
 
 def minimal_bounding_multiple(cover: CoverStructure, curve: int | str, coset) -> int | None:
@@ -167,9 +183,12 @@ def minimal_bounding_multiple(cover: CoverStructure, curve: int | str, coset) ->
 
     None when the curve does not even bound rationally.
     """
-    ci = cover.diagram.component_index(curve)
-    matrix, rhs, _ = assemble_system(cover, ci, coset)
-    return minimal_scalar_integer_solution(matrix, rhs)
+    lift = _lift(cover, curve, coset)
+    orders = cover._memo.setdefault("orders", {})
+    if lift not in orders:
+        matrix, _ = _system_matrix(cover)
+        orders[lift] = minimal_scalar_integer_solution(matrix, _system_rhs(cover, *lift))
+    return orders[lift]
 
 
 def verify_boundary(cover: CoverStructure, chain: TwoChain) -> bool:

@@ -108,21 +108,15 @@ def linking_matrix(cover: CoverStructure, curve_a: int | str, curve_b: int | str
         raise ValueError("cannot link against lifts of the branch component")
     cosets_a = cover.components_of[ai]
     cosets_b = cover.components_of[bi]
+    chains_a = bounding_chains(cover, ai)
     chains_b = bounding_chains(cover, bi)
-    if ai == bi:
-        bounds_a = {ga: chains_b[ga] is not None for ga in cosets_a}
-    else:
-        bounds_a = {
-            ga: chain is not None
-            for ga, chain in bounding_chains(cover, ai).items()
-        }
     rows = []
     for ga in cosets_a:
         row: list[Fraction | UndefinedEntry] = []
         for gb in cosets_b:
             if ai == bi and ga == gb:
                 row.append(UndefinedEntry(SELF_PAIRING))
-            elif chains_b[gb] is None or not bounds_a[ga]:
+            elif chains_b[gb] is None or chains_a[ga] is None:
                 row.append(UndefinedEntry(NOT_NULL_HOMOLOGOUS))
             else:
                 row.append(_linking_sum(cover, chains_b[gb], ai, ga))

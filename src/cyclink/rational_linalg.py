@@ -2,9 +2,12 @@
 
 Everything here runs on arbitrary-precision numbers: `fractions.Fraction`
 for rational data and Python ints for integer matrices. No floating point,
-no fixed-width arithmetic. The routines are deliberately plain dense-matrix
-algorithms; the systems they see are small enough (a few hundred columns)
-that asymptotics never matter, while exactness always does.
+no fixed-width arithmetic. All rational work (particular solutions and
+nullspaces) is one fraction-free Bareiss elimination, `_eliminate`, then
+back-substitution; all integral work is one Smith reduction. The routines
+are plain dense-matrix algorithms; the systems they see are small enough
+(a few hundred columns) that asymptotics never matter, while exactness
+always does.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-
-Rational = Fraction
 
 
 def format_rational(value: Fraction | int) -> str:
@@ -109,44 +110,38 @@ def solve_many(matrix, rhss) -> list[list[Fraction] | None]:
         if any(rows[i][b_col] != 0 for i in range(rank, m)):
             solutions.append(None)
             continue
-        x = [Fraction(0)] * n
-        for row_idx, col in reversed(pivots):
-            row = rows[row_idx]
-            acc = Fraction(row[b_col])
-            for j in range(col + 1, n):
-                if row[j]:
-                    acc -= row[j] * x[j]
-            x[col] = acc / row[col]
-        solutions.append(x)
+        solutions.append(_back_substitute(rows, pivots, [Fraction(0)] * n, b_col))
     return solutions
 
 
+def _back_substitute(rows, pivots, x, b_col=None):
+    """Solve the echelon rows for x at the pivot columns, in place.
+
+    x holds its free-column values on entry; the right-hand side is column
+    b_col of the rows, or zero when b_col is None.
+    """
+    for row_idx, col in reversed(pivots):
+        row = rows[row_idx]
+        acc = Fraction(0 if b_col is None else row[b_col])
+        for j in range(col + 1, len(x)):
+            if row[j] and x[j]:
+                acc -= row[j] * x[j]
+        x[col] = acc / row[col]
+    return x
+
+
 def nullspace_basis(matrix) -> list[list[Fraction]]:
-    """A basis of the rational nullspace of A, one vector per free column."""
+    """A basis of the rational nullspace of A, one vector per free column.
+
+    The vector for free column f is 1 at f and 0 at the other free columns:
+    the basis read off the reduced row echelon form.
+    """
     m = len(matrix)
     if m == 0:
         return []
     n = len(matrix[0])
-    rows = [[Fraction(x) for x in row] for row in matrix]
-
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(n):
-        pivot_row = next((i for i in range(r, m) if rows[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        piv = rows[r][col]
-        rows[r] = [x / piv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == m:
-            break
-
+    rows = _integer_rows(matrix, [])
+    pivots = _eliminate(rows, m, n, n)
     pivot_cols = {col for _, col in pivots}
     basis = []
     for free in range(n):
@@ -154,9 +149,7 @@ def nullspace_basis(matrix) -> list[list[Fraction]]:
             continue
         vec = [Fraction(0)] * n
         vec[free] = Fraction(1)
-        for row_idx, col in pivots:
-            vec[col] = -rows[row_idx][free]
-        basis.append(vec)
+        basis.append(_back_substitute(rows, pivots, vec))
     return basis
 
 
@@ -174,27 +167,31 @@ class SNFResult:
 
 
 class _SmithWorkspace:
-    """Row/column reduction of an integer matrix with transform accumulation.
+    """Row/column reduction of an integer matrix to Smith normal form.
 
     Row operations are mirrored on an optional right-hand side (giving R b
-    for the accumulated row transform R) and inversely on U, column
-    operations inversely on V, so that A = U S V holds at every step.
+    for the accumulated row transform R). With transforms=True they also
+    land inversely on U, and column operations inversely on V, so that
+    A = U S V holds at every step; callers that never read U and V skip them.
     """
 
-    def __init__(self, matrix, rhs=None):
+    def __init__(self, matrix, rhs=None, transforms=False):
         self.S = [[int(x) for x in row] for row in matrix]
         self.m = len(self.S)
         self.n = len(self.S[0]) if self.S else 0
-        self.U = [[int(i == j) for j in range(self.m)] for i in range(self.m)]
-        self.V = [[int(i == j) for j in range(self.n)] for i in range(self.n)]
+        self.U = self.V = None
+        if transforms:
+            self.U = [[int(i == j) for j in range(self.m)] for i in range(self.m)]
+            self.V = [[int(i == j) for j in range(self.n)] for i in range(self.n)]
         self.c = None if rhs is None else [int(x) for x in rhs]
 
     def swap_rows(self, i, j):
         if i == j:
             return
         self.S[i], self.S[j] = self.S[j], self.S[i]
-        for row in self.U:
-            row[i], row[j] = row[j], row[i]
+        if self.U is not None:
+            for row in self.U:
+                row[i], row[j] = row[j], row[i]
         if self.c is not None:
             self.c[i], self.c[j] = self.c[j], self.c[i]
 
@@ -205,15 +202,17 @@ class _SmithWorkspace:
         si, sj = self.S[i], self.S[j]
         for col in range(self.n):
             si[col] += k * sj[col]
-        for row in self.U:
-            row[j] -= k * row[i]
+        if self.U is not None:
+            for row in self.U:
+                row[j] -= k * row[i]
         if self.c is not None:
             self.c[i] += k * self.c[j]
 
     def negate_row(self, i):
         self.S[i] = [-x for x in self.S[i]]
-        for row in self.U:
-            row[i] = -row[i]
+        if self.U is not None:
+            for row in self.U:
+                row[i] = -row[i]
         if self.c is not None:
             self.c[i] = -self.c[i]
 
@@ -222,7 +221,8 @@ class _SmithWorkspace:
             return
         for row in self.S:
             row[i], row[j] = row[j], row[i]
-        self.V[i], self.V[j] = self.V[j], self.V[i]
+        if self.V is not None:
+            self.V[i], self.V[j] = self.V[j], self.V[i]
 
     def add_col(self, j, i, k):
         """col_j += k * col_i on S; the inverse operation lands on V."""
@@ -230,9 +230,10 @@ class _SmithWorkspace:
             return
         for row in self.S:
             row[j] += k * row[i]
-        vi, vj = self.V[i], self.V[j]
-        for col in range(len(vi)):
-            vi[col] -= k * vj[col]
+        if self.V is not None:
+            vi, vj = self.V[i], self.V[j]
+            for col in range(len(vi)):
+                vi[col] -= k * vj[col]
 
     def reduce(self):
         S, m, n = self.S, self.m, self.n
@@ -288,7 +289,7 @@ class _SmithWorkspace:
 
 def smith_normal_form(matrix) -> SNFResult:
     """Smith normal form with both unimodular transforms, A = U S V."""
-    ws = _SmithWorkspace(matrix)
+    ws = _SmithWorkspace(matrix, transforms=True)
     ws.reduce()
     return SNFResult(U=ws.U, S=ws.S, V=ws.V)
 
@@ -317,22 +318,3 @@ def minimal_scalar_integer_solution(matrix, rhs) -> int | None:
 def integral_solution_exists(matrix, rhs) -> bool:
     """Whether A x = b has an integer solution."""
     return minimal_scalar_integer_solution(matrix, rhs) == 1
-
-
-def mat_mul(a, b):
-    """Exact matrix product, for reconstruction checks."""
-    if not a or not b:
-        return []
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            aik = ai[k]
-            if aik == 0:
-                continue
-            bk = b[k]
-            oi = out[i]
-            for j in range(cols):
-                oi[j] += aik * bk[j]
-    return out

@@ -53,6 +53,20 @@ def test_validate_reports_violations(capsys, tmp_path):
     assert "branch" in out
 
 
+@pytest.mark.parametrize("field, value", [("sign", True), ("arc", 1.9)])
+@pytest.mark.parametrize("fmt", [(), ("--json",)])
+def test_validate_rejects_coercible_values(capsys, tmp_path, field, value, fmt):
+    path = tmp_path / "coerced.json"
+    data = json.loads(fixture_diagram_path("cable_n3_k0").read_text())
+    up = data["components"][0]["underpasses"][0]
+    (up if field == "sign" else up["over"])[field] = value
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "validate", str(path), *fmt)
+    assert code == 2
+    assert out == ""
+    assert f"{field} must be an integer" in err
+
+
 def test_missing_file_is_a_usage_error(capsys):
     code, _, err = run(capsys, "validate", "/no/such/file.json")
     assert code == 2

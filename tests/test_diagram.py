@@ -168,3 +168,22 @@ def test_file_round_trip(tmp_path):
     path = tmp_path / "hopf.json"
     save_diagram(d, path)
     assert load_diagram(path) == d
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("components", 0, "underpasses", 0, "sign"), True),
+        (("components", 0, "underpasses", 0, "over", "arc"), 1.9),
+        (("components", 0, "underpasses", 0, "over", "component"), "0"),
+        (("branch",), 0.0),
+    ],
+)
+def test_from_dict_rejects_non_integer_fields(path, value):
+    data = diagram_to_dict(hopf_diagram())
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ValueError, match="must be an integer"):
+        diagram_from_dict(data)

@@ -17,10 +17,13 @@ from cyclink import (
     integral_solution_exists,
     lift_components,
     minimal_bounding_multiple,
+    minimal_scalar_integer_solution,
     normalize_writhe,
     parse_rational,
+    solve_particular,
     verify_boundary,
 )
+from cyclink.fixtures import corpus_names
 
 
 def cover_for(name, q):
@@ -234,3 +237,50 @@ def test_bounding_chains_rejects_branch():
     cover = cover_for("stevedore_w0", 2)
     with pytest.raises(ValueError, match="branch"):
         bounding_chains(cover, "K")
+
+
+def test_warm_cover_answers_equal_a_fresh_solve():
+    # Oracle: the plain solvers on a cover that has answered nothing yet.
+    # Multiples are compared on the first and last lift; each costs a Smith
+    # reduction on either side.
+    for name in corpus_names():
+        fx = fixture(name)
+        for q in fx.writhe_zero_mod:
+            if q > 5:
+                continue
+            warm = build_cover(fx.diagram, q)
+            fresh = build_cover(fx.diagram, q)
+            cosets = lift_components(warm, "eta")
+            probed = {cosets[0], cosets[-1]}
+            for coset in cosets:
+                bounding_chain(warm, "eta", coset)
+            for coset in probed:
+                minimal_bounding_multiple(warm, "eta", coset)
+            for coset in cosets:
+                rows, rhs, columns = assemble_system(fresh, "eta", coset)
+                x = solve_particular(rows, rhs)
+                chain = bounding_chain(warm, "eta", coset)
+                if x is None:
+                    assert chain is None, (name, q, coset)
+                else:
+                    assert chain.x == tuple(
+                        tuple(x[columns[(i, j)]] for j in range(1, q + 1))
+                        for i in range(len(chain.x))
+                    ), (name, q, coset)
+                if coset in probed:
+                    assert minimal_bounding_multiple(warm, "eta", coset) == (
+                        minimal_scalar_integer_solution(rows, rhs)
+                    ), (name, q, coset)
+
+
+def test_mutating_bounding_chains_result_leaves_the_cover_alone():
+    cover = cover_for("stevedore_w2", 4)
+    first = bounding_chains(cover, "eta")
+    expected = dict(first)
+    first.clear()
+    assert bounding_chains(cover, "eta") == expected
+    family = bounding_chains(cover, "eta")
+    family[next(iter(family))] = None
+    assert bounding_chains(cover, "eta") == expected
+    for coset, chain in expected.items():
+        assert bounding_chain(cover, "eta", coset) is chain

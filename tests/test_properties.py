@@ -6,6 +6,7 @@ to the change that broke it.
 """
 
 import random
+import zlib
 
 import pytest
 
@@ -55,7 +56,8 @@ def test_battery_clasped_wire_where_lifts_fail_to_bound():
     ],
 )
 def test_battery_fixture_sample(name, q):
-    run_battery(fixture(name).diagram, q, random.Random(hash(name) % 1000 + q))
+    rng = random.Random(zlib.crc32(name.encode()) % 1000 + q)
+    run_battery(fixture(name).diagram, q, rng)
 
 
 @pytest.mark.parametrize("seed", range(100, 110))

@@ -11,7 +11,10 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from conftest import fixture
 from cyclink import (
+    assemble_system,
+    build_cover,
     format_rational,
     integral_solution_exists,
     minimal_scalar_integer_solution,
@@ -21,7 +24,6 @@ from cyclink import (
     solve_many,
     solve_particular,
 )
-from cyclink.rational_linalg import mat_mul
 
 
 def random_system(rng, max_dim=6, pool=(-2, -1, 0, 0, 1, 2)):
@@ -179,6 +181,22 @@ def test_nullspace_vectors_annihilate_matrix():
             assert sympy.Matrix([[sympy.Rational(x) for x in v] for v in basis]).rank() == len(basis)
 
 
+@pytest.mark.parametrize(
+    "name, q", [("twobridge_m1", 4), ("stevedore_w5", 5), ("cable_n5_k2", 5)]
+)
+def test_nullspace_matches_sympy_on_corpus_systems(name, q):
+    cover = build_cover(fixture(name).diagram, q)
+    A, _, _ = assemble_system(cover, "eta", 1)
+    basis = nullspace_basis(A)
+    theirs = sympy.Matrix(A).nullspace()
+    # Both read the basis off the reduced echelon form, one vector per free
+    # column, so they agree vector for vector, not only in span.
+    assert [[sympy.Rational(x) for x in v] for v in basis] == [list(v) for v in theirs]
+    M = sympy.Matrix(A)
+    for v in basis:
+        assert M * sympy.Matrix([sympy.Rational(x) for x in v]) == sympy.zeros(len(A), 1)
+
+
 def test_nullspace_of_invertible_matrix_is_empty():
     assert nullspace_basis([[1, 2], [3, 4]]) == []
 
@@ -189,6 +207,15 @@ def test_nullspace_of_invertible_matrix_is_empty():
 def test_smith_form_small_example():
     res = smith_normal_form([[2, 4], [6, 8]])
     assert res.diagonal == [2, 4]
+
+
+def mat_mul(a, b):
+    """Exact matrix product, for reconstruction checks."""
+    if not a or not b:
+        return []
+    return [
+        [sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a
+    ]
 
 
 def assert_valid_smith(matrix, res):
