@@ -16,7 +16,6 @@ from .cover import (
     build_cover,
     lift_components,
     resolve_coset,
-    sigma_at,
     wrap_sheet,
 )
 from .diagram import (
@@ -103,7 +102,6 @@ __all__ = [
     "parse_rational",
     "resolve_coset",
     "save_diagram",
-    "sigma_at",
     "smith_normal_form",
     "solve_many",
     "solve_particular",

@@ -198,13 +198,3 @@ def resolve_coset(cover: CoverStructure, curve: int | str, coset) -> tuple[int, 
         return wanted
     raise ValueError(f"{wanted} is not a lift component of component {ci}")
 
-
-def sigma_at(cover: CoverStructure, component: int | str, arc: int, j: int) -> int:
-    """Superscript of the wall lift crossed at an underpass, entered on sheet j."""
-    ci = cover.diagram.component_index(component)
-    hits = cover.sigma[ci]
-    if not 0 <= arc < len(hits):
-        raise ValueError(f"component {ci} has no underpass {arc}")
-    if not 1 <= j <= cover.q:
-        raise ValueError(f"sheet {j} out of range 1..{cover.q}")
-    return hits[arc].superscript_of(j)

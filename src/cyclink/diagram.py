@@ -75,7 +75,11 @@ def validate(diagram: LinkDiagram) -> list[str]:
     if not diagram.components:
         problems.append("diagram has no components")
         return problems
-    if not 0 <= diagram.branch < len(diagram.components):
+    # An exact type test: True == 1 would pass as a sign, and 0.5 as an arc
+    # in range until it is used as an index.
+    if type(diagram.branch) is not int:
+        problems.append(f"branch index {diagram.branch!r} is not an integer")
+    elif not 0 <= diagram.branch < len(diagram.components):
         problems.append(f"branch index {diagram.branch} out of range")
     seen: set[str] = set()
     for ci, comp in enumerate(diagram.components):
@@ -84,16 +88,21 @@ def validate(diagram: LinkDiagram) -> list[str]:
         seen.add(comp.name)
         for ai, up in enumerate(comp.underpasses):
             where = f"component {ci} ({comp.name}) underpass {ai}"
-            if up.sign not in (1, -1):
-                problems.append(f"{where}: sign {up.sign} is not +1 or -1")
-            oc = up.over.component
+            if type(up.sign) is not int or up.sign not in (1, -1):
+                problems.append(f"{where}: sign {up.sign!r} is not +1 or -1")
+            oc, arc = up.over.component, up.over.arc
+            if type(oc) is not int:
+                problems.append(f"{where}: overstrand component {oc!r} is not an integer")
+                continue
             if not 0 <= oc < len(diagram.components):
                 problems.append(f"{where}: overstrand component {oc} out of range")
                 continue
             target = diagram.components[oc]
-            if not 0 <= up.over.arc < target.arc_count:
+            if type(arc) is not int:
+                problems.append(f"{where}: overstrand arc {arc!r} is not an integer")
+            elif not 0 <= arc < target.arc_count:
                 problems.append(
-                    f"{where}: overstrand arc {up.over.arc} out of range for "
+                    f"{where}: overstrand arc {arc} out of range for "
                     f"component {oc} with {target.arc_count} arcs"
                 )
     return problems
@@ -173,7 +182,7 @@ def diagram_to_dict(diagram: LinkDiagram) -> dict:
 
 def _integer(value, where: str) -> int:
     # int() would read True as 1 and 1.9 as 1 without a word.
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int:
         raise ValueError(f"{where} must be an integer, not {value!r}")
     return value
 

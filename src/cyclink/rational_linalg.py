@@ -4,16 +4,24 @@ Everything here runs on arbitrary-precision numbers: `fractions.Fraction`
 for rational data and Python ints for integer matrices. No floating point,
 no fixed-width arithmetic. All rational work (particular solutions and
 nullspaces) is one fraction-free Bareiss elimination, `_eliminate`, then
-back-substitution; all integral work is one Smith reduction. The routines
-are plain dense-matrix algorithms; the systems they see are small enough
-(a few hundred columns) that asymptotics never matter, while exactness
-always does.
+back-substitution; all integral work is one Smith reduction.
+
+Matrices are stored dense, but the cover systems are sparse: at most four
+nonzeros per row apart from the per-arc sum rows, nearly all of them +-1.
+Both kernels therefore skip zero entries. Bareiss visits only the nonzero
+entries of the pivot row and of each target row. The Smith reduction
+stops its pivot search at the first unit, skips the divisibility sweep
+when the pivot is a unit, and updates S only in the active block and only
+where the source row or column is nonzero. What is skipped leaves every
+entry as it was, so each kernel performs the same elementary operations in
+the same order as the plain dense algorithm and returns the same integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, islice
 from math import gcd, lcm
 
 
@@ -46,6 +54,12 @@ def _eliminate(rows, m, n, width):
     Pivots are chosen among the first n columns only; any trailing columns
     ride along. Returns the pivot (row, col) list; after return, rows below
     the last pivot are zero in all n pivot-eligible columns.
+
+    Each step sets row_i[j] = (piv * row_i[j] - factor * row_r[j]) // prev
+    for every target row i and column j >= col, as in the dense algorithm,
+    but only visits the entries that can change: rows from r on are zero
+    before col, so where both row_i[j] and row_r[j] are zero the result is
+    zero, and where only row_r[j] is zero it is a rescale of row_i[j].
     """
     pivots: list[tuple[int, int]] = []
     prev = 1
@@ -55,16 +69,23 @@ def _eliminate(rows, m, n, width):
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        piv = rows[r][col]
+        row_r = rows[r]
+        piv = row_r[col]
+        support = [(j, row_r[j]) for j in compress(range(col + 1, width), row_r[col + 1:])]
         for i in range(r + 1, m):
-            factor = rows[i][col]
-            # rows with a zero entry still need the piv/prev rescale, or the
-            # exact-division invariant breaks on later steps
-            if factor == 0 and piv == prev:
-                continue
-            row_i, row_r = rows[i], rows[r]
-            for j in range(col, width):
-                row_i[j] = (piv * row_i[j] - factor * row_r[j]) // prev
+            row_i = rows[i]
+            factor = row_i[col]
+            # rows with a zero factor still need the piv/prev rescale, or the
+            # exact-division invariant breaks on later steps; when piv == prev
+            # the rescale is the identity
+            if piv != prev:
+                for j in compress(range(col + 1, width), row_i[col + 1:]):
+                    if not (factor and row_r[j]):  # the update below does those
+                        row_i[j] = piv * row_i[j] // prev
+            if factor:
+                row_i[col] = 0
+                for j, v in support:
+                    row_i[j] = (piv * row_i[j] - factor * v) // prev
         pivots.append((r, col))
         prev = piv
         r += 1
@@ -173,12 +194,18 @@ class _SmithWorkspace:
     for the accumulated row transform R). With transforms=True they also
     land inversely on U, and column operations inversely on V, so that
     A = U S V holds at every step; callers that never read U and V skip them.
+
+    Step t of `reduce` works on the block of S from row t and column t on;
+    outside it, S is already diagonal, so the operations on S visit only
+    that block, and within it only the nonzero entries of the source row or
+    column. U and V are dense and updated in full.
     """
 
     def __init__(self, matrix, rhs=None, transforms=False):
         self.S = [[int(x) for x in row] for row in matrix]
         self.m = len(self.S)
         self.n = len(self.S[0]) if self.S else 0
+        self.t = 0
         self.U = self.V = None
         if transforms:
             self.U = [[int(i == j) for j in range(self.m)] for i in range(self.m)]
@@ -200,7 +227,8 @@ class _SmithWorkspace:
         if k == 0:
             return
         si, sj = self.S[i], self.S[j]
-        for col in range(self.n):
+        # row j is zero before column t
+        for col in compress(range(self.n), sj):
             si[col] += k * sj[col]
         if self.U is not None:
             for row in self.U:
@@ -219,7 +247,7 @@ class _SmithWorkspace:
     def swap_cols(self, i, j):
         if i == j:
             return
-        for row in self.S:
+        for row in islice(self.S, self.t, None):
             row[i], row[j] = row[j], row[i]
         if self.V is not None:
             self.V[i], self.V[j] = self.V[j], self.V[i]
@@ -228,28 +256,41 @@ class _SmithWorkspace:
         """col_j += k * col_i on S; the inverse operation lands on V."""
         if k == 0:
             return
-        for row in self.S:
-            row[j] += k * row[i]
+        for row in islice(self.S, self.t, None):
+            if row[i]:
+                row[j] += k * row[i]
         if self.V is not None:
             vi, vj = self.V[i], self.V[j]
             for col in range(len(vi)):
                 vi[col] -= k * vj[col]
 
+    def _pivot(self):
+        """The first entry of least absolute value in the active block, row-major.
+
+        A unit is the least possible, so the scan stops at the first one.
+        """
+        S, t = self.S, self.t
+        best = None
+        for i in range(t, self.m):
+            row = S[i]
+            # row i is zero before column t
+            for j in compress(range(self.n), row):
+                v = abs(row[j])
+                if best is None or v < best[0]:
+                    if v == 1:
+                        return i, j
+                    best = (v, i, j)
+        return None if best is None else best[1:]
+
     def reduce(self):
         S, m, n = self.S, self.m, self.n
-        t = 0
-        while t < min(m, n):
-            best = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    v = abs(S[i][j])
-                    if v and (best is None or v < best[0]):
-                        best = (v, i, j)
-            if best is None:
+        for t in range(min(m, n)):
+            self.t = t
+            pivot = self._pivot()
+            if pivot is None:
                 break
-            _, bi, bj = best
-            self.swap_rows(t, bi)
-            self.swap_cols(t, bj)
+            self.swap_rows(t, pivot[0])
+            self.swap_cols(t, pivot[1])
 
             dirty = True
             while dirty:
@@ -275,13 +316,14 @@ class _SmithWorkspace:
                 if dirty:
                     continue
                 piv = S[t][t]
+                if abs(piv) == 1:
+                    continue  # a unit divides every entry
                 for i in range(t + 1, m):
-                    bad = next((j for j in range(t + 1, n) if S[i][j] % piv), None)
-                    if bad is not None:
+                    row = S[i]
+                    if any(row[j] % piv for j in compress(range(n), row)):
                         self.add_row(t, i, 1)
                         dirty = True
                         break
-            t += 1
         for i in range(min(m, n)):
             if S[i][i] < 0:
                 self.negate_row(i)

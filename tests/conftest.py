@@ -1,4 +1,4 @@
-"""Shared diagram factories for the test suite.
+"""Shared diagram factories and the sympy multiple oracle for the test suite.
 
 Everything here leans on the geometric Builder so that the diagrams are
 planar-realizable by construction; tests then probe the library against
@@ -9,10 +9,35 @@ meridian counts, mirror behaviour) rather than against its own output.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd, lcm
+
+import sympy
+from sympy.matrices.normalforms import smith_normal_decomp
 
 from builders import Builder, ClosedBraid, closed_braid_diagram
 from cyclink import LinkDiagram
 from cyclink.fixtures import Fixture, load_fixture
+
+
+def sympy_minimal_multiple(rows, rhs):
+    """Least d with A x = d b solvable over Z, read off sympy's U A V = D.
+
+    With x = V y the system becomes D y = d U b, so row i needs D_ii to
+    divide d (U b)_i, and a zero row of D needs (U b)_i = 0.
+    """
+    A = sympy.Matrix(rows)
+    D, U, V = smith_normal_decomp(A, domain=sympy.ZZ)
+    assert D == U * A * V
+    c = U * sympy.Matrix(rhs)
+    d = 1
+    for i in range(D.rows):
+        dii = int(D[i, i]) if i < D.cols else 0
+        if dii == 0:
+            if c[i] != 0:
+                return None
+        else:
+            d = lcm(d, dii // gcd(dii, int(c[i])))
+    return d
 
 
 @lru_cache(maxsize=None)

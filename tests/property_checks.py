@@ -27,11 +27,21 @@ from cyclink import (
     normalize_writhe,
     nullspace_basis,
     pairwise_linking,
-    sigma_at,
     verify_boundary,
 )
 
 PERTURBATIONS = 10
+
+
+def sigma_at(cover, component, arc: int, j: int) -> int:
+    """Superscript of the wall lift crossed at an underpass, entered on sheet j."""
+    ci = cover.diagram.component_index(component)
+    hits = cover.sigma[ci]
+    if not 0 <= arc < len(hits):
+        raise ValueError(f"component {ci} has no underpass {arc}")
+    if not 1 <= j <= cover.q:
+        raise ValueError(f"sheet {j} out of range 1..{cover.q}")
+    return hits[arc].superscript_of(j)
 
 
 def curve_indices(diagram):

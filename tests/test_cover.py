@@ -12,9 +12,9 @@ from cyclink import (
     lift_components,
     normalize_writhe,
     resolve_coset,
-    sigma_at,
     wrap_sheet,
 )
+from property_checks import sigma_at
 
 
 def test_wrap_sheet_lands_in_one_to_q():

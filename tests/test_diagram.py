@@ -1,6 +1,7 @@
 """Diagram data structure: validation, invariants, serialization."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,7 @@ from cyclink import (
     LinkDiagram,
     OverstrandRef,
     Underpass,
+    build_cover,
     diagram_from_dict,
     diagram_to_dict,
     load_diagram,
@@ -187,3 +189,41 @@ def test_from_dict_rejects_non_integer_fields(path, value):
     target[path[-1]] = value
     with pytest.raises(ValueError, match="must be an integer"):
         diagram_from_dict(data)
+
+
+def _with_first_underpass(diagram, field, value):
+    comp = diagram.components[0]
+    up = comp.underpasses[0]
+    if field == "sign":
+        up = replace(up, sign=value)
+    else:
+        up = replace(up, over=replace(up.over, **{field: value}))
+    comp = replace(comp, underpasses=(up,) + comp.underpasses[1:])
+    return replace(diagram, components=(comp,) + diagram.components[1:])
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("sign", True),
+        ("sign", 1.0),
+        ("component", False),
+        ("component", 1.0),
+        ("arc", False),
+        ("arc", 0.5),
+        ("branch", True),
+        ("branch", 0.0),
+    ],
+)
+def test_validate_rejects_non_integer_fields_of_built_diagrams(field, value):
+    # Diagrams built in Python skip diagram_from_dict, so validate is the
+    # only check before build_cover indexes with these values.
+    d = hopf_diagram()
+    if field == "branch":
+        bad = replace(d, branch=value)
+    else:
+        bad = _with_first_underpass(d, field, value)
+    problems = validate(bad)
+    assert any(f"{field}" in p and f"{value!r} is not" in p for p in problems), problems
+    with pytest.raises(ValueError, match="invalid diagram"):
+        build_cover(bad, 2)

@@ -1,13 +1,16 @@
 """Bounding chains: system assembly, solving, and the cell-level oracle."""
 
 from fractions import Fraction
-from math import gcd, lcm
 
 import pytest
-import sympy
-from sympy.matrices.normalforms import smith_normal_decomp
 
-from conftest import clasped_wire_diagram, fixture, hopf_diagram, wire_with_meridian
+from conftest import (
+    clasped_wire_diagram,
+    fixture,
+    hopf_diagram,
+    sympy_minimal_multiple,
+    wire_with_meridian,
+)
 from cyclink import (
     TwoChain,
     assemble_system,
@@ -144,27 +147,6 @@ def test_minimal_multiple_is_least_among_divisors():
         assert not integral_solution_exists(rows, [d * b for b in rhs])
 
 
-def sympy_minimal_multiple(rows, rhs):
-    """Least d with A x = d b solvable over Z, read off sympy's U A V = D.
-
-    With x = V y the system becomes D y = d U b, so row i needs D_ii to
-    divide d (U b)_i, and a zero row of D needs (U b)_i = 0.
-    """
-    A = sympy.Matrix(rows)
-    D, U, V = smith_normal_decomp(A, domain=sympy.ZZ)
-    assert D == U * A * V
-    c = U * sympy.Matrix(rhs)
-    d = 1
-    for i in range(D.rows):
-        dii = int(D[i, i]) if i < D.cols else 0
-        if dii == 0:
-            if c[i] != 0:
-                return None
-        else:
-            d = lcm(d, dii // gcd(dii, int(c[i])))
-    return d
-
-
 def test_twobridge_m1_q4_multiple_against_sympy_smith_form():
     # The printed table states 1875 for this row; the corpus carries the
     # corrected 18785. sympy's Smith decomposition settles it without
@@ -187,6 +169,16 @@ def test_twobridge_m1_q4_multiple_against_sympy_smith_form():
     ]
     for text in row:
         assert oracle % parse_rational(text).denominator == 0, text
+
+
+@pytest.mark.parametrize("name, q", [("stevedore_w0", 8), ("twobridge_m0", 8)])
+def test_off_table_multiple_against_sympy_smith_form(name, q):
+    # Writhe-0 rows above the corpus degrees, 90 x 80 systems; larger sweep
+    # rows (twobridge_m2 at q >= 6) are out of sympy's reach.
+    cover = build_cover(fixture(name).diagram, q)
+    rows, rhs, _ = assemble_system(cover, "eta", 1)
+    assert (len(rows), len(rows[0])) == (90, 80)
+    assert sympy_minimal_multiple(rows, rhs) == minimal_bounding_multiple(cover, "eta", 1) == 765
 
 
 def test_unbounded_lift_reports_none():

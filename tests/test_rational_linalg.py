@@ -11,7 +11,7 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from conftest import fixture
+from conftest import fixture, sympy_minimal_multiple
 from cyclink import (
     assemble_system,
     build_cover,
@@ -258,6 +258,55 @@ def test_smith_form_matches_sympy_diagonal():
             abs(int(d)) for d in sympy_snf(sympy.Matrix(A)).diagonal() if d != 0
         )
         assert ours == theirs
+
+
+def cover_shaped_system(rng):
+    """A sparse integer system shaped like a cover system, with two rhs.
+
+    At most four nonzeros per row, drawn from +-1, +-2, +-3, so that the
+    Smith reduction meets non-unit pivots and failed divisibility checks.
+    A few rows repeat others up to sign, which makes the system tall and
+    rank-deficient like a cover system. The first rhs repeats their values
+    too, so it is often solvable over Q; the second is random.
+    """
+    k = rng.randint(10, 24)
+    n = k + rng.randint(1, 4)
+    base = []
+    for _ in range(k):
+        row = [0] * n
+        for j in rng.sample(range(n), rng.randint(1, 4)):
+            row[j] = rng.choice((1, -1, 2, -2, 3, -3))
+        base.append((row, rng.randint(-3, 3)))
+    rows = list(base)
+    for _ in range(rng.randint(2, 6)):
+        row, v = rng.choice(base)
+        s = rng.choice((1, -1))
+        rows.append(([s * x for x in row], s * v))
+    rng.shuffle(rows)
+    A = [row for row, _ in rows]
+    return A, [[v for _, v in rows], [rng.choice((0, 0, 1, -1, 2)) for _ in rows]]
+
+
+def test_smith_kernel_against_sympy_on_cover_shaped_systems():
+    rng = random.Random(2024)
+    multiples = set()
+    for _ in range(16):
+        A, rhss = cover_shaped_system(rng)
+        res = smith_normal_form(A)
+        assert_valid_smith(A, res)
+        theirs = sorted(
+            abs(int(d)) for d in sympy_snf(sympy.Matrix(A)).diagonal() if d != 0
+        )
+        assert [d for d in res.diagonal if d != 0] == theirs
+        for b, x in zip(rhss, solve_many(A, rhss)):
+            d = minimal_scalar_integer_solution(A, b)
+            assert d == sympy_minimal_multiple(A, b)
+            assert (x is None) == (d is None)
+            if x is not None:
+                assert satisfies(A, x, b)
+            multiples.add(d)
+    # the draw reaches unsolvable, integral and non-integral right-hand sides
+    assert None in multiples and 1 in multiples and len(multiples) > 4, multiples
 
 
 # -- minimal integral multiples ----------------------------------------------
