@@ -8,11 +8,7 @@ bounding multiples and a satellite concordance obstruction built on top.
 """
 
 from .cover import (
-    BRANCH_WALL,
-    PSEUDO_WALL,
     CoverStructure,
-    SheetMap,
-    WallHit,
     build_cover,
     lift_components,
     resolve_coset,
@@ -52,7 +48,6 @@ from .obstruction import ObstructionVerdict, evaluate_obstruction, is_prime_powe
 from .rational_linalg import (
     SNFResult,
     format_rational,
-    integral_solution_exists,
     minimal_scalar_integer_solution,
     nullspace_basis,
     parse_rational,
@@ -64,8 +59,6 @@ from .rational_linalg import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BRANCH_WALL",
-    "PSEUDO_WALL",
     "CoverStructure",
     "FORMAT",
     "LinkComponent",
@@ -74,11 +67,9 @@ __all__ = [
     "ObstructionVerdict",
     "OverstrandRef",
     "SNFResult",
-    "SheetMap",
     "TwoChain",
     "UndefinedEntry",
     "Underpass",
-    "WallHit",
     "assemble_system",
     "bounding_chain",
     "bounding_chains",
@@ -87,7 +78,6 @@ __all__ = [
     "diagram_to_dict",
     "evaluate_obstruction",
     "format_rational",
-    "integral_solution_exists",
     "is_prime_power",
     "lift_components",
     "linking_matrix",

@@ -14,7 +14,7 @@ import sys
 from .cover import build_cover, resolve_coset
 from .diagram import load_diagram, pairwise_linking, validate, writhe
 from .homology import bounding_chain, minimal_bounding_multiple
-from .linking import SELF_PAIRING, UndefinedEntry, linking_matrix, linking_number
+from .linking import UndefinedEntry, _entry, linking_matrix
 from .obstruction import evaluate_obstruction
 from .rational_linalg import format_rational
 
@@ -111,14 +111,7 @@ def cmd_lk(args) -> int:
     bi = diagram.component_index(args.b)
     coset_i = resolve_coset(cover, ai, args.i)
     coset_j = resolve_coset(cover, bi, args.j)
-    if ai == bi and coset_i == coset_j:
-        result: object = UndefinedEntry(SELF_PAIRING)
-    else:
-        chain = bounding_chain(cover, bi, coset_j)
-        if chain is None:
-            result = UndefinedEntry("not rationally null-homologous")
-        else:
-            result = linking_number(cover, chain, ai, coset_i)
+    result = _entry(cover, ai, coset_i, bi, coset_j)
     if args.json:
         if isinstance(result, UndefinedEntry):
             print(json.dumps(result.to_json()))

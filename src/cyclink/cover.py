@@ -1,10 +1,12 @@
 """Sheet bookkeeping for cyclic covers branched over one diagram component.
 
 Everything downstream solvers need to know about the q-fold cyclic branched
-cover is combinatorial and is computed here in one pass: how the q sheets
-permute while walking along each component (the omega tables), which lift of
-a wall is crossed at each underpass (the sigma tables), and how path-lifts of
-the non-branch components close up into connected curves (the cosets).
+cover is combinatorial and is computed here in one pass. The deck group Z/q
+acts on the sheets by cyclic shifts, so walking along a component moves the
+walker from sheet j to sheet j + t mod q, and one integer t per arc records
+the walk. From the walks follow which lift of a wall is crossed at each
+underpass (the sigma offsets) and how path-lifts of the non-branch
+components close up into connected curves (the cosets).
 """
 
 from __future__ import annotations
@@ -14,9 +16,6 @@ from math import gcd
 
 from .diagram import LinkDiagram, validate, writhe
 
-BRANCH_WALL = "branch-wall"
-PSEUDO_WALL = "pseudo-wall"
-
 
 def wrap_sheet(value: int, q: int) -> int:
     """Reduce a sheet label mod q into the range 1..q."""
@@ -24,70 +23,16 @@ def wrap_sheet(value: int, q: int) -> int:
 
 
 @dataclass(frozen=True)
-class SheetMap:
-    """A permutation of the sheet labels 1..q, stored as a lookup table.
-
-    Every map that arises from walking a component is a cyclic shift
-    j -> wrap(j + shift), but consumers only rely on the table.
-    """
-
-    table: tuple[int, ...]
-
-    @classmethod
-    def from_shift(cls, shift: int, q: int) -> "SheetMap":
-        return cls(tuple(wrap_sheet(j + shift, q) for j in range(1, q + 1)))
-
-    @property
-    def q(self) -> int:
-        return len(self.table)
-
-    @property
-    def shift(self) -> int:
-        # table[0] = wrap(1 + shift), so this recovers the shift in 0..q-1.
-        return (self.table[0] - 1) % self.q
-
-    def apply(self, j: int) -> int:
-        return self.table[j - 1]
-
-    def invert(self, j: int) -> int:
-        return self.table.index(j) + 1
-
-    def is_identity(self) -> bool:
-        return self.shift == 0
-
-
-@dataclass(frozen=True)
-class WallHit:
-    """Which lift of the overstrand wall an arc runs into at its underpass.
-
-    Walking into the crossing on sheet j, the wall lift crossed carries the
-    superscript returned by superscript_of(j); lift_with_superscript is its
-    inverse and answers "on which sheet does the wall lift labelled s sit".
-    """
-
-    wall_kind: str
-    wall_component: int
-    wall_arc: int
-    offset: int
-    q: int
-
-    def superscript_of(self, j: int) -> int:
-        return wrap_sheet(j + self.offset, self.q)
-
-    def lift_with_superscript(self, s: int) -> int:
-        return wrap_sheet(s - self.offset, self.q)
-
-
-@dataclass(frozen=True)
 class CoverStructure:
     """The combinatorial structure of one branched cover.
 
-    omega[c][i] is the sheet permutation accumulated walking component c from
-    its basepoint to the start of arc i; omega[c][arc_count] is the closure
-    map of the walk. sigma[c][i] describes the wall lift crossed at underpass
-    i of component c. lbar[c] and components_of[c] are None at the branch;
-    elsewhere lbar[c] is the linking number with the branch mod q, and
-    components_of[c] lists the sheet cosets that form closed lifted curves.
+    sigma[c][i] is the offset in 0..q-1 of the wall lift crossed at
+    underpass i of component c: walking in on sheet j, the walker crosses
+    the lift with superscript wrap_sheet(j + offset, q), and the lift with
+    superscript s sits on sheet wrap_sheet(s - offset, q). lbar[c] and
+    components_of[c] are None at the branch; elsewhere lbar[c] is the
+    linking number with the branch mod q, and components_of[c] lists the
+    sheet cosets that form closed lifted curves.
 
     _memo keeps what cyclink.homology solves on this cover, at most one
     answer per (curve, coset); it fills on the first query, not here.
@@ -95,15 +40,14 @@ class CoverStructure:
 
     q: int
     diagram: LinkDiagram
-    omega: tuple[tuple[SheetMap, ...], ...]
-    sigma: tuple[tuple[WallHit, ...], ...]
+    sigma: tuple[tuple[int, ...], ...]
     lbar: tuple[int | None, ...]
     components_of: tuple[tuple[tuple[int, ...], ...] | None, ...]
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def build_cover(diagram: LinkDiagram, q: int) -> CoverStructure:
-    """Compute sheet walks, wall hits and lift cosets for the q-fold cover.
+    """Compute wall offsets and lift cosets for the q-fold cover.
 
     The branch component must have writhe divisible by q; otherwise the
     sheets fail to close up and a ValueError points at normalize_writhe.
@@ -121,6 +65,8 @@ def build_cover(diagram: LinkDiagram, q: int) -> CoverStructure:
         )
 
     branch = diagram.branch
+    # shifts[c][i] is the sheet shift accumulated walking component c from
+    # its basepoint to the start of arc i; shifts[c][-1] closes the walk.
     shifts: list[list[int]] = []
     for comp in diagram.components:
         t = [0]
@@ -129,25 +75,15 @@ def build_cover(diagram: LinkDiagram, q: int) -> CoverStructure:
             t.append(t[-1] + step)
         shifts.append(t)
 
-    omega = tuple(
-        tuple(SheetMap.from_shift(t, q) for t in walk) for walk in shifts
-    )
-
     sigma = []
     for ci, comp in enumerate(diagram.components):
-        hits = []
+        offsets = []
         for i, up in enumerate(comp.underpasses):
             oc, oa = up.over.component, up.over.arc
-            if oc == branch:
-                kind = BRANCH_WALL
-                # Walls hang below a negative crossing one lift lower.
-                adjust = 1 if up.sign < 0 else 0
-            else:
-                kind = PSEUDO_WALL
-                adjust = 0
-            offset = (shifts[ci][i] - shifts[oc][oa] - adjust) % q
-            hits.append(WallHit(kind, oc, oa, offset, q))
-        sigma.append(tuple(hits))
+            # Walls of the branch hang below a negative crossing one lift lower.
+            adjust = 1 if oc == branch and up.sign < 0 else 0
+            offsets.append((shifts[ci][i] - shifts[oc][oa] - adjust) % q)
+        sigma.append(tuple(offsets))
 
     lbar: list[int | None] = []
     components_of: list[tuple[tuple[int, ...], ...] | None] = []
@@ -167,7 +103,6 @@ def build_cover(diagram: LinkDiagram, q: int) -> CoverStructure:
     return CoverStructure(
         q=q,
         diagram=diagram,
-        omega=omega,
         sigma=tuple(sigma),
         lbar=tuple(lbar),
         components_of=tuple(components_of),

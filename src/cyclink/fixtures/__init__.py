@@ -3,10 +3,10 @@
 Each fixture is a two-component diagram (pattern knot "K" as branch, marking
 circle "eta") plus a list of expected-value records used by the acceptance
 tests. Loading a fixture re-checks its declared consistency facts (validity,
-winding number from both sides, writhe divisibility, and that each stated
-minimal multiple is divisible by every denominator of the same row) so that
-an encoding regression fails loudly at load time rather than as a wrong
-number later.
+linking symmetry included, the declared winding number, writhe divisibility,
+and that each stated minimal multiple is divisible by every denominator of
+the same row) so that an encoding regression fails loudly at load time
+rather than as a wrong number later.
 """
 
 from __future__ import annotations
@@ -112,12 +112,11 @@ def load_fixture(name: str) -> Fixture:
         raise FixtureError(f"{name}: non-branch component must be named 'eta'")
 
     winding = int(entry["winding"])
+    # validate has checked that both components read the same linking number.
     seen = pairwise_linking(diagram, eta, branch)
-    mirror_seen = pairwise_linking(diagram, branch, eta)
-    if seen != winding or mirror_seen != winding:
+    if seen != winding:
         raise FixtureError(
-            f"{name}: winding {winding} declared but diagram gives "
-            f"{seen} (from eta) and {mirror_seen} (from K)"
+            f"{name}: winding {winding} declared but diagram gives {seen}"
         )
 
     mods = tuple(int(q) for q in entry.get("writhe_zero_mod", ()))

@@ -18,13 +18,17 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cover import BRANCH_WALL, CoverStructure, resolve_coset, wrap_sheet
+from .cover import CoverStructure, resolve_coset, wrap_sheet
 from .rational_linalg import (
     format_rational,
     minimal_scalar_integer_solution,
     parse_rational,
     solve_many,
 )
+
+# The system is stored dense: above this many entries it is refused before
+# anything is allocated (the corpus systems reach about 4 * 10**4).
+MAX_SYSTEM_ENTRIES = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -76,11 +80,16 @@ def _system_matrix(cover: CoverStructure):
     q = cover.q
     comp = diagram.components[branch]
     n = comp.arc_count
+    height, width = n + n * q, n * q
+    if height * width > MAX_SYSTEM_ENTRIES:
+        raise ValueError(
+            f"the cover system would be {height} x {width}, above the "
+            f"limit of {MAX_SYSTEM_ENTRIES} entries"
+        )
 
     columns = {
         (i, j): i * q + (j - 1) for i in range(n) for j in range(1, q + 1)
     }
-    width = n * q
     rows: list[list[int]] = []
 
     # Vertical walls are built from sheet-gap cells, so the per-arc
@@ -94,14 +103,14 @@ def _system_matrix(cover: CoverStructure):
     for i, up in enumerate(comp.underpasses):
         oc, oa = up.over.component, up.over.arc
         eps = up.sign
-        hit = cover.sigma[branch][i]
+        off = cover.sigma[branch][i]
         for j in range(1, q + 1):
             row = [0] * width
             row[columns[(i, j)]] += 1
             row[columns[((i + 1) % n, j)]] -= 1
             if oc == branch:
-                row[columns[(oa, hit.superscript_of(j))]] -= eps
-                row[columns[(oa, hit.superscript_of(wrap_sheet(j + 1, q)))]] += eps
+                row[columns[(oa, wrap_sheet(j + off, q))]] -= eps
+                row[columns[(oa, wrap_sheet(j + 1 + off, q))]] += eps
             # Curve walls have fixed coefficients; _system_rhs carries them.
             rows.append(row)
 
@@ -115,12 +124,12 @@ def _system_rhs(cover: CoverStructure, ci: int, group: tuple[int, ...]) -> list[
     comp = cover.diagram.components[branch]
     rhs = [0] * comp.arc_count
     for i, up in enumerate(comp.underpasses):
-        hit = cover.sigma[branch][i]
+        off = cover.sigma[branch][i]
         for j in range(1, q + 1):
             b_val = 0
             if up.over.component == ci:
-                s_here = hit.superscript_of(j)
-                s_above = hit.superscript_of(wrap_sheet(j + 1, q))
+                s_here = wrap_sheet(j + off, q)
+                s_above = wrap_sheet(j + 1 + off, q)
                 b_val = up.sign * ((s_here in group) - (s_above in group))
             rhs.append(b_val)
     return rhs
@@ -238,18 +247,18 @@ def verify_boundary(cover: CoverStructure, chain: TwoChain) -> bool:
     for u, up in enumerate(comp.underpasses):
         oc, oa = up.over.component, up.over.arc
         eps = up.sign
-        hit = cover.sigma[branch][u]
+        off = cover.sigma[branch][u]
         if oc == branch:
             for s in range(1, q + 1):
                 v = chain.x[oa][s - 1]
                 if not v:
                     continue
-                p = hit.lift_with_superscript(s)
+                p = wrap_sheet(s - off, q)
                 boundary[("v", branch, u, p)] -= eps * v
                 boundary[("v", branch, u, wrap_sheet(p - 1, q))] += eps * v
         elif oc == ci:
             for s in group:
-                p = hit.lift_with_superscript(s)
+                p = wrap_sheet(s - off, q)
                 boundary[("v", branch, u, p)] -= eps
                 boundary[("v", branch, u, wrap_sheet(p - 1, q))] += eps
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cover import CoverStructure, resolve_coset
-from .homology import TwoChain, bounding_chain, bounding_chains
+from .cover import CoverStructure, resolve_coset, wrap_sheet
+from .homology import TwoChain, _solved_chains, bounding_chain
 from .rational_linalg import format_rational
 
 SELF_PAIRING = "self-pairing"
@@ -32,13 +32,14 @@ class UndefinedEntry:
 def _linking_sum(cover: CoverStructure, chain: TwoChain, gamma: int, group: tuple[int, ...]) -> Fraction:
     diagram = cover.diagram
     branch = diagram.branch
+    q = cover.q
     comp = diagram.components[gamma]
     chain_sheets = set(chain.coset)
     total = Fraction(0)
     for j in group:
-        for u, up in enumerate(comp.underpasses):
+        for up, off in zip(comp.underpasses, cover.sigma[gamma]):
             oc, oa = up.over.component, up.over.arc
-            s = cover.sigma[gamma][u].superscript_of(j)
+            s = wrap_sheet(j + off, q)
             if oc == branch:
                 total += up.sign * chain.x[oa][s - 1]
             elif oc == chain.curve and s in chain_sheets:
@@ -63,6 +64,20 @@ def linking_number(cover: CoverStructure, chain: TwoChain, gamma: int | str, cos
     if bounding_chain(cover, gi, group) is None:
         return UndefinedEntry(NOT_NULL_HOMOLOGOUS)
     return _linking_sum(cover, chain, gi, group)
+
+
+def _entry(cover: CoverStructure, ai: int, ga: tuple, bi: int, gb: tuple) -> Fraction | UndefinedEntry:
+    """One linking matrix entry: lk of lift (ai, ga) with lift (bi, gb).
+
+    The cosets must be canonical (see resolve_coset). The sum is read off
+    the chain bounding (bi, gb), as in linking_number.
+    """
+    if ai == bi and ga == gb:
+        return UndefinedEntry(SELF_PAIRING)
+    chains = _solved_chains(cover)
+    if chains[(bi, gb)] is None or chains[(ai, ga)] is None:
+        return UndefinedEntry(NOT_NULL_HOMOLOGOUS)
+    return _linking_sum(cover, chains[(bi, gb)], ai, ga)
 
 
 @dataclass(frozen=True)
@@ -108,23 +123,12 @@ def linking_matrix(cover: CoverStructure, curve_a: int | str, curve_b: int | str
         raise ValueError("cannot link against lifts of the branch component")
     cosets_a = cover.components_of[ai]
     cosets_b = cover.components_of[bi]
-    chains_a = bounding_chains(cover, ai)
-    chains_b = bounding_chains(cover, bi)
-    rows = []
-    for ga in cosets_a:
-        row: list[Fraction | UndefinedEntry] = []
-        for gb in cosets_b:
-            if ai == bi and ga == gb:
-                row.append(UndefinedEntry(SELF_PAIRING))
-            elif chains_b[gb] is None or chains_a[ga] is None:
-                row.append(UndefinedEntry(NOT_NULL_HOMOLOGOUS))
-            else:
-                row.append(_linking_sum(cover, chains_b[gb], ai, ga))
-        rows.append(tuple(row))
     return LinkingReport(
         curve_a=ai,
         curve_b=bi,
         cosets_a=cosets_a,
         cosets_b=cosets_b,
-        entries=tuple(rows),
+        entries=tuple(
+            tuple(_entry(cover, ai, ga, bi, gb) for gb in cosets_b) for ga in cosets_a
+        ),
     )

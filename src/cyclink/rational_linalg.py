@@ -355,8 +355,3 @@ def minimal_scalar_integer_solution(matrix, rhs) -> int | None:
         elif ws.c[i] != 0:
             d = lcm(d, s // gcd(s, ws.c[i]))
     return d
-
-
-def integral_solution_exists(matrix, rhs) -> bool:
-    """Whether A x = b has an integer solution."""
-    return minimal_scalar_integer_solution(matrix, rhs) == 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 from cyclink import (
     TwoChain,
@@ -28,6 +29,8 @@ from cyclink import (
     nullspace_basis,
     pairwise_linking,
     verify_boundary,
+    wrap_sheet,
+    writhe,
 )
 
 PERTURBATIONS = 10
@@ -36,34 +39,53 @@ PERTURBATIONS = 10
 def sigma_at(cover, component, arc: int, j: int) -> int:
     """Superscript of the wall lift crossed at an underpass, entered on sheet j."""
     ci = cover.diagram.component_index(component)
-    hits = cover.sigma[ci]
-    if not 0 <= arc < len(hits):
+    offsets = cover.sigma[ci]
+    if not 0 <= arc < len(offsets):
         raise ValueError(f"component {ci} has no underpass {arc}")
     if not 1 <= j <= cover.q:
         raise ValueError(f"sheet {j} out of range 1..{cover.q}")
-    return hits[arc].superscript_of(j)
+    return wrap_sheet(j + offsets[arc], cover.q)
 
 
 def curve_indices(diagram):
     return [ci for ci in range(len(diagram.components)) if ci != diagram.branch]
 
 
+def independent_walks(diagram):
+    """Each component's sheet walk, as prefix sums of its branch-crossing signs.
+
+    walks[c][i] is the shift accumulated up to the start of arc i of
+    component c, and walks[c][-1] is the shift of the closed walk.
+    """
+    branch = diagram.branch
+    return [
+        [0, *accumulate(u.sign if u.over.component == branch else 0 for u in comp.underpasses)]
+        for comp in diagram.components
+    ]
+
+
 def check_cover_tables(cover):
     diagram = cover.diagram
     q = cover.q
+    branch = diagram.branch
+    walks = independent_walks(diagram)
+    # Only self-crossings of the branch shift its walk, so it closes up
+    # after writhe steps, which q divides.
+    assert walks[branch][-1] == writhe(diagram, branch)
+    assert walks[branch][-1] % q == 0
     for ci, comp in enumerate(diagram.components):
-        assert len(cover.omega[ci]) == len(comp.underpasses) + 1
-        for arc in range(len(comp.underpasses)):
+        assert len(cover.sigma[ci]) == len(comp.underpasses)
+        for arc, (up, off) in enumerate(zip(comp.underpasses, cover.sigma[ci])):
+            assert type(off) is int and 0 <= off < q
+            # Walls of the branch hang one lift lower below a negative crossing.
+            lower = 1 if up.over.component == branch and up.sign < 0 else 0
+            gap = walks[ci][arc] - walks[up.over.component][up.over.arc] - lower
+            assert (off - gap) % q == 0
             supers = [sigma_at(cover, ci, arc, j) for j in range(1, q + 1)]
             assert sorted(supers) == list(range(1, q + 1))
-            hit = cover.sigma[ci][arc]
-            for j in range(1, q + 1):
-                assert hit.lift_with_superscript(hit.superscript_of(j)) == j
-        closure = cover.omega[ci][-1]
-        if ci == diagram.branch:
-            assert closure.is_identity()
-        else:
-            assert closure.shift == cover.lbar[ci]
+        if ci != branch:
+            assert walks[ci][-1] == pairwise_linking(diagram, ci, branch)
+            assert cover.lbar[ci] == walks[ci][-1] % q
             step = len(lift_components(cover, ci)[0])
             assert step * len(lift_components(cover, ci)) == q
 

@@ -1,12 +1,21 @@
 """Command line interface: subcommands, exit codes, output formats."""
 
 import json
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from conftest import clasped_wire_diagram, hopf_pair_beside_unknot
 from cyclink import (
+    LinkComponent,
+    LinkDiagram,
+    OverstrandRef,
     TwoChain,
+    Underpass,
     build_cover,
     normalize_writhe,
     save_diagram,
@@ -65,6 +74,32 @@ def test_validate_rejects_coercible_values(capsys, tmp_path, field, value, fmt):
     assert code == 2
     assert out == ""
     assert f"{field} must be an integer" in err
+
+
+@pytest.mark.parametrize("fmt", [(), ("--json",)])
+def test_validate_reports_asymmetric_linking(capsys, tmp_path, fmt):
+    # K passes under eta once; eta never passes under K.
+    path = tmp_path / "one_sided.json"
+    save_diagram(
+        LinkDiagram(
+            (
+                LinkComponent("K", (Underpass(1, OverstrandRef(1, 0)),)),
+                LinkComponent("eta", ()),
+            ),
+            0,
+        ),
+        path,
+    )
+    code, out, _ = run(capsys, "validate", str(path), *fmt)
+    assert code == 2
+    message = "components 0 and 1 link 1 times read from 0 but 0 times read from 1"
+    if fmt:
+        assert json.loads(out) == {"valid": False, "violations": [message]}
+    else:
+        assert out.strip() == message
+    code, _, err = run(capsys, "info", str(path), "-q", "1")
+    assert code == 2
+    assert message in err
 
 
 def test_missing_file_is_a_usage_error(capsys):
@@ -297,3 +332,46 @@ def test_output_is_deterministic(capsys):
     first = run(capsys, *args)
     second = run(capsys, *args)
     assert first == second
+
+
+def test_oversized_cover_system_is_a_usage_error(capsys):
+    # 10**5 sheets over stevedore_w0's branch arcs would be a dense system
+    # of about 10**12 entries; it is refused before anything is allocated.
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys,
+        "chain", str(fixture_diagram_path("stevedore_w0")),
+        "-q", "100000", "--curve", "eta", "--coset", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the cover system would be ")
+    assert "above the limit" in err
+    assert time.perf_counter() - start < 10
+
+
+def _limit_address_space():
+    cap = 500 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+def test_info_at_a_million_sheets_fits_in_500_mb():
+    # The cover keeps one integer offset per underpass, so only the lift
+    # list grows with q.
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "cyclink.cli",
+            "info", str(fixture_diagram_path("stevedore_w0")),
+            "-q", "1000000", "--json",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={"PYTHONPATH": str(src)},
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    eta = next(c for c in data["components"] if c["name"] == "eta")
+    assert len(eta["lifts"]) == 1000000

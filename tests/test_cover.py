@@ -1,20 +1,17 @@
-"""Sheet bookkeeping: walks, wall hits, lift cosets."""
+"""Sheet bookkeeping: walks, wall offsets, lift cosets."""
 
 import pytest
 
 from conftest import fixture, hopf_diagram, trefoil_diagram, wire_with_meridian
 from cyclink import (
-    BRANCH_WALL,
-    PSEUDO_WALL,
-    SheetMap,
-    WallHit,
     build_cover,
     lift_components,
     normalize_writhe,
     resolve_coset,
     wrap_sheet,
 )
-from property_checks import sigma_at
+from cyclink.fixtures import corpus_names
+from property_checks import check_cover_tables, independent_walks, sigma_at
 
 
 def test_wrap_sheet_lands_in_one_to_q():
@@ -26,25 +23,12 @@ def test_wrap_sheet_lands_in_one_to_q():
     assert [wrap_sheet(v, 4) for v in range(1, 9)] == [1, 2, 3, 4, 1, 2, 3, 4]
 
 
-def test_sheet_map_shift_apply_invert():
-    m = SheetMap.from_shift(2, 5)
-    assert m.q == 5
-    assert m.shift == 2
-    assert [m.apply(j) for j in range(1, 6)] == [3, 4, 5, 1, 2]
-    for j in range(1, 6):
-        assert m.invert(m.apply(j)) == j
-    assert SheetMap.from_shift(0, 4).is_identity()
-    assert not m.is_identity()
-    assert SheetMap.from_shift(7, 5).shift == 2
-
-
 def test_wall_hit_superscript_is_a_bijection_with_inverse():
     for offset in range(4):
-        hit = WallHit(BRANCH_WALL, 0, 0, offset, 4)
-        supers = [hit.superscript_of(j) for j in range(1, 5)]
+        supers = [wrap_sheet(j + offset, 4) for j in range(1, 5)]
         assert sorted(supers) == [1, 2, 3, 4]
         for j in range(1, 5):
-            assert hit.lift_with_superscript(hit.superscript_of(j)) == j
+            assert wrap_sheet(wrap_sheet(j + offset, 4) - offset, 4) == j
 
 
 def test_build_cover_rejects_bad_degree_and_invalid_diagrams():
@@ -66,44 +50,42 @@ def test_build_cover_rejects_undivisible_writhe_with_hint():
 
 def test_branch_walk_shifts_only_at_self_crossings():
     d = trefoil_diagram()  # three positive self-crossings
+    assert independent_walks(d) == [[0, 1, 2, 3]]
     cover = build_cover(d, 3)
-    walk = cover.omega[0]
-    assert [m.shift for m in walk] == [0, 1, 2, 0]
-    assert walk[-1].is_identity()
+    # Arc i runs under arc i - 1 (mod 3), one sheet further along the walk.
+    assert cover.sigma == ((1, 1, 1),)
+    check_cover_tables(cover)
 
 
 def test_pseudo_walls_do_not_shift_the_walk():
     d = wire_with_meridian()  # K dives under eta once, eta under K once
     cover = build_cover(d, 4)
     k, eta = d.branch, d.component_index("eta")
-    assert all(m.is_identity() for m in cover.omega[k])
+    walks = independent_walks(d)
+    assert walks[k] == [0, 0]
     # eta's single underpass is under the branch, so its walk does shift.
-    assert cover.omega[eta][-1].shift in (1, 4 - 1)
-    assert cover.lbar[eta] == cover.omega[eta][-1].shift
-
-
-def test_wall_kind_tracks_overstrand_component():
-    d = normalize_writhe(fixture("stevedore_w2").diagram, 4)
-    cover = build_cover(d, 4)
-    for ci, comp in enumerate(d.components):
-        for i, up in enumerate(comp.underpasses):
-            hit = cover.sigma[ci][i]
-            expected = BRANCH_WALL if up.over.component == d.branch else PSEUDO_WALL
-            assert hit.wall_kind == expected
-            assert (hit.wall_component, hit.wall_arc) == (
-                up.over.component,
-                up.over.arc,
-            )
+    assert walks[eta][-1] in (1, -1)
+    assert cover.lbar[eta] == walks[eta][-1] % 4
+    check_cover_tables(cover)
 
 
 def test_wall_hit_offsets_follow_walk_and_sign():
     d = normalize_writhe(trefoil_diagram(-1), 3)
     cover = build_cover(d, 3)
-    walk = cover.omega[0]
+    # Every crossing is a self-crossing of the branch, so each one shifts.
+    walk = [0]
+    for up in d.components[0].underpasses:
+        walk.append(walk[-1] + up.sign)
     for i, up in enumerate(d.components[0].underpasses):
         adjust = 1 if up.sign < 0 and up.over.component == d.branch else 0
-        expected = (walk[i].shift - walk[up.over.arc].shift - adjust) % 3
-        assert cover.sigma[0][i].offset == expected
+        expected = (walk[i] - walk[up.over.arc] - adjust) % 3
+        assert cover.sigma[0][i] == expected
+
+
+def test_cover_offsets_match_independent_walks_on_corpus():
+    for name in corpus_names():
+        for q in fixture(name).writhe_zero_mod:
+            check_cover_tables(build_cover(fixture(name).diagram, q))
 
 
 def test_lift_cosets_partition_the_sheets():
@@ -155,8 +137,7 @@ def test_degree_one_cover_is_trivial():
         cover = build_cover(d, 1)
         assert cover.q == 1
         for ci in range(len(d.components)):
-            assert all(m.is_identity() for m in cover.omega[ci])
-            assert all(h.superscript_of(1) == 1 for h in cover.sigma[ci])
+            assert all(off == 0 for off in cover.sigma[ci])
             if ci != d.branch:
                 assert cover.components_of[ci] == ((1,),)
                 assert cover.lbar[ci] == 0

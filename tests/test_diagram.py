@@ -106,6 +106,40 @@ def test_validate_reports_each_violation():
     assert validate(LinkDiagram((), 0)) == ["diagram has no components"]
 
 
+def one_sided_clasp() -> LinkDiagram:
+    """K passes under eta once, but eta never passes under K.
+
+    Structurally sound, yet no planar diagram reads linking number 1 off
+    one component and 0 off the other.
+    """
+    return LinkDiagram(
+        (
+            LinkComponent("K", (Underpass(1, OverstrandRef(1, 0)),)),
+            LinkComponent("eta", ()),
+        ),
+        0,
+    )
+
+
+def test_validate_reports_asymmetric_linking():
+    d = one_sided_clasp()
+    assert pairwise_linking(d, 0, 1) == 1 and pairwise_linking(d, 1, 0) == 0
+    assert validate(d) == [
+        "components 0 and 1 link 1 times read from 0 but 0 times read from 1"
+    ]
+    with pytest.raises(ValueError, match="invalid diagram: components 0 and 1"):
+        build_cover(d, 1)
+    # With the missing crossing added, both sides agree.
+    fixed = replace(
+        d,
+        components=(
+            d.components[0],
+            LinkComponent("eta", (Underpass(1, OverstrandRef(0, 0)),)),
+        ),
+    )
+    assert validate(fixed) == []
+
+
 def test_normalize_writhe_reaches_zero_mod_q():
     d = trefoil_diagram()  # writhe 3
     for q in (1, 2, 3, 4, 5, 6):

@@ -17,7 +17,6 @@ from cyclink import (
     bounding_chain,
     bounding_chains,
     build_cover,
-    integral_solution_exists,
     lift_components,
     minimal_bounding_multiple,
     minimal_scalar_integer_solution,
@@ -142,9 +141,9 @@ def test_minimal_multiple_on_a_nontrivial_lift():
 def test_minimal_multiple_is_least_among_divisors():
     cover = cover_for("stevedore_w0", 2)
     rows, rhs, _ = assemble_system(cover, "eta", 1)
-    assert integral_solution_exists(rows, [9 * b for b in rhs])
+    assert minimal_scalar_integer_solution(rows, [9 * b for b in rhs]) == 1
     for d in (1, 3):
-        assert not integral_solution_exists(rows, [d * b for b in rhs])
+        assert minimal_scalar_integer_solution(rows, [d * b for b in rhs]) != 1
 
 
 def test_twobridge_m1_q4_multiple_against_sympy_smith_form():

@@ -16,7 +16,6 @@ from cyclink import (
     assemble_system,
     build_cover,
     format_rational,
-    integral_solution_exists,
     minimal_scalar_integer_solution,
     nullspace_basis,
     parse_rational,
@@ -322,8 +321,8 @@ def test_minimal_multiple_combines_prime_factors():
 
 def test_minimal_multiple_is_one_for_integral_solutions():
     assert minimal_scalar_integer_solution([[2]], [4]) == 1
-    assert integral_solution_exists([[2]], [4])
-    assert not integral_solution_exists([[2]], [1])
+    assert minimal_scalar_integer_solution([[2, 0], [0, 3]], [4, -9]) == 1
+    assert minimal_scalar_integer_solution([[2]], [1]) != 1
 
 
 def test_minimal_multiple_none_when_rationally_unsolvable():
@@ -346,10 +345,10 @@ def test_minimal_multiple_is_minimal():
         if d is None:
             assert solve_particular(A, b) is None
             continue
-        assert integral_solution_exists(A, [d * v for v in b])
+        assert minimal_scalar_integer_solution(A, [d * v for v in b]) == 1
         for smaller in range(1, d):
             if d % smaller == 0:
-                assert not integral_solution_exists(A, [smaller * v for v in b])
+                assert minimal_scalar_integer_solution(A, [smaller * v for v in b]) != 1
 
 
 # -- rational formatting -----------------------------------------------------
