@@ -7,9 +7,10 @@ assemble_system writes that system down, bounding_chain solves it, and
 verify_boundary recomputes the boundary of a candidate chain cell by cell,
 independently of how the system was assembled.
 
-The matrix depends only on the cover: the first chain asked of a cover
-solves every lift of every curve in one elimination. Chains and integral
-multiples are kept on the cover, so a repeated query is a lookup.
+The matrix depends only on the cover, and the deck shift of the sheets
+permutes it while carrying each lift of a curve to the next. So the first
+chain asked of a cover solves one lift per deck orbit, the first coset of
+each curve, in one elimination; every other chain is a shift of one of these.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cover import CoverStructure, resolve_coset, wrap_sheet
+from .diagram import _integer
 from .rational_linalg import (
     format_rational,
     minimal_scalar_integer_solution,
@@ -57,8 +59,8 @@ class TwoChain:
     @classmethod
     def from_dict(cls, data: dict) -> "TwoChain":
         return cls(
-            curve=int(data["curve"]),
-            coset=tuple(int(s) for s in data["coset"]),
+            curve=_integer(data["curve"], "curve"),
+            coset=tuple(_integer(s, f"coset[{k}]") for k, s in enumerate(data["coset"])),
             x=tuple(
                 tuple(parse_rational(v) for v in row) for row in data["x"]
             ),
@@ -150,27 +152,33 @@ def assemble_system(cover: CoverStructure, curve: int | str, coset):
 def _solved_chains(cover: CoverStructure) -> dict:
     """Bounding chains of every lift of every curve, keyed by (curve, coset).
 
-    Solved with one elimination on the first call and kept on the cover.
+    The first call solves each curve's first coset in one elimination. The
+    coset at sheet 1+s gets x_s[i][j] = x_0[i][(j - s) mod q], or None if x_0 is.
     """
     chains = cover._memo.get("chains")
     if chains is None:
+        q = cover.q
         # components_of is None at the branch, which has no lifts to bound.
-        lifts = [(ci, g) for ci, cosets in enumerate(cover.components_of) for g in cosets or ()]
+        curves = [ci for ci, cosets in enumerate(cover.components_of) if cosets]
         matrix, _ = _system_matrix(cover)
-        solutions = solve_many(matrix, [_system_rhs(cover, *lift) for lift in lifts])
-        # Column i*q + (j-1) holds the lift of branch arc i to sheet j.
-        chains = {
-            (ci, group): None if x is None else TwoChain(
-                ci, group, tuple(tuple(x[k:k + cover.q]) for k in range(0, len(x), cover.q))
-            )
-            for (ci, group), x in zip(lifts, solutions)
-        }
+        firsts = solve_many(matrix, [_system_rhs(cover, ci, cover.components_of[ci][0]) for ci in curves])
+        chains = {}
+        for ci, x in zip(curves, firsts):
+            # Column i*q + (j-1) holds the lift of branch arc i to sheet j.
+            rows = [x[k:k + q] for k in range(0, len(x), q)] if x else []
+            for s, group in enumerate(cover.components_of[ci]):
+                chains[(ci, group)] = None if x is None else TwoChain(
+                    ci, group, tuple(tuple(row[q - s:] + row[:q - s]) for row in rows))
         cover._memo["chains"] = chains
     return chains
 
 
 def bounding_chain(cover: CoverStructure, curve: int | str, coset) -> TwoChain | None:
-    """One rational chain bounding the lifted curve, or None if none exists."""
+    """One rational chain bounding the lifted curve, or None if none exists.
+
+    The chain of the coset that starts at sheet 1+s is defined as the chain
+    of the curve's first coset, shifted by the deck group s sheets up.
+    """
     lift = _lift(cover, curve, coset)  # reject bad input before solving
     return _solved_chains(cover)[lift]
 
@@ -180,9 +188,7 @@ def bounding_chains(cover: CoverStructure, curve: int | str) -> dict[tuple[int, 
 
     Unbounded lifts map to None. The dict is new on every call.
     """
-    ci = cover.diagram.component_index(curve)
-    if ci == cover.diagram.branch:
-        raise ValueError("cannot bound lifts of the branch component")
+    ci, _ = _lift(cover, curve, 1)  # sheet 1 lies in the first coset
     chains = _solved_chains(cover)
     return {group: chains[(ci, group)] for group in cover.components_of[ci]}
 
@@ -190,14 +196,15 @@ def bounding_chains(cover: CoverStructure, curve: int | str) -> dict[tuple[int, 
 def minimal_bounding_multiple(cover: CoverStructure, curve: int | str, coset) -> int | None:
     """Smallest d >= 1 such that d times the lifted curve bounds integrally.
 
-    None when the curve does not even bound rationally.
+    None when the curve does not even bound rationally. The deck shift permutes
+    the system, so d is the same on every coset of the curve and solved once.
     """
-    lift = _lift(cover, curve, coset)
+    ci, _ = _lift(cover, curve, coset)
     orders = cover._memo.setdefault("orders", {})
-    if lift not in orders:
+    if ci not in orders:
         matrix, _ = _system_matrix(cover)
-        orders[lift] = minimal_scalar_integer_solution(matrix, _system_rhs(cover, *lift))
-    return orders[lift]
+        orders[ci] = minimal_scalar_integer_solution(matrix, _system_rhs(cover, ci, cover.components_of[ci][0]))
+    return orders[ci]
 
 
 def verify_boundary(cover: CoverStructure, chain: TwoChain) -> bool:

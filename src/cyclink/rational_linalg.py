@@ -9,12 +9,12 @@ back-substitution; all integral work is one Smith reduction.
 Matrices are stored dense, but the cover systems are sparse: at most four
 nonzeros per row apart from the per-arc sum rows, nearly all of them +-1.
 Both kernels therefore skip zero entries. Bareiss visits only the nonzero
-entries of the pivot row and of each target row. The Smith reduction
-stops its pivot search at the first unit, skips the divisibility sweep
-when the pivot is a unit, and updates S only in the active block and only
-where the source row or column is nonzero. What is skipped leaves every
-entry as it was, so each kernel performs the same elementary operations in
-the same order as the plain dense algorithm and returns the same integers.
+entries of the pivot row and of each target row, and rescales a row lazily,
+when it is next used, since its piv/prev rescales telescope. The Smith
+reduction stops its pivot search at the first unit, skips the divisibility
+sweep when the pivot is a unit, and updates S only in the active block and
+only where the source row or column is nonzero. Neither the skips nor the
+deferral change a result: each kernel returns the dense algorithm's integers.
 """
 
 from __future__ import annotations
@@ -48,6 +48,13 @@ def _integer_rows(matrix, rhss):
     return rows
 
 
+def _rescale(row, start, width, num, den):
+    """row[j] = num * row[j] // den for the nonzero entries from start on."""
+    if num != den:
+        for j in compress(range(start, width), row[start:]):
+            row[j] = num * row[j] // den
+
+
 def _eliminate(rows, m, n, width):
     """In-place Bareiss forward elimination on integer rows of length width.
 
@@ -55,13 +62,17 @@ def _eliminate(rows, m, n, width):
     ride along. Returns the pivot (row, col) list; after return, rows below
     the last pivot are zero in all n pivot-eligible columns.
 
-    Each step sets row_i[j] = (piv * row_i[j] - factor * row_r[j]) // prev
-    for every target row i and column j >= col, as in the dense algorithm,
-    but only visits the entries that can change: rows from r on are zero
-    before col, so where both row_i[j] and row_r[j] are zero the result is
-    zero, and where only row_r[j] is zero it is a rescale of row_i[j].
+    Each dense step sets row_i[j] = (piv * row_i[j] - factor * row_r[j]) // prev
+    for every target row i and column j >= col. With a zero factor that is a
+    piv/prev rescale; these telescope, so seen[i] keeps the pivot row i was
+    last brought up to date with, and the row is scaled by prev // seen[i]
+    only when it is next the pivot row or a target with a nonzero factor, or
+    at the end if it stays below the rank. An update visits only the entries
+    that can change: rows from r on are zero before col, and where row_r[j]
+    is zero it is a rescale. Every entry ends as the dense algorithm's integer.
     """
     pivots: list[tuple[int, int]] = []
+    seen = [1] * m
     prev = 1
     r = 0
     for col in range(n):
@@ -69,37 +80,37 @@ def _eliminate(rows, m, n, width):
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        seen[r], seen[pivot_row] = seen[pivot_row], seen[r]
         row_r = rows[r]
+        _rescale(row_r, col, width, prev, seen[r])
         piv = row_r[col]
         support = [(j, row_r[j]) for j in compress(range(col + 1, width), row_r[col + 1:])]
         for i in range(r + 1, m):
             row_i = rows[i]
+            if not row_i[col]:
+                continue  # rescaling by piv/prev waits until the row is used
+            _rescale(row_i, col, width, prev, seen[i])
             factor = row_i[col]
-            # rows with a zero factor still need the piv/prev rescale, or the
-            # exact-division invariant breaks on later steps; when piv == prev
-            # the rescale is the identity
             if piv != prev:
                 for j in compress(range(col + 1, width), row_i[col + 1:]):
-                    if not (factor and row_r[j]):  # the update below does those
+                    if not row_r[j]:  # the update below does the others
                         row_i[j] = piv * row_i[j] // prev
-            if factor:
-                row_i[col] = 0
-                for j, v in support:
-                    row_i[j] = (piv * row_i[j] - factor * v) // prev
+            row_i[col] = 0
+            for j, v in support:
+                row_i[j] = (piv * row_i[j] - factor * v) // prev
+            seen[i] = piv
         pivots.append((r, col))
         prev = piv
         r += 1
-        if r == m:
-            break
+    for i in range(r, m):
+        _rescale(rows[i], n, width, prev, seen[i])
     return pivots
 
 
 def solve_particular(matrix, rhs) -> list[Fraction] | None:
     """One exact solution of A x = b, or None when the system is inconsistent.
 
-    Fraction-free (Bareiss) forward elimination with partial pivoting by
-    first nonzero entry, then rational back-substitution. Free variables are
-    set to zero, so the answer is deterministic.
+    Free variables are set to zero, so the answer is deterministic.
     """
     return solve_many(matrix, [rhs])[0]
 
@@ -125,14 +136,11 @@ def solve_many(matrix, rhss) -> list[list[Fraction] | None]:
     pivots = _eliminate(rows, m, n, n + k)
 
     rank = len(pivots)
-    solutions: list[list[Fraction] | None] = []
-    for t in range(k):
-        b_col = n + t
-        if any(rows[i][b_col] != 0 for i in range(rank, m)):
-            solutions.append(None)
-            continue
-        solutions.append(_back_substitute(rows, pivots, [Fraction(0)] * n, b_col))
-    return solutions
+    return [
+        None if any(rows[i][b] for i in range(rank, m))
+        else _back_substitute(rows, pivots, [Fraction(0)] * n, b)
+        for b in range(n, n + k)
+    ]
 
 
 def _back_substitute(rows, pivots, x, b_col=None):

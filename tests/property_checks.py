@@ -2,10 +2,11 @@
 
 Each check asserts a structural fact the construction must satisfy for every
 valid input: walks close up correctly, produced chains really bound their
-curves, linking numbers are gauge independent, symmetric, and behave under
-mirroring, and degree one collapses to classical diagram linking. The
-acceptance suite runs this battery over the whole fixture corpus plus
-randomized diagrams; the unit suite runs it on hand-picked cases.
+curves and agree with each lift solved on its own, linking numbers are gauge
+independent, symmetric, and behave under mirroring, and degree one collapses
+to classical diagram linking. The acceptance suite runs this battery over the
+whole fixture corpus plus randomized diagrams; the unit suite runs it on
+hand-picked cases.
 """
 
 from __future__ import annotations
@@ -24,10 +25,13 @@ from cyclink import (
     lift_components,
     linking_matrix,
     linking_number,
+    minimal_bounding_multiple,
+    minimal_scalar_integer_solution,
     mirror,
     normalize_writhe,
     nullspace_basis,
     pairwise_linking,
+    solve_particular,
     verify_boundary,
     wrap_sheet,
     writhe,
@@ -107,6 +111,46 @@ def check_chains(cover, chains):
         assert verify_boundary(cover, chain)
         for row in chain.x:
             assert sum(row) == 0
+
+
+def per_lift_chain(cover, ci, coset):
+    """The chain of one lift solved from that lift's own system, or None.
+
+    This is the oracle for the deck shift: the library solves only the first
+    coset of each curve and shifts its chain to the other cosets.
+    """
+    rows, rhs, columns = assemble_system(cover, ci, coset)
+    x = solve_particular(rows, rhs)
+    if x is None:
+        return None
+    n, q = len(columns) // cover.q, cover.q
+    return TwoChain(
+        curve=ci,
+        coset=coset,
+        x=tuple(tuple(x[columns[(i, j)]] for j in range(1, q + 1)) for i in range(n)),
+    )
+
+
+def check_against_per_lift_solve(cover, chains):
+    """Existence, multiples and linking numbers agree with each lift solved alone.
+
+    The shifted chain may differ from the lift's own solution by a nullspace
+    vector, so linking numbers are compared rather than coefficients.
+    """
+    alone = {lift: per_lift_chain(cover, *lift) for lift in chains}
+    for (ci, coset), chain in chains.items():
+        assert (chain is None) == (alone[(ci, coset)] is None)
+        rows, rhs, _ = assemble_system(cover, ci, coset)
+        assert minimal_bounding_multiple(cover, ci, coset) == (
+            minimal_scalar_integer_solution(rows, rhs)
+        )
+        if chain is None:
+            continue
+        for other in chains:
+            if other != (ci, coset):
+                assert linking_number(cover, chain, *other) == linking_number(
+                    cover, alone[(ci, coset)], *other
+                )
 
 
 def perturbed(chain, basis, columns, rng):
@@ -216,6 +260,7 @@ def run_battery(diagram, q, rng=None):
     check_cover_tables(cover)
     chains = chains_of(cover)
     check_chains(cover, chains)
+    check_against_per_lift_solve(cover, chains)
     check_gauge_invariance(cover, chains, rng)
     check_symmetry(cover)
     check_mirror(prepared, q, cover)

@@ -1,9 +1,11 @@
 """Bounding chains: system assembly, solving, and the cell-level oracle."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from builders import random_diagram
 from conftest import (
     clasped_wire_diagram,
     fixture,
@@ -26,6 +28,9 @@ from cyclink import (
     verify_boundary,
 )
 from cyclink.fixtures import corpus_names
+from property_checks import check_against_per_lift_solve, check_chains, chains_of, per_lift_chain
+
+CORPUS_PAIRS = [(name, q) for name in corpus_names() for q in fixture(name).writhe_zero_mod]
 
 
 def cover_for(name, q):
@@ -206,6 +211,50 @@ def test_two_chain_dict_round_trip():
     again = TwoChain.from_dict(chain.to_dict())
     assert again == chain
     assert again.coefficient(0, 1) == chain.x[0][0]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"curve": 1.9},
+        {"curve": True},
+        {"curve": "0"},
+        {"coset": [True]},
+        {"coset": [2.7]},
+        {"coset": [1, "2"]},
+        {"curve": 1.9, "coset": [True, 2.7]},
+    ],
+)
+def test_two_chain_from_dict_rejects_non_integer_fields(data):
+    good = bounding_chain(cover_for("stevedore_w0", 3), "eta", 2).to_dict()
+    field = "curve" if "curve" in data else "coset"
+    with pytest.raises(ValueError, match=rf"^{field}\b.*must be an integer"):
+        TwoChain.from_dict({**good, **data})
+
+
+@pytest.mark.parametrize("name, q", CORPUS_PAIRS)
+def test_corpus_chains_equal_the_per_lift_solve(name, q):
+    # Every lift past the first coset gets the deck shift of the first
+    # chain; on the corpus that is exactly what solving the lift's own
+    # system gives.
+    cover = build_cover(fixture(name).diagram, q)
+    ci = cover.diagram.component_index("eta")
+    for coset in lift_components(cover, "eta"):
+        assert bounding_chain(cover, "eta", coset) == per_lift_chain(cover, ci, coset), coset
+
+
+def test_deck_shift_differs_from_the_per_lift_solve_by_a_gauge_vector():
+    # On this random cover three lifts get a chain other than their own
+    # solve. Both bound the same curve, so they differ by a nullspace
+    # vector, and every linking number and multiple agrees.
+    cover = build_cover(normalize_writhe(random_diagram(random.Random(248)), 6), 6)
+    chains = chains_of(cover)
+    differ = {
+        coset for (ci, coset), chain in chains.items() if chain != per_lift_chain(cover, ci, coset)
+    }
+    assert differ == {(3,), (4,), (5,)}
+    check_chains(cover, chains)
+    check_against_per_lift_solve(cover, chains)
 
 
 def test_bounding_chains_matches_single_coset_solver():

@@ -12,6 +12,9 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from conftest import fixture, sympy_minimal_multiple
+from cyclink.fixtures import corpus_names
+from cyclink.homology import _system_matrix, _system_rhs
+from cyclink.rational_linalg import _eliminate, _integer_rows
 from cyclink import (
     assemble_system,
     build_cover,
@@ -158,6 +161,100 @@ def test_solve_many_empty_inputs():
 def test_solve_many_rejects_mismatched_rhs_length():
     with pytest.raises(ValueError):
         solve_many([[1, 0], [0, 1]], [[1, 2], [3]])
+
+
+# -- the Bareiss kernel against the textbook algorithm ------------------------
+
+
+def dense_bareiss(rows, m, n):
+    """Textbook fraction-free elimination, the oracle for _eliminate.
+
+    At every step each row below the pivot is replaced in full by
+    (piv * row_i - factor * row_r) // prev: nothing is skipped or deferred.
+    Returns the pivots and how many of those replacements were a plain
+    rescale (zero factor, piv != prev) of a nonzero row.
+    """
+    pivots, prev, r, rescales = [], 1, 0, 0
+    for col in range(n):
+        p = next((i for i in range(r, m) if rows[i][col]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        row_r, piv = rows[r], rows[r][col]
+        for i in range(r + 1, m):
+            f = rows[i][col]
+            rescales += not f and piv != prev and any(rows[i])
+            rows[i] = [(piv * a - f * b) // prev for a, b in zip(rows[i], row_r)]
+        pivots.append((r, col))
+        prev, r = piv, r + 1
+    return pivots, rescales
+
+
+def assert_kernel_matches_dense(rows, n):
+    """_eliminate leaves the same rows and pivots; returns the oracle's rescales."""
+    ours, theirs = [list(row) for row in rows], [list(row) for row in rows]
+    m = len(rows)
+    pivots, rescales = dense_bareiss(theirs, m, n)
+    assert _eliminate(ours, m, n, len(rows[0])) == pivots
+    assert ours == theirs
+    return rescales
+
+
+# Off-table writhe-0 rows, as in the benchmark's corpus_tables q-sweep.
+SWEEP = (
+    [("stevedore_w0", q) for q in (1, 6, 7, 8, 9, 10, 11)]
+    + [("twobridge_m0", q) for q in (6, 7, 8, 9, 10, 11)]
+    + [("twobridge_m1", q) for q in (6, 7, 8)]
+    + [("twobridge_m2", q) for q in (6, 7)]
+)
+CORPUS_AND_SWEEP = [
+    (name, q) for name in corpus_names() for q in fixture(name).writhe_zero_mod
+] + SWEEP
+
+
+@pytest.mark.parametrize("name, q", CORPUS_AND_SWEEP)
+def test_kernel_matches_dense_bareiss_on_cover_systems(name, q):
+    # Every lift's right-hand side rides along, as the integral columns do.
+    cover = build_cover(fixture(name).diagram, q)
+    matrix, _ = _system_matrix(cover)
+    lifts = [(ci, g) for ci, cosets in enumerate(cover.components_of) for g in cosets or ()]
+    rows = _integer_rows(matrix, [_system_rhs(cover, ci, g) for ci, g in lifts])
+    assert_kernel_matches_dense(rows, len(matrix[0]))
+
+
+def test_kernel_matches_dense_bareiss_on_sparse_random_matrices():
+    # Mostly zeros, so most rows have a zero factor at most steps and carry
+    # their rescale over several pivots before they are used.
+    rng = random.Random(6)
+    rescales = 0
+    for _ in range(400):
+        m, n, k = rng.randint(2, 9), rng.randint(2, 9), rng.randint(0, 3)
+        rows = [[rng.choice((0, 0, 0, 0, 1, -1, 2, -3, 5)) for _ in range(n + k)] for _ in range(m)]
+        rescales += assert_kernel_matches_dense(rows, n)
+    assert rescales > 400
+
+
+def test_kernel_matches_dense_bareiss_on_rank_deficient_products():
+    # A = B C with an inner dimension below min(m, n): rank deficiency and
+    # pivots that are not units.
+    rng = random.Random(7)
+    for _ in range(200):
+        m, n, k = rng.randint(2, 8), rng.randint(2, 8), rng.randint(1, 4)
+        B = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
+        C = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        rows = [
+            [sum(B[i][t] * C[t][j] for t in range(k)) for j in range(n)]
+            + [rng.randint(-4, 4)]
+            for i in range(m)
+        ]
+        assert_kernel_matches_dense(rows, n)
+
+
+def test_kernel_defers_the_rescale_of_zero_factor_rows():
+    # Rows 1 and 2 have zero factors under the pivot 2, then under 3; the
+    # dense algorithm rescales them at each step, the kernel when used.
+    rows = [[2, 0, 0, 1], [0, 3, 0, 1], [0, 0, 5, 1], [0, 0, 0, 0]]
+    assert assert_kernel_matches_dense(rows, 3) == 3
 
 
 # -- nullspace ---------------------------------------------------------------
