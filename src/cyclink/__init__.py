@@ -46,12 +46,10 @@ from .linking import (
 )
 from .obstruction import ObstructionVerdict, evaluate_obstruction, is_prime_power
 from .rational_linalg import (
-    SNFResult,
     format_rational,
     minimal_scalar_integer_solution,
     nullspace_basis,
     parse_rational,
-    smith_normal_form,
     solve_many,
     solve_particular,
 )
@@ -66,7 +64,6 @@ __all__ = [
     "LinkingReport",
     "ObstructionVerdict",
     "OverstrandRef",
-    "SNFResult",
     "TwoChain",
     "UndefinedEntry",
     "Underpass",
@@ -92,7 +89,6 @@ __all__ = [
     "parse_rational",
     "resolve_coset",
     "save_diagram",
-    "smith_normal_form",
     "solve_many",
     "solve_particular",
     "validate",

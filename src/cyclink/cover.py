@@ -16,6 +16,10 @@ from math import gcd
 
 from .diagram import LinkDiagram, validate, writhe
 
+# Largest cover degree build_cover accepts. The lift cosets hold q sheet
+# labels per curve, so a larger q is refused before any of them is built.
+MAX_COVER_DEGREE = 1_000_000
+
 
 def wrap_sheet(value: int, q: int) -> int:
     """Reduce a sheet label mod q into the range 1..q."""
@@ -54,6 +58,10 @@ def build_cover(diagram: LinkDiagram, q: int) -> CoverStructure:
     """
     if q < 1:
         raise ValueError("cover degree q must be a positive integer")
+    if q > MAX_COVER_DEGREE:
+        raise ValueError(
+            f"cover degree q={q} is above the limit of {MAX_COVER_DEGREE} sheets"
+        )
     problems = validate(diagram)
     if problems:
         raise ValueError("invalid diagram: " + "; ".join(problems))

@@ -4,24 +4,30 @@ Everything here runs on arbitrary-precision numbers: `fractions.Fraction`
 for rational data and Python ints for integer matrices. No floating point,
 no fixed-width arithmetic. All rational work (particular solutions and
 nullspaces) is one fraction-free Bareiss elimination, `_eliminate`, then
-back-substitution; all integral work is one Smith reduction.
+back-substitution. The integral work, the least multiple d for which
+A x = d b has an integer solution, is a sparse unit-pivot elimination and
+then a dense Smith reduction of the small tail it leaves.
 
-Matrices are stored dense, but the cover systems are sparse: at most four
+Matrices are passed dense, but the cover systems are sparse: at most four
 nonzeros per row apart from the per-arc sum rows, nearly all of them +-1.
-Both kernels therefore skip zero entries. Bareiss visits only the nonzero
-entries of the pivot row and of each target row, and rescales a row lazily,
-when it is next used, since its piv/prev rescales telescope. The Smith
-reduction stops its pivot search at the first unit, skips the divisibility
-sweep when the pivot is a unit, and updates S only in the active block and
-only where the source row or column is nonzero. Neither the skips nor the
-deferral change a result: each kernel returns the dense algorithm's integers.
+Bareiss visits only the nonzero entries of the pivot row and of each target
+row, and rescales a row lazily, when it is next used, since its piv/prev
+rescales telescope; it returns the dense algorithm's integers. The unit
+phase keeps each row as a {column: entry} dict with a column-to-rows index
+and needs row operations only, because a +-1 pivot adds nothing to d. The
+Smith reduction then sees only the independent rows of what is left, and
+updates S only in its active block, where the source row or column is
+nonzero. The `cyclink` logger reports each multiple's unit steps and tail
+shape at DEBUG level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import compress, islice
+from heapq import heapify, heappop, heappush
+from itertools import chain, compress, islice
 from math import gcd, lcm
 
 
@@ -182,112 +188,129 @@ def nullspace_basis(matrix) -> list[list[Fraction]]:
     return basis
 
 
-@dataclass(frozen=True)
-class SNFResult:
-    """A = U S V with U, V unimodular and S diagonal, s_i | s_{i+1}, s_i >= 0."""
+def _eliminate_units(matrix, rhs):
+    """Row-only elimination with +-1 pivots on sparse rows, mirrored on rhs.
 
-    U: list
-    S: list
-    V: list
+    Each row is a {col: entry} dict, and `where` maps each column to the
+    live rows that are nonzero in it. While a live row holds a unit, the
+    shortest such row pivots at its unit column with the fewest live rows
+    (ties to the lowest index), which keeps fill-in and the loss of units
+    low. The pivot column is cleared from every other live row, and the
+    pivot row and column retire. The column operations that would clear the
+    rest of the pivot row touch no other row, since the pivot column is zero
+    elsewhere, so they are left out: the retired pair is a diagonal entry 1
+    of the Smith form and adds nothing to the multiple.
 
-    @property
-    def diagonal(self) -> list[int]:
-        return [self.S[i][i] for i in range(min(len(self.S), len(self.S[0]) if self.S else 0))]
+    Returns the live rows, their right-hand sides and the number of pivots.
+    """
+    rows = [{j: int(row[j]) for j in compress(range(len(row)), row)} for row in matrix]
+    c = [int(v) for v in rhs]
+    where = defaultdict(set)
+    for i, row in enumerate(rows):
+        for j in row:
+            where[j].add(i)
+    # (length, row) of every live row that may hold a unit; an entry whose
+    # row has since retired or changed length is stale and skipped.
+    queue = [(len(row), i) for i, row in enumerate(rows)]
+    heapify(queue)
+    steps = 0
+    while queue:
+        length, r = heappop(queue)
+        row_r = rows[r]
+        if row_r is None or len(row_r) != length:
+            continue
+        units = [j for j, v in row_r.items() if v == 1 or v == -1]
+        if not units:
+            continue  # queued again if a later pivot changes the row
+        col = min(units, key=lambda j: (len(where[j]), j))
+        rows[r] = None
+        for j in row_r:
+            where[j].remove(r)
+        u = row_r.pop(col)
+        for i in where.pop(col):
+            row_i = rows[i]
+            k = row_i.pop(col) * u  # row_i -= k * row_r clears col, as u * u == 1
+            for j, v in row_r.items():
+                old = row_i.get(j)
+                if old is None:
+                    row_i[j] = -k * v
+                    where[j].add(i)
+                elif old == k * v:
+                    del row_i[j]
+                    where[j].remove(i)
+                else:
+                    row_i[j] = old - k * v
+            c[i] -= k * c[r]
+            heappush(queue, (len(row_i), i))
+        steps += 1
+    live = [i for i, row in enumerate(rows) if row is not None]
+    return [rows[i] for i in live], [c[i] for i in live], steps
 
 
 class _SmithWorkspace:
-    """Row/column reduction of an integer matrix to Smith normal form.
+    """Row/column reduction of a dense integer matrix to a Smith form, in place.
 
-    Row operations are mirrored on an optional right-hand side (giving R b
-    for the accumulated row transform R). With transforms=True they also
-    land inversely on U, and column operations inversely on V, so that
-    A = U S V holds at every step; callers that never read U and V skip them.
-
-    Step t of `reduce` works on the block of S from row t and column t on;
-    outside it, S is already diagonal, so the operations on S visit only
-    that block, and within it only the nonzero entries of the source row or
-    column. U and V are dense and updated in full.
+    Row operations are mirrored on the right-hand side c, which ends as R c
+    for the accumulated row transform R. Step t of `reduce` works on the
+    block of S from row t and column t on; outside it, S is already
+    diagonal, so the operations visit only that block, and within it only
+    the nonzero entries of the source row or column. The diagonal keeps its
+    signs.
     """
 
-    def __init__(self, matrix, rhs=None, transforms=False):
-        self.S = [[int(x) for x in row] for row in matrix]
-        self.m = len(self.S)
-        self.n = len(self.S[0]) if self.S else 0
+    def __init__(self, matrix, rhs):
+        self.S = matrix
+        self.m = len(matrix)
+        self.n = len(matrix[0]) if matrix else 0
         self.t = 0
-        self.U = self.V = None
-        if transforms:
-            self.U = [[int(i == j) for j in range(self.m)] for i in range(self.m)]
-            self.V = [[int(i == j) for j in range(self.n)] for i in range(self.n)]
-        self.c = None if rhs is None else [int(x) for x in rhs]
+        self.c = rhs
 
     def swap_rows(self, i, j):
         if i == j:
             return
         self.S[i], self.S[j] = self.S[j], self.S[i]
-        if self.U is not None:
-            for row in self.U:
-                row[i], row[j] = row[j], row[i]
-        if self.c is not None:
-            self.c[i], self.c[j] = self.c[j], self.c[i]
+        self.c[i], self.c[j] = self.c[j], self.c[i]
 
     def add_row(self, i, j, k):
-        """row_i += k * row_j on S; the inverse operation lands on U."""
+        """row_i += k * row_j on S and on c."""
         if k == 0:
             return
         si, sj = self.S[i], self.S[j]
         # row j is zero before column t
         for col in compress(range(self.n), sj):
             si[col] += k * sj[col]
-        if self.U is not None:
-            for row in self.U:
-                row[j] -= k * row[i]
-        if self.c is not None:
-            self.c[i] += k * self.c[j]
-
-    def negate_row(self, i):
-        self.S[i] = [-x for x in self.S[i]]
-        if self.U is not None:
-            for row in self.U:
-                row[i] = -row[i]
-        if self.c is not None:
-            self.c[i] = -self.c[i]
+        self.c[i] += k * self.c[j]
 
     def swap_cols(self, i, j):
         if i == j:
             return
         for row in islice(self.S, self.t, None):
             row[i], row[j] = row[j], row[i]
-        if self.V is not None:
-            self.V[i], self.V[j] = self.V[j], self.V[i]
 
     def add_col(self, j, i, k):
-        """col_j += k * col_i on S; the inverse operation lands on V."""
+        """col_j += k * col_i on S."""
         if k == 0:
             return
         for row in islice(self.S, self.t, None):
             if row[i]:
                 row[j] += k * row[i]
-        if self.V is not None:
-            vi, vj = self.V[i], self.V[j]
-            for col in range(len(vi)):
-                vi[col] -= k * vj[col]
 
     def _pivot(self):
-        """The first entry of least absolute value in the active block, row-major.
+        """An entry of least absolute value in the active block.
 
-        A unit is the least possible, so the scan stops at the first one.
+        Among those, the least Markowitz count (row nonzeros - 1) times
+        (column nonzeros - 1) wins, then the first in row-major order: the
+        pivot whose row and column operations touch the fewest entries.
         """
-        S, t = self.S, self.t
+        S, t, n = self.S, self.t, self.n
+        support = [list(compress(range(n), S[i])) for i in range(t, self.m)]
+        in_col = Counter(chain.from_iterable(support))
         best = None
-        for i in range(t, self.m):
-            row = S[i]
-            # row i is zero before column t
-            for j in compress(range(self.n), row):
-                v = abs(row[j])
-                if best is None or v < best[0]:
-                    if v == 1:
-                        return i, j
-                    best = (v, i, j)
+        for i, cols in enumerate(support, t):
+            for j in cols:
+                key = (abs(S[i][j]), (len(cols) - 1) * (in_col[j] - 1))
+                if best is None or key < best[0]:
+                    best = (key, i, j)
         return None if best is None else best[1:]
 
     def reduce(self):
@@ -332,34 +355,43 @@ class _SmithWorkspace:
                         self.add_row(t, i, 1)
                         dirty = True
                         break
-        for i in range(min(m, n)):
-            if S[i][i] < 0:
-                self.negate_row(i)
-
-
-def smith_normal_form(matrix) -> SNFResult:
-    """Smith normal form with both unimodular transforms, A = U S V."""
-    ws = _SmithWorkspace(matrix, transforms=True)
-    ws.reduce()
-    return SNFResult(U=ws.U, S=ws.S, V=ws.V)
 
 
 def minimal_scalar_integer_solution(matrix, rhs) -> int | None:
     """Least d >= 1 such that A x = d b has an integer solution x.
 
-    Returns None when A x = b is not even rationally solvable. Writing
-    A = U S V and c = U^{-1} b, solvability forces c to vanish on the zero
-    rows of S, and each pivot row contributes s_i / gcd(s_i, c_i) to d.
+    Returns None when A x = b is not even rationally solvable. The unit
+    pivots come first, on sparse rows (`_eliminate_units`); they leave the
+    tail T y = d c. A row of [T | c] that is a rational combination of
+    the others is an equation they imply for every y, so Bareiss on the
+    transpose picks a maximal independent set of them, and the dense Smith
+    reduction runs on those rows only. Writing them as S z = d c' with S
+    diagonal, solvability forces c' to vanish on the zero rows of S, and
+    each nonzero s_i contributes s_i / gcd(s_i, c'_i) to d. When c is not
+    in the span of T, one row more than the rank of T is kept, and it ends
+    as a zero row of S with c'_i != 0.
     """
-    ws = _SmithWorkspace(matrix, rhs)
+    rows, c, steps = _eliminate_units(matrix, rhs)
+    cols = sorted(set().union(*rows))
+    # [T | c] transposed: one row per column of T, then c
+    transposed = [[row.get(j, 0) for row in rows] for j in cols] + [list(c)]
+    keep = [i for _, i in _eliminate(transposed, len(transposed), len(rows), len(rows))]
+    ws = _SmithWorkspace([[rows[i].get(j, 0) for j in cols] for i in keep], [c[i] for i in keep])
+    # Only a program that has imported logging can have configured the
+    # `cyclink` logger; importing it here would slow every CLI start.
+    logging = sys.modules.get("logging")
+    if logging and logging.getLogger("cyclink").isEnabledFor(logging.DEBUG):
+        logging.getLogger("cyclink").debug(
+            "minimal multiple: %d unit steps, tail %d x %d, %d rows independent",
+            steps, len(rows), len(cols), len(keep),
+        )
     ws.reduce()
-    diag = [ws.S[i][i] for i in range(min(ws.m, ws.n))]
     d = 1
-    for i in range(ws.m):
-        s = diag[i] if i < len(diag) else 0
+    for i, ci in enumerate(ws.c):
+        s = ws.S[i][i] if i < ws.n else 0
         if s == 0:
-            if ws.c[i] != 0:
+            if ci != 0:
                 return None
-        elif ws.c[i] != 0:
-            d = lcm(d, s // gcd(s, ws.c[i]))
+        elif ci != 0:
+            d = lcm(d, s // gcd(s, ci))
     return d

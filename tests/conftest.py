@@ -25,19 +25,28 @@ def sympy_minimal_multiple(rows, rhs):
     With x = V y the system becomes D y = d U b, so row i needs D_ii to
     divide d (U b)_i, and a zero row of D needs (U b)_i = 0.
     """
+    return sympy_minimal_multiples(rows, [rhs])[0]
+
+
+def sympy_minimal_multiples(rows, rhss):
+    """sympy_minimal_multiple for several right-hand sides, one decomposition."""
     A = sympy.Matrix(rows)
     D, U, V = smith_normal_decomp(A, domain=sympy.ZZ)
     assert D == U * A * V
-    c = U * sympy.Matrix(rhs)
-    d = 1
-    for i in range(D.rows):
-        dii = int(D[i, i]) if i < D.cols else 0
-        if dii == 0:
-            if c[i] != 0:
-                return None
-        else:
-            d = lcm(d, dii // gcd(dii, int(c[i])))
-    return d
+    out = []
+    for rhs in rhss:
+        c = U * sympy.Matrix(rhs)
+        d = 1
+        for i in range(D.rows):
+            dii = int(D[i, i]) if i < D.cols else 0
+            if dii == 0:
+                if c[i] != 0:
+                    d = None
+                    break
+            else:
+                d = lcm(d, dii // gcd(dii, int(c[i])))
+        out.append(d)
+    return out
 
 
 @lru_cache(maxsize=None)

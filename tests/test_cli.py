@@ -350,6 +350,21 @@ def test_oversized_cover_system_is_a_usage_error(capsys):
     assert time.perf_counter() - start < 10
 
 
+def test_cli_import_does_not_import_logging():
+    # Each CLI call is a fresh process; logging would add to every start,
+    # and the `cyclink` DEBUG records need it only once a program has
+    # configured logging.
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cyclink.cli; print('logging' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={"PYTHONPATH": str(src)},
+    )
+    assert proc.stdout == "False\n", proc.stderr
+
+
 def _limit_address_space():
     cap = 500 * 2**20
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
@@ -375,3 +390,30 @@ def test_info_at_a_million_sheets_fits_in_500_mb():
     data = json.loads(proc.stdout)
     eta = next(c for c in data["components"] if c["name"] == "eta")
     assert len(eta["lifts"]) == 1000000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["info", "-q", "30000000", "--json"],
+        ["chain", "-q", "30000000", "--curve", "eta", "--coset", "1"],
+    ],
+)
+def test_degree_above_the_limit_is_a_usage_error_within_500_mb(argv):
+    # 3 * 10**7 sheets would need one lift tuple per sheet; the degree is
+    # refused before any of them is built, so the 500 MB cap is never hit.
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "cyclink.cli",
+            argv[0], str(fixture_diagram_path("stevedore_w0")), *argv[1:],
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={"PYTHONPATH": str(src)},
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "error: cover degree q=30000000 is above the limit of 1000000 sheets\n"

@@ -10,6 +10,7 @@ from cyclink import (
     resolve_coset,
     wrap_sheet,
 )
+from cyclink.cover import MAX_COVER_DEGREE
 from cyclink.fixtures import corpus_names
 from property_checks import check_cover_tables, independent_walks, sigma_at
 
@@ -39,6 +40,11 @@ def test_build_cover_rejects_bad_degree_and_invalid_diagrams():
 
     with pytest.raises(ValueError, match="invalid diagram"):
         build_cover(LinkDiagram((LinkComponent("K", ()),), 5), 2)
+
+
+def test_build_cover_refuses_a_degree_above_the_limit():
+    with pytest.raises(ValueError, match=f"above the limit of {MAX_COVER_DEGREE} sheets"):
+        build_cover(fixture("stevedore_w0").diagram, MAX_COVER_DEGREE + 1)
 
 
 def test_build_cover_rejects_undivisible_writhe_with_hint():

@@ -185,6 +185,32 @@ def test_off_table_multiple_against_sympy_smith_form(name, q):
     assert sympy_minimal_multiple(rows, rhs) == minimal_bounding_multiple(cover, "eta", 1) == 765
 
 
+@pytest.mark.parametrize("q", [5, 8, 11, 16, 24, 32])
+def test_stevedore_w0_multiple_follows_its_closed_form(q):
+    # Observed on every degree checked, not proved: 2^q - 1 for odd q and
+    # 3 (2^q - 1) for even q, which fits the Alexander polynomial
+    # (2t - 1)(t - 2). At q = 32 the system is 330 x 320.
+    cover = build_cover(fixture("stevedore_w0").diagram, q)
+    assert minimal_bounding_multiple(cover, "eta", 1) == (2**q - 1) * (3 if q % 2 == 0 else 1)
+
+
+@pytest.mark.parametrize(
+    "q, multiple",
+    [
+        (11, 154604335368143),
+        (16, 46325676773370472334109),
+        (24, 146411958895740558430244847258939),
+    ],
+)
+def test_twobridge_m2_multiple_at_large_degree(q, multiple):
+    # Each value was first computed by a dense Smith reduction of the whole
+    # system (312 x 286, 442 x 416 and 650 x 624, out of sympy's reach). At
+    # q = 24 its entries grow past a million bits; the unit phase and the
+    # independent tail keep them small.
+    cover = build_cover(fixture("twobridge_m2").diagram, q)
+    assert minimal_bounding_multiple(cover, "eta", 1) == multiple
+
+
 def test_unbounded_lift_reports_none():
     d = normalize_writhe(clasped_wire_diagram(), 6)
     cover = build_cover(d, 6)

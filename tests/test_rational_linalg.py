@@ -1,20 +1,22 @@
-"""Exact linear algebra: solver, nullspace, Smith form, scalar multiples.
+"""Exact linear algebra: solver, nullspace, Smith tail, scalar multiples.
 
 sympy is the independent oracle throughout; the implementation under test
 never touches it.
 """
 
+import logging
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from conftest import fixture, sympy_minimal_multiple
+from conftest import fixture, sympy_minimal_multiples
 from cyclink.fixtures import corpus_names
 from cyclink.homology import _system_matrix, _system_rhs
-from cyclink.rational_linalg import _eliminate, _integer_rows
+from cyclink.rational_linalg import _SmithWorkspace, _eliminate, _eliminate_units, _integer_rows
 from cyclink import (
     assemble_system,
     build_cover,
@@ -22,7 +24,6 @@ from cyclink import (
     minimal_scalar_integer_solution,
     nullspace_basis,
     parse_rational,
-    smith_normal_form,
     solve_many,
     solve_particular,
 )
@@ -297,50 +298,72 @@ def test_nullspace_of_invertible_matrix_is_empty():
     assert nullspace_basis([[1, 2], [3, 4]]) == []
 
 
-# -- Smith normal form -------------------------------------------------------
+# -- Smith normal form and multiples against sympy ---------------------------
+
+
+def smith_diagonal(matrix):
+    """The dense tail kernel's diagonal of A, with the form's shape checked.
+
+    S must be diagonal, and up to sign its diagonal must be sympy's: the
+    nonzero entries in order, each dividing the next.
+    """
+    ws = _SmithWorkspace([list(row) for row in matrix], [0] * len(matrix))
+    ws.reduce()
+    assert all(ws.S[i][j] == 0 for i in range(ws.m) for j in range(ws.n) if i != j)
+    diag = [abs(ws.S[i][i]) for i in range(min(ws.m, ws.n))]
+    nonzero = [d for d in diag if d]
+    assert diag == nonzero + [0] * (len(diag) - len(nonzero))
+    assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+    theirs = sorted(abs(int(d)) for d in sympy_snf(sympy.Matrix(matrix)).diagonal() if d != 0)
+    assert nonzero == theirs
+    return nonzero
+
+
+def right_hand_sides(rng, A):
+    """Three right-hand sides for A x = d b: A x0 for an integer x0 (d must
+    be 1), A x0 divided by the gcd of its entries (solvable over Q, and d
+    divides that gcd), and one at random (often not solvable at all)."""
+    m, n = len(A), len(A[0])
+    x0 = [rng.randint(-3, 3) for _ in range(n)]
+    image = [sum(A[i][j] * x0[j] for j in range(n)) for i in range(m)]
+    content = gcd(*image) or 1
+    return [image, [v // content for v in image], [rng.randint(-4, 4) for _ in range(m)]]
+
+
+def assert_multiples_match_sympy(A, rhss):
+    """minimal_scalar_integer_solution agrees with the sympy oracle, and its
+    None agrees with the rational solver's. Returns the multiples."""
+    ours = [minimal_scalar_integer_solution(A, b) for b in rhss]
+    assert ours == sympy_minimal_multiples(A, rhss), (A, rhss)
+    for b, d, x in zip(rhss, ours, solve_many(A, rhss)):
+        assert (x is None) == (d is None), (A, b)
+        if x is not None:
+            assert satisfies(A, x, b)
+    return ours
 
 
 def test_smith_form_small_example():
-    res = smith_normal_form([[2, 4], [6, 8]])
-    assert res.diagonal == [2, 4]
-
-
-def mat_mul(a, b):
-    """Exact matrix product, for reconstruction checks."""
-    if not a or not b:
-        return []
-    return [
-        [sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a
-    ]
-
-
-def assert_valid_smith(matrix, res):
-    m, n = len(matrix), len(matrix[0])
-    assert mat_mul(mat_mul(res.U, res.S), res.V) == [
-        [int(x) for x in row] for row in matrix
-    ]
-    assert abs(sympy.Matrix(res.U).det()) == 1
-    assert abs(sympy.Matrix(res.V).det()) == 1
-    for i in range(m):
-        for j in range(n):
-            if i != j:
-                assert res.S[i][j] == 0
-    diag = res.diagonal
-    assert all(d >= 0 for d in diag)
-    for a, b in zip(diag, diag[1:]):
-        if a != 0:
-            assert b % a == 0
-        else:
-            assert b == 0
+    A = [[2, 4], [6, 8]]
+    assert smith_diagonal(A) == [2, 4]
+    # x = (1, 0) gives (2, 6). For b = (1, 0), 2x + 4y = d and 6x + 8y = 0
+    # give x = -d and y = 3d/4, so d = 4 although 2 is a Smith entry.
+    assert assert_multiples_match_sympy(A, [[2, 6], [1, 0], [0, 1], [0, 0]]) == [1, 4, 4, 1]
 
 
 def test_smith_form_properties_on_random_matrices():
     rng = random.Random(31337)
+    multiples = set()
     for _ in range(150):
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
         A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        assert_valid_smith(A, smith_normal_form(A))
+        smith_diagonal(A)
+        rhss = right_hand_sides(rng, A)
+        ours = assert_multiples_match_sympy(A, rhss)
+        assert ours[0] == 1
+        assert ours[1] is not None and (gcd(*rhss[0]) or 1) % ours[1] == 0
+        multiples.update(ours)
+    assert None in multiples and len(multiples) > 8, multiples
 
 
 def test_smith_form_matches_sympy_diagonal():
@@ -349,21 +372,20 @@ def test_smith_form_matches_sympy_diagonal():
         m = rng.randint(1, 4)
         n = rng.randint(1, 4)
         A = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
-        ours = [d for d in smith_normal_form(A).diagonal if d != 0]
-        theirs = sorted(
-            abs(int(d)) for d in sympy_snf(sympy.Matrix(A)).diagonal() if d != 0
-        )
-        assert ours == theirs
+        smith_diagonal(A)
+        assert_multiples_match_sympy(A, right_hand_sides(rng, A))
 
 
-def cover_shaped_system(rng):
-    """A sparse integer system shaped like a cover system, with two rhs.
+def cover_shaped_system(rng, pool=(1, -1, 2, -2, 3, -3)):
+    """A sparse integer system shaped like a cover system, with three rhs.
 
-    At most four nonzeros per row, drawn from +-1, +-2, +-3, so that the
-    Smith reduction meets non-unit pivots and failed divisibility checks.
-    A few rows repeat others up to sign, which makes the system tall and
-    rank-deficient like a cover system. The first rhs repeats their values
-    too, so it is often solvable over Q; the second is random.
+    At most four nonzeros per row, drawn from the pool, so that with the
+    default pool the Smith reduction meets non-unit pivots and failed
+    divisibility checks. A few rows repeat others up to sign, which makes
+    the system tall and rank-deficient like a cover system. The first rhs
+    repeats their values too, so it is often solvable over Q; the second
+    is random; the third is A x0 divided by the gcd of its entries, which
+    is solvable over Q.
     """
     k = rng.randint(10, 24)
     n = k + rng.randint(1, 4)
@@ -371,7 +393,7 @@ def cover_shaped_system(rng):
     for _ in range(k):
         row = [0] * n
         for j in rng.sample(range(n), rng.randint(1, 4)):
-            row[j] = rng.choice((1, -1, 2, -2, 3, -3))
+            row[j] = rng.choice(pool)
         base.append((row, rng.randint(-3, 3)))
     rows = list(base)
     for _ in range(rng.randint(2, 6)):
@@ -380,7 +402,14 @@ def cover_shaped_system(rng):
         rows.append(([s * x for x in row], s * v))
     rng.shuffle(rows)
     A = [row for row, _ in rows]
-    return A, [[v for _, v in rows], [rng.choice((0, 0, 1, -1, 2)) for _ in rows]]
+    x0 = [rng.randint(-2, 2) for _ in range(n)]
+    image = [sum(a * x for a, x in zip(row, x0)) for row in A]
+    content = gcd(*image) or 1
+    return A, [
+        [v for _, v in rows],
+        [rng.choice((0, 0, 1, -1, 2)) for _ in rows],
+        [v // content for v in image],
+    ]
 
 
 def test_smith_kernel_against_sympy_on_cover_shaped_systems():
@@ -388,21 +417,30 @@ def test_smith_kernel_against_sympy_on_cover_shaped_systems():
     multiples = set()
     for _ in range(16):
         A, rhss = cover_shaped_system(rng)
-        res = smith_normal_form(A)
-        assert_valid_smith(A, res)
-        theirs = sorted(
-            abs(int(d)) for d in sympy_snf(sympy.Matrix(A)).diagonal() if d != 0
-        )
-        assert [d for d in res.diagonal if d != 0] == theirs
-        for b, x in zip(rhss, solve_many(A, rhss)):
-            d = minimal_scalar_integer_solution(A, b)
-            assert d == sympy_minimal_multiple(A, b)
-            assert (x is None) == (d is None)
-            if x is not None:
-                assert satisfies(A, x, b)
-            multiples.add(d)
+        smith_diagonal(A)
+        multiples.update(assert_multiples_match_sympy(A, rhss))
     # the draw reaches unsolvable, integral and non-integral right-hand sides
     assert None in multiples and 1 in multiples and len(multiples) > 4, multiples
+
+
+def test_unit_phase_then_tail_against_sympy_on_cover_shaped_systems():
+    # Mostly +-1 entries, as in a cover system: the unit pivots do most of
+    # the work, and the dense Smith reduction sees only what they leave.
+    rng = random.Random(20261018)
+    tails = empty = 0
+    multiples = []
+    for _ in range(60):
+        A, rhss = cover_shaped_system(rng, pool=(1, -1, 1, -1, 1, -1, 2, -2, 3))
+        rows, _, _ = _eliminate_units(A, rhss[0])
+        tail = [row for row in rows if row]
+        assert all(abs(v) != 1 for row in tail for v in row.values())
+        tails += bool(tail)
+        empty += not tail
+        multiples += assert_multiples_match_sympy(A, rhss)
+    assert tails > 40 and empty > 0, (tails, empty)
+    unsolvable = multiples.count(None)
+    non_integral = sum(d is not None and d > 1 for d in multiples)
+    assert unsolvable > 40 and non_integral > 15, (unsolvable, non_integral)
 
 
 # -- minimal integral multiples ----------------------------------------------
@@ -425,6 +463,42 @@ def test_minimal_multiple_is_one_for_integral_solutions():
 def test_minimal_multiple_none_when_rationally_unsolvable():
     assert minimal_scalar_integer_solution([[1, 1], [2, 2]], [1, 3]) is None
     assert minimal_scalar_integer_solution([[0]], [5]) is None
+
+
+def test_minimal_multiple_none_on_a_zero_row_with_nonzero_rhs():
+    # The unit pivot at (0, 0) clears row 1 to zero with c_1 = 2 - 1.
+    assert _eliminate_units([[1, 0], [1, 0]], [1, 2]) == ([{}], [1], 1)
+    assert minimal_scalar_integer_solution([[1, 0], [1, 0]], [1, 2]) is None
+    assert minimal_scalar_integer_solution([[1, 0], [1, 0]], [3, 3]) == 1
+    # The same behind a non-unit tail: 2y = d and a zero row with c = 1.
+    assert minimal_scalar_integer_solution([[1, 1], [0, 2], [1, 1]], [0, 1, 1]) is None
+    assert minimal_scalar_integer_solution([[1, 1], [0, 2], [1, 1]], [0, 1, 0]) == 2
+    # A zero row from the start.
+    assert minimal_scalar_integer_solution([[0, 0], [2, 0]], [1, 1]) is None
+
+
+def test_minimal_multiple_with_an_empty_tail():
+    # Unit pivots retire every column: the Smith reduction gets no rows.
+    A = [[1, 2, 0], [0, 1, 3], [1, 2, 1]]
+    rows, c, steps = _eliminate_units(A, [3, 5, 7])
+    assert steps == 3 and rows == [] and c == []
+    assert minimal_scalar_integer_solution(A, [3, 5, 7]) == 1
+    # Tall, with every extra row cleared to zero: consistent or not.
+    A = [[1, 0], [0, -1], [1, 1], [2, -3]]
+    assert minimal_scalar_integer_solution(A, [1, 1, 0, 5]) == 1
+    assert minimal_scalar_integer_solution(A, [1, 1, 0, 4]) is None
+
+
+def test_minimal_multiple_logs_its_shape_at_debug_only(caplog):
+    A, b = [[1, 1, 0], [1, -1, 0], [0, 0, 4]], [1, 0, 2]
+    with caplog.at_level(logging.WARNING, logger="cyclink"):
+        assert minimal_scalar_integer_solution(A, b) == 2
+    assert caplog.records == []
+    with caplog.at_level(logging.DEBUG, logger="cyclink"):
+        assert minimal_scalar_integer_solution(A, b) == 2
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("cyclink", logging.DEBUG, "minimal multiple: 1 unit steps, tail 2 x 2, 2 rows independent")
+    ]
 
 
 def test_minimal_multiple_zero_rhs():
