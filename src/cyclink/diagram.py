@@ -216,7 +216,11 @@ def diagram_from_dict(data: dict) -> LinkDiagram:
                     _integer(u["over"]["arc"], at + "over.arc"),
                 )
                 ups.append(Underpass(_integer(u["sign"], at + "sign"), over))
-            comps.append(LinkComponent(name=str(c["name"]), underpasses=tuple(ups)))
+            name = c["name"]
+            # str() would turn null into "None" and ["e"] into "['e']".
+            if not isinstance(name, str):
+                raise ValueError(f"component {ci} name must be a string, not {name!r}")
+            comps.append(LinkComponent(name=name, underpasses=tuple(ups)))
         branch = _integer(data["branch"], "branch")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed diagram JSON: {exc}") from exc

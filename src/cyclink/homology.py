@@ -58,13 +58,17 @@ class TwoChain:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TwoChain":
-        return cls(
-            curve=_integer(data["curve"], "curve"),
-            coset=tuple(_integer(s, f"coset[{k}]") for k, s in enumerate(data["coset"])),
-            x=tuple(
-                tuple(parse_rational(v) for v in row) for row in data["x"]
-            ),
-        )
+        curve = _integer(data["curve"], "curve")
+        coset = tuple(_integer(s, f"coset[{k}]") for k, s in enumerate(data["coset"]))
+        x = data["x"]
+        # A string row would be read one character at a time.
+        if not isinstance(x, list) or not all(isinstance(row, list) for row in x):
+            raise ValueError(f"x must be a list of lists of rationals, not {x!r}")
+        try:
+            x = tuple(tuple(parse_rational(v) for v in row) for row in x)
+        except ValueError as exc:
+            raise ValueError(f"x: {exc}") from exc
+        return cls(curve=curve, coset=coset, x=x)
 
 
 def _lift(cover: CoverStructure, curve: int | str, coset) -> tuple[int, tuple[int, ...]]:

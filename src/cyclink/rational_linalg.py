@@ -6,7 +6,7 @@ no fixed-width arithmetic. All rational work (particular solutions and
 nullspaces) is one fraction-free Bareiss elimination, `_eliminate`, then
 back-substitution. The integral work, the least multiple d for which
 A x = d b has an integer solution, is a sparse unit-pivot elimination and
-then a dense Smith reduction of the small tail it leaves.
+then a Hermite reduction modulo a maximal minor of the small tail it leaves.
 
 Matrices are passed dense, but the cover systems are sparse: at most four
 nonzeros per row apart from the per-arc sum rows, nearly all of them +-1.
@@ -15,19 +15,19 @@ row, and rescales a row lazily, when it is next used, since its piv/prev
 rescales telescope; it returns the dense algorithm's integers. The unit
 phase keeps each row as a {column: entry} dict with a column-to-rows index
 and needs row operations only, because a +-1 pivot adds nothing to d. The
-Smith reduction then sees only the independent rows of what is left, and
-updates S only in its active block, where the source row or column is
-nonzero. The `cyclink` logger reports each multiple's unit steps and tail
-shape at DEBUG level.
+Hermite reduction then sees only the independent rows of what is left,
+with every entry reduced modulo their minor, so none grows past it. The
+`cyclink` logger reports each multiple's unit steps, tail shape and minor
+size at DEBUG level.
 """
 
 from __future__ import annotations
 
 import sys
-from collections import Counter, defaultdict
+from collections import defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import chain, compress, islice
+from itertools import compress
 from math import gcd, lcm
 
 
@@ -37,7 +37,14 @@ def format_rational(value: Fraction | int) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    return Fraction(text)
+    """Read 'p/q' or 'p'; ValueError for anything but such a string."""
+    # Fraction() would read 0.5 and True without a word.
+    if not isinstance(text, str):
+        raise ValueError(f"a rational must be a string, not {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
 
 
 def _integer_rows(matrix, rhss):
@@ -247,116 +254,6 @@ def _eliminate_units(matrix, rhs):
     return [rows[i] for i in live], [c[i] for i in live], steps
 
 
-class _SmithWorkspace:
-    """Row/column reduction of a dense integer matrix to a Smith form, in place.
-
-    Row operations are mirrored on the right-hand side c, which ends as R c
-    for the accumulated row transform R. Step t of `reduce` works on the
-    block of S from row t and column t on; outside it, S is already
-    diagonal, so the operations visit only that block, and within it only
-    the nonzero entries of the source row or column. The diagonal keeps its
-    signs.
-    """
-
-    def __init__(self, matrix, rhs):
-        self.S = matrix
-        self.m = len(matrix)
-        self.n = len(matrix[0]) if matrix else 0
-        self.t = 0
-        self.c = rhs
-
-    def swap_rows(self, i, j):
-        if i == j:
-            return
-        self.S[i], self.S[j] = self.S[j], self.S[i]
-        self.c[i], self.c[j] = self.c[j], self.c[i]
-
-    def add_row(self, i, j, k):
-        """row_i += k * row_j on S and on c."""
-        if k == 0:
-            return
-        si, sj = self.S[i], self.S[j]
-        # row j is zero before column t
-        for col in compress(range(self.n), sj):
-            si[col] += k * sj[col]
-        self.c[i] += k * self.c[j]
-
-    def swap_cols(self, i, j):
-        if i == j:
-            return
-        for row in islice(self.S, self.t, None):
-            row[i], row[j] = row[j], row[i]
-
-    def add_col(self, j, i, k):
-        """col_j += k * col_i on S."""
-        if k == 0:
-            return
-        for row in islice(self.S, self.t, None):
-            if row[i]:
-                row[j] += k * row[i]
-
-    def _pivot(self):
-        """An entry of least absolute value in the active block.
-
-        Among those, the least Markowitz count (row nonzeros - 1) times
-        (column nonzeros - 1) wins, then the first in row-major order: the
-        pivot whose row and column operations touch the fewest entries.
-        """
-        S, t, n = self.S, self.t, self.n
-        support = [list(compress(range(n), S[i])) for i in range(t, self.m)]
-        in_col = Counter(chain.from_iterable(support))
-        best = None
-        for i, cols in enumerate(support, t):
-            for j in cols:
-                key = (abs(S[i][j]), (len(cols) - 1) * (in_col[j] - 1))
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-        return None if best is None else best[1:]
-
-    def reduce(self):
-        S, m, n = self.S, self.m, self.n
-        for t in range(min(m, n)):
-            self.t = t
-            pivot = self._pivot()
-            if pivot is None:
-                break
-            self.swap_rows(t, pivot[0])
-            self.swap_cols(t, pivot[1])
-
-            dirty = True
-            while dirty:
-                dirty = False
-                piv = S[t][t]
-                for i in range(t + 1, m):
-                    if S[i][t]:
-                        self.add_row(i, t, -(S[i][t] // piv))
-                        if S[i][t]:
-                            # Remainder is smaller than the pivot; promote it.
-                            self.swap_rows(t, i)
-                            dirty = True
-                            break
-                if dirty:
-                    continue
-                for j in range(t + 1, n):
-                    if S[t][j]:
-                        self.add_col(j, t, -(S[t][j] // piv))
-                        if S[t][j]:
-                            self.swap_cols(t, j)
-                            dirty = True
-                            break
-                if dirty:
-                    continue
-                piv = S[t][t]
-                if abs(piv) == 1:
-                    continue  # a unit divides every entry
-                for i in range(t + 1, m):
-                    row = S[i]
-                    if any(row[j] % piv for j in compress(range(n), row)):
-                        self.add_row(t, i, 1)
-                        dirty = True
-                        break
-
-
 def minimal_scalar_integer_solution(matrix, rhs) -> int | None:
     """Least d >= 1 such that A x = d b has an integer solution x.
 
@@ -364,34 +261,53 @@ def minimal_scalar_integer_solution(matrix, rhs) -> int | None:
     pivots come first, on sparse rows (`_eliminate_units`); they leave the
     tail T y = d c. A row of [T | c] that is a rational combination of
     the others is an equation they imply for every y, so Bareiss on the
-    transpose picks a maximal independent set of them, and the dense Smith
-    reduction runs on those rows only. Writing them as S z = d c' with S
-    diagonal, solvability forces c' to vanish on the zero rows of S, and
-    each nonzero s_i contributes s_i / gcd(s_i, c'_i) to d. When c is not
-    in the span of T, one row more than the rank of T is kept, and it ends
-    as a zero row of S with c'_i != 0.
+    transpose picks a maximal independent set of them, r rows. If c's row
+    of the transpose is a pivot, c is outside the span of T. Otherwise the
+    last pivot is an r x r minor of those rows of T, D != 0, so their
+    column lattice L holds D Z^r, and d is the order of c in Z^r / L.
+    The Hermite reduction modulo D (Domich, Kannan and Trotter, 1987)
+    finds a triangular basis h_0, ..., h_{r-1} of L, h_i zero before i:
+    h_i starts as D e_i, and a Euclid loop on coordinate i folds each
+    generator into it, keeping the remainders for the next coordinate.
+    Then d collects, coordinate by coordinate, the least factor that
+    makes c's entry a multiple of h_i[i], and clears it with h_i. Every
+    entry is kept modulo D, which changes neither L nor the order.
     """
     rows, c, steps = _eliminate_units(matrix, rhs)
     cols = sorted(set().union(*rows))
     # [T | c] transposed: one row per column of T, then c
-    transposed = [[row.get(j, 0) for row in rows] for j in cols] + [list(c)]
-    keep = [i for _, i in _eliminate(transposed, len(transposed), len(rows), len(rows))]
-    ws = _SmithWorkspace([[rows[i].get(j, 0) for j in cols] for i in keep], [c[i] for i in keep])
+    c_row = list(c)
+    transposed = [[row.get(j, 0) for row in rows] for j in cols] + [c_row]
+    pivots = _eliminate(transposed, len(transposed), len(rows), len(rows))
+    keep = [i for _, i in pivots]
+    D = abs(transposed[pivots[-1][0]][pivots[-1][1]]) if pivots else 1
     # Only a program that has imported logging can have configured the
     # `cyclink` logger; importing it here would slow every CLI start.
     logging = sys.modules.get("logging")
     if logging and logging.getLogger("cyclink").isEnabledFor(logging.DEBUG):
         logging.getLogger("cyclink").debug(
-            "minimal multiple: %d unit steps, tail %d x %d, %d rows independent",
-            steps, len(rows), len(cols), len(keep),
+            "minimal multiple: %d unit steps, tail %d x %d, %d rows independent, minor %d bits",
+            steps, len(rows), len(cols), len(keep), D.bit_length(),
         )
-    ws.reduce()
+    if any(row is c_row for row in transposed[:len(pivots)]):
+        return None
+    r = len(keep)
+    gens = [g for j in cols if any(g := [rows[i].get(j, 0) % D for i in keep])]
+    v = [c[i] % D for i in keep]
     d = 1
-    for i, ci in enumerate(ws.c):
-        s = ws.S[i][i] if i < ws.n else 0
-        if s == 0:
-            if ci != 0:
-                return None
-        elif ci != 0:
-            d = lcm(d, s // gcd(s, ci))
+    for i in range(r):
+        h = [0] * r
+        h[i] = D
+        rest = []
+        for g in gens:
+            while g[i]:
+                k = h[i] // g[i]
+                h, g = g, [(p - k * s) % D for p, s in zip(h, g)]
+            if any(g):
+                rest.append(g)
+        gens = rest
+        k = h[i] // gcd(h[i], v[i])
+        t = k * v[i] // h[i]
+        v = [(k * p - t * s) % D for p, s in zip(v, h)]
+        d *= k
     return d

@@ -12,11 +12,13 @@ from functools import lru_cache
 from math import gcd, lcm
 
 import sympy
-from sympy.matrices.normalforms import smith_normal_decomp
+from sympy.matrices.normalforms import hermite_normal_form, smith_normal_decomp
+from sympy.polys.matrices import DomainMatrix
 
 from builders import Builder, ClosedBraid, closed_braid_diagram
 from cyclink import LinkDiagram
 from cyclink.fixtures import Fixture, load_fixture
+from cyclink.rational_linalg import _eliminate_units
 
 
 def sympy_minimal_multiple(rows, rhs):
@@ -47,6 +49,31 @@ def sympy_minimal_multiples(rows, rhss):
                 d = lcm(d, dii // gcd(dii, int(c[i])))
         out.append(d)
     return out
+
+
+def sympy_hermite_multiple(rows, rhs):
+    """Least d with A x = d b solvable over Z, read off sympy's Hermite forms.
+
+    For tails out of reach of sympy's Smith form. The unit phase leaves
+    T y = d c; T' and c' are the rows of T and c that sympy's rref finds
+    independent in [T | c]. When c is in the span of T, T' has full row
+    rank r, and d is the order of c' modulo the column lattice L of T':
+    the index of L in Z^r over the index of L + Z c', each the product of
+    a Hermite diagonal. sympy reduces modulo D, the determinant of r
+    independent columns of T', which is a multiple of both indices.
+    """
+    T, c, _ = _eliminate_units(rows, rhs)
+    cols = sorted(set().union(*T))
+    T = sympy.Matrix([[row.get(j, 0) for j in cols] for row in T])
+    Tc = T.row_join(sympy.Matrix(c))
+    _, keep = DomainMatrix.from_Matrix(Tc.T).to_field().rref()
+    T, Tc = T.extract(list(keep), list(range(T.cols))), Tc.extract(list(keep), list(range(Tc.cols)))
+    _, minor = DomainMatrix.from_Matrix(T).to_field().rref()
+    if len(minor) < len(keep):
+        return None
+    D = abs(int(DomainMatrix.from_Matrix(T.extract(list(range(T.rows)), list(minor))).det()))
+    index = sympy.prod(hermite_normal_form(T, D=D).diagonal())
+    return int(index // sympy.prod(hermite_normal_form(Tc, D=D).diagonal()))
 
 
 @lru_cache(maxsize=None)

@@ -225,6 +225,15 @@ def test_from_dict_rejects_non_integer_fields(path, value):
         diagram_from_dict(data)
 
 
+@pytest.mark.parametrize("value", [None, ["e"], 3])
+def test_from_dict_rejects_non_string_names(value):
+    # str() would have read null as "None" and ["e"] as "['e']".
+    data = diagram_to_dict(hopf_diagram())
+    data["components"][1]["name"] = value
+    with pytest.raises(ValueError, match="component 1 name must be a string"):
+        diagram_from_dict(data)
+
+
 def _with_first_underpass(diagram, field, value):
     comp = diagram.components[0]
     up = comp.underpasses[0]

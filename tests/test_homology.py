@@ -10,6 +10,7 @@ from conftest import (
     clasped_wire_diagram,
     fixture,
     hopf_diagram,
+    sympy_hermite_multiple,
     sympy_minimal_multiple,
     wire_with_meridian,
 )
@@ -200,15 +201,36 @@ def test_stevedore_w0_multiple_follows_its_closed_form(q):
         (11, 154604335368143),
         (16, 46325676773370472334109),
         (24, 146411958895740558430244847258939),
+        (28, 769323940434425008791649188400638969),
+        (32, 22392598564797188085685105474168238880356253),
     ],
 )
 def test_twobridge_m2_multiple_at_large_degree(q, multiple):
-    # Each value was first computed by a dense Smith reduction of the whole
-    # system (312 x 286, 442 x 416 and 650 x 624, out of sympy's reach). At
-    # q = 24 its entries grow past a million bits; the unit phase and the
-    # independent tail keep them small.
+    # The values up to q = 24 were first computed by a dense Smith reduction
+    # of the whole system (312 x 286, 442 x 416 and 650 x 624, out of sympy's
+    # reach), whose entries grow past a million bits at q = 24. Those at
+    # q = 28 and 32 come from a dense Smith reduction of the independent
+    # tail, which took 5 s and 88 s; modulo the tail's minor each takes a
+    # fraction of a second.
     cover = build_cover(fixture("twobridge_m2").diagram, q)
     assert minimal_bounding_multiple(cover, "eta", 1) == multiple
+
+
+@pytest.mark.parametrize(
+    "name, q, multiple",
+    [
+        ("twobridge_m2", 16, 46325676773370472334109),
+        ("twobridge_m2", 24, 146411958895740558430244847258939),
+        ("twobridge_m1", 24, 5972792605337383865),
+    ],
+)
+def test_large_degree_multiple_against_sympy_hermite_form(name, q, multiple):
+    # At twobridge_m1 q = 24 the tail has 36 independent rows; a dense Smith
+    # reduction of it, sympy's included, does not finish in minutes, while
+    # sympy's Hermite form modulo a minor takes under a second.
+    cover = build_cover(fixture(name).diagram, q)
+    rows, rhs, _ = assemble_system(cover, "eta", 1)
+    assert sympy_hermite_multiple(rows, rhs) == minimal_bounding_multiple(cover, "eta", 1) == multiple
 
 
 def test_unbounded_lift_reports_none():
@@ -249,12 +271,20 @@ def test_two_chain_dict_round_trip():
         {"coset": [2.7]},
         {"coset": [1, "2"]},
         {"curve": 1.9, "coset": [True, 2.7]},
+        {"x": [["1/0"]]},
+        {"x": [[0.5]]},
+        {"x": [[True]]},
+        {"x": [[1]]},
+        {"x": "12"},
+        {"x": [["1"], "2"]},
     ],
 )
 def test_two_chain_from_dict_rejects_non_integer_fields(data):
+    # curve and coset hold integers; x holds rationals, as strings in lists.
     good = bounding_chain(cover_for("stevedore_w0", 3), "eta", 2).to_dict()
-    field = "curve" if "curve" in data else "coset"
-    with pytest.raises(ValueError, match=rf"^{field}\b.*must be an integer"):
+    field = next(iter(data))
+    reason = "" if field == "x" else ".*must be an integer"
+    with pytest.raises(ValueError, match=rf"^{field}\b{reason}"):
         TwoChain.from_dict({**good, **data})
 
 

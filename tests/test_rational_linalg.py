@@ -1,4 +1,4 @@
-"""Exact linear algebra: solver, nullspace, Smith tail, scalar multiples.
+"""Exact linear algebra: solver, nullspace, Hermite tail, scalar multiples.
 
 sympy is the independent oracle throughout; the implementation under test
 never touches it.
@@ -11,12 +11,11 @@ from math import gcd
 
 import pytest
 import sympy
-from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from conftest import fixture, sympy_minimal_multiples
 from cyclink.fixtures import corpus_names
 from cyclink.homology import _system_matrix, _system_rhs
-from cyclink.rational_linalg import _SmithWorkspace, _eliminate, _eliminate_units, _integer_rows
+from cyclink.rational_linalg import _eliminate, _eliminate_units, _integer_rows
 from cyclink import (
     assemble_system,
     build_cover,
@@ -298,25 +297,7 @@ def test_nullspace_of_invertible_matrix_is_empty():
     assert nullspace_basis([[1, 2], [3, 4]]) == []
 
 
-# -- Smith normal form and multiples against sympy ---------------------------
-
-
-def smith_diagonal(matrix):
-    """The dense tail kernel's diagonal of A, with the form's shape checked.
-
-    S must be diagonal, and up to sign its diagonal must be sympy's: the
-    nonzero entries in order, each dividing the next.
-    """
-    ws = _SmithWorkspace([list(row) for row in matrix], [0] * len(matrix))
-    ws.reduce()
-    assert all(ws.S[i][j] == 0 for i in range(ws.m) for j in range(ws.n) if i != j)
-    diag = [abs(ws.S[i][i]) for i in range(min(ws.m, ws.n))]
-    nonzero = [d for d in diag if d]
-    assert diag == nonzero + [0] * (len(diag) - len(nonzero))
-    assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
-    theirs = sorted(abs(int(d)) for d in sympy_snf(sympy.Matrix(matrix)).diagonal() if d != 0)
-    assert nonzero == theirs
-    return nonzero
+# -- multiples against sympy's Smith form ------------------------------------
 
 
 def right_hand_sides(rng, A):
@@ -344,7 +325,6 @@ def assert_multiples_match_sympy(A, rhss):
 
 def test_smith_form_small_example():
     A = [[2, 4], [6, 8]]
-    assert smith_diagonal(A) == [2, 4]
     # x = (1, 0) gives (2, 6). For b = (1, 0), 2x + 4y = d and 6x + 8y = 0
     # give x = -d and y = 3d/4, so d = 4 although 2 is a Smith entry.
     assert assert_multiples_match_sympy(A, [[2, 6], [1, 0], [0, 1], [0, 0]]) == [1, 4, 4, 1]
@@ -357,7 +337,6 @@ def test_smith_form_properties_on_random_matrices():
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
         A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        smith_diagonal(A)
         rhss = right_hand_sides(rng, A)
         ours = assert_multiples_match_sympy(A, rhss)
         assert ours[0] == 1
@@ -372,7 +351,6 @@ def test_smith_form_matches_sympy_diagonal():
         m = rng.randint(1, 4)
         n = rng.randint(1, 4)
         A = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
-        smith_diagonal(A)
         assert_multiples_match_sympy(A, right_hand_sides(rng, A))
 
 
@@ -380,8 +358,8 @@ def cover_shaped_system(rng, pool=(1, -1, 2, -2, 3, -3)):
     """A sparse integer system shaped like a cover system, with three rhs.
 
     At most four nonzeros per row, drawn from the pool, so that with the
-    default pool the Smith reduction meets non-unit pivots and failed
-    divisibility checks. A few rows repeat others up to sign, which makes
+    default pool the tail keeps non-unit entries and the Hermite reduction
+    meets non-trivial gcds. A few rows repeat others up to sign, which makes
     the system tall and rank-deficient like a cover system. The first rhs
     repeats their values too, so it is often solvable over Q; the second
     is random; the third is A x0 divided by the gcd of its entries, which
@@ -417,7 +395,6 @@ def test_smith_kernel_against_sympy_on_cover_shaped_systems():
     multiples = set()
     for _ in range(16):
         A, rhss = cover_shaped_system(rng)
-        smith_diagonal(A)
         multiples.update(assert_multiples_match_sympy(A, rhss))
     # the draw reaches unsolvable, integral and non-integral right-hand sides
     assert None in multiples and 1 in multiples and len(multiples) > 4, multiples
@@ -425,7 +402,7 @@ def test_smith_kernel_against_sympy_on_cover_shaped_systems():
 
 def test_unit_phase_then_tail_against_sympy_on_cover_shaped_systems():
     # Mostly +-1 entries, as in a cover system: the unit pivots do most of
-    # the work, and the dense Smith reduction sees only what they leave.
+    # the work, and the Hermite reduction sees only what they leave.
     rng = random.Random(20261018)
     tails = empty = 0
     multiples = []
@@ -478,7 +455,7 @@ def test_minimal_multiple_none_on_a_zero_row_with_nonzero_rhs():
 
 
 def test_minimal_multiple_with_an_empty_tail():
-    # Unit pivots retire every column: the Smith reduction gets no rows.
+    # Unit pivots retire every column: the Hermite reduction gets no rows.
     A = [[1, 2, 0], [0, 1, 3], [1, 2, 1]]
     rows, c, steps = _eliminate_units(A, [3, 5, 7])
     assert steps == 3 and rows == [] and c == []
@@ -496,8 +473,21 @@ def test_minimal_multiple_logs_its_shape_at_debug_only(caplog):
     assert caplog.records == []
     with caplog.at_level(logging.DEBUG, logger="cyclink"):
         assert minimal_scalar_integer_solution(A, b) == 2
+    # The minor is |-2 * 4| = 8, the last Bareiss pivot of the 2 x 2 tail.
     assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
-        ("cyclink", logging.DEBUG, "minimal multiple: 1 unit steps, tail 2 x 2, 2 rows independent")
+        (
+            "cyclink",
+            logging.DEBUG,
+            "minimal multiple: 1 unit steps, tail 2 x 2, 2 rows independent, minor 4 bits",
+        )
+    ]
+    # An inconsistent tail is logged too: 2y = 1 and 0 = 1 give two
+    # independent rows of [T | c] where T has rank 1.
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="cyclink"):
+        assert minimal_scalar_integer_solution([[1, 1], [0, 2], [1, 1]], [0, 1, 1]) is None
+    assert [r.getMessage() for r in caplog.records] == [
+        "minimal multiple: 1 unit steps, tail 2 x 1, 2 rows independent, minor 2 bits"
     ]
 
 
@@ -538,5 +528,7 @@ def test_parse_rational_round_trip():
 
 
 def test_parse_rational_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_rational("three")
+    # Fraction() would raise ZeroDivisionError on "1/0" and read 0.5 and True.
+    for text in ("three", "1/0", 0.5, True, None):
+        with pytest.raises(ValueError):
+            parse_rational(text)
