@@ -11,17 +11,12 @@ import argparse
 import json
 import sys
 
-from .cover import build_cover, resolve_coset
+from .cover import _lift, build_cover
 from .diagram import load_diagram, pairwise_linking, validate, writhe
 from .homology import bounding_chain, minimal_bounding_multiple
-from .linking import UndefinedEntry, _entry, linking_matrix
+from .linking import NOT_NULL_HOMOLOGOUS, UndefinedEntry, _entry, linking_matrix
 from .obstruction import evaluate_obstruction
 from .rational_linalg import format_rational
-
-
-def _chain_text(chain) -> str:
-    groups = [", ".join(format_rational(v) for v in row) for row in chain.x]
-    return "(" + " | ".join(groups) + ")"
 
 
 def _coset_text(coset) -> str:
@@ -34,22 +29,30 @@ def _entry_text(entry) -> str:
     return format_rational(entry)
 
 
+def _cover(args):
+    return build_cover(load_diagram(args.file), args.q)
+
+
+def _emit(args, data, text) -> int:
+    print(json.dumps(data) if args.json else text)
+    return 0
+
+
+def _undefined(args) -> int:
+    entry = UndefinedEntry(NOT_NULL_HOMOLOGOUS)
+    return _emit(args, entry.to_json(), _entry_text(entry))
+
+
 def cmd_validate(args) -> int:
-    diagram = load_diagram(args.file)
-    problems = validate(diagram)
-    if args.json:
-        print(json.dumps({"valid": not problems, "violations": problems}))
-    elif problems:
-        for p in problems:
-            print(p)
-    else:
-        print("ok")
+    problems = validate(load_diagram(args.file))
+    _emit(args, {"valid": not problems, "violations": problems}, "\n".join(problems) or "ok")
     return 0 if not problems else 2
 
 
 def cmd_info(args) -> int:
-    diagram = load_diagram(args.file)
-    cover = build_cover(diagram, args.q)
+    # Two branches, so that --json never builds the text of every lift.
+    cover = _cover(args)
+    diagram = cover.diagram
     branch = diagram.branch
     if args.json:
         comps = []
@@ -67,8 +70,7 @@ def cmd_info(args) -> int:
                 entry["lbar"] = cover.lbar[ci]
                 entry["lifts"] = [list(c) for c in cover.components_of[ci]]
             comps.append(entry)
-        print(json.dumps({"q": args.q, "branch": branch, "components": comps}))
-        return 0
+        return _emit(args, {"q": args.q, "branch": branch, "components": comps}, None)
     print(f"degree q={args.q}")
     for ci, comp in enumerate(diagram.components):
         role = " (branch)" if ci == branch else ""
@@ -86,88 +88,73 @@ def cmd_info(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    diagram = load_diagram(args.file)
-    cover = build_cover(diagram, args.q)
+    cover = _cover(args)
     chain = bounding_chain(cover, args.curve, args.coset)
     if chain is None:
-        if args.json:
-            print(json.dumps({"undefined": "not rationally null-homologous"}))
-        else:
-            print("undefined (not rationally null-homologous)")
-        return 0
-    if args.json:
-        data = chain.to_dict()
-        data["curve_name"] = diagram.components[chain.curve].name
-        print(json.dumps(data))
-    else:
-        print(_chain_text(chain))
-    return 0
+        return _undefined(args)
+    data = {**chain.to_dict(), "curve_name": cover.diagram.components[chain.curve].name}
+    text = " | ".join(", ".join(map(format_rational, row)) for row in chain.x)
+    return _emit(args, data, f"({text})")
 
 
 def cmd_lk(args) -> int:
-    diagram = load_diagram(args.file)
-    cover = build_cover(diagram, args.q)
-    ai = diagram.component_index(args.a)
-    bi = diagram.component_index(args.b)
-    coset_i = resolve_coset(cover, ai, args.i)
-    coset_j = resolve_coset(cover, bi, args.j)
-    result = _entry(cover, ai, coset_i, bi, coset_j)
-    if args.json:
-        if isinstance(result, UndefinedEntry):
-            print(json.dumps(result.to_json()))
-        else:
-            print(json.dumps({"lk": format_rational(result)}))
-    else:
-        print(_entry_text(result))
-    return 0
+    cover = _cover(args)
+    result = _entry(cover, *_lift(cover, args.a, args.i), *_lift(cover, args.b, args.j))
+    data = result.to_json() if isinstance(result, UndefinedEntry) else {"lk": format_rational(result)}
+    return _emit(args, data, _entry_text(result))
 
 
 def cmd_matrix(args) -> int:
-    diagram = load_diagram(args.file)
-    cover = build_cover(diagram, args.q)
-    report = linking_matrix(cover, args.a, args.b)
-    if args.json:
-        print(json.dumps(report.to_dict()))
-        return 0
-    header = "\t".join(_coset_text(c) for c in report.cosets_b)
-    print("\t" + header)
-    for coset, row in zip(report.cosets_a, report.entries):
-        cells = "\t".join(_entry_text(e) for e in row)
-        print(f"{_coset_text(coset)}\t{cells}")
-    return 0
+    report = linking_matrix(_cover(args), args.a, args.b)
+    table = [["", *map(_coset_text, report.cosets_b)]]
+    table += [[_coset_text(c), *map(_entry_text, row)] for c, row in zip(report.cosets_a, report.entries)]
+    return _emit(args, report.to_dict(), "\n".join("\t".join(cells) for cells in table))
 
 
 def cmd_order(args) -> int:
-    diagram = load_diagram(args.file)
-    cover = build_cover(diagram, args.q)
-    order = minimal_bounding_multiple(cover, args.curve, args.coset)
+    order = minimal_bounding_multiple(_cover(args), args.curve, args.coset)
     if order is None:
-        if args.json:
-            print(json.dumps({"undefined": "not rationally null-homologous"}))
-        else:
-            print("undefined (not rationally null-homologous)")
-        return 0
-    if args.json:
-        print(json.dumps({"order": order}))
-    else:
-        print(order)
-    return 0
+        return _undefined(args)
+    return _emit(args, {"order": order}, order)
 
 
 def cmd_obstruct(args) -> int:
-    diagram = load_diagram(args.file)
-    verdict = evaluate_obstruction(diagram, args.q)
-    if args.json:
-        print(json.dumps(verdict.to_dict()))
-        return 0
-    print(f"q={verdict.q} winding={verdict.winding} order={verdict.order}")
+    verdict = evaluate_obstruction(load_diagram(args.file), args.q)
     flags = " ".join(
         f"{name}={'yes' if ok else 'no'}" for name, ok in verdict.hypotheses.items()
     )
-    print(f"hypotheses: {flags}")
-    print(f"sign profile: {verdict.sign_profile}")
-    print(f"verdict: {verdict.verdict}")
-    return 0
+    return _emit(args, verdict.to_dict(), (
+        f"q={verdict.q} winding={verdict.winding} order={verdict.order}\n"
+        f"hypotheses: {flags}\n"
+        f"sign profile: {verdict.sign_profile}\n"
+        f"verdict: {verdict.verdict}"
+    ))
+
+
+# chain and order name one lift: a curve and a sheet in it.
+_LIFT_OPTIONS = (
+    ("--curve", None, "component name or index"),
+    ("--coset", int, "sheet in the lift"),
+)
+
+# (name, handler, help, takes -q, required options as (flag, type, help))
+SUBCOMMANDS = (
+    ("validate", cmd_validate, "check a diagram file", False, ()),
+    ("info", cmd_info, "components, walks and lift cosets", True, ()),
+    ("chain", cmd_chain, "rational chain bounding one lifted curve", True, _LIFT_OPTIONS),
+    ("lk", cmd_lk, "linking number of two lifted curves", True, (
+        ("--a", None, "first curve (name or index)"),
+        ("--i", int, "sheet in the first lift"),
+        ("--b", None, "second curve (name or index)"),
+        ("--j", int, "sheet in the second lift"),
+    )),
+    ("matrix", cmd_matrix, "all pairwise lift linking numbers", True, (
+        ("--a", None, "row curve (name or index)"),
+        ("--b", None, "column curve (name or index)"),
+    )),
+    ("order", cmd_order, "least integral bounding multiple", True, _LIFT_OPTIONS),
+    ("obstruct", cmd_obstruct, "satellite concordance obstruction", True, ()),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -179,51 +166,15 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_q=True):
+    for name, handler, help_text, with_q, options in SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="diagram JSON file")
         if with_q:
             p.add_argument("-q", type=int, required=True, help="cover degree")
         p.add_argument("--json", action="store_true", help="emit JSON")
-
-    p = sub.add_parser("validate", help="check a diagram file")
-    common(p, with_q=False)
-    p.set_defaults(handler=cmd_validate)
-
-    p = sub.add_parser("info", help="components, walks and lift cosets")
-    common(p)
-    p.set_defaults(handler=cmd_info)
-
-    p = sub.add_parser("chain", help="rational chain bounding one lifted curve")
-    common(p)
-    p.add_argument("--curve", required=True, help="component name or index")
-    p.add_argument("--coset", type=int, required=True, help="sheet in the lift")
-    p.set_defaults(handler=cmd_chain)
-
-    p = sub.add_parser("lk", help="linking number of two lifted curves")
-    common(p)
-    p.add_argument("--a", required=True, help="first curve (name or index)")
-    p.add_argument("--i", type=int, required=True, help="sheet in the first lift")
-    p.add_argument("--b", required=True, help="second curve (name or index)")
-    p.add_argument("--j", type=int, required=True, help="sheet in the second lift")
-    p.set_defaults(handler=cmd_lk)
-
-    p = sub.add_parser("matrix", help="all pairwise lift linking numbers")
-    common(p)
-    p.add_argument("--a", required=True, help="row curve (name or index)")
-    p.add_argument("--b", required=True, help="column curve (name or index)")
-    p.set_defaults(handler=cmd_matrix)
-
-    p = sub.add_parser("order", help="least integral bounding multiple")
-    common(p)
-    p.add_argument("--curve", required=True, help="component name or index")
-    p.add_argument("--coset", type=int, required=True, help="sheet in the lift")
-    p.set_defaults(handler=cmd_order)
-
-    p = sub.add_parser("obstruct", help="satellite concordance obstruction")
-    common(p)
-    p.set_defaults(handler=cmd_obstruct)
-
+        for flag, kind, text in options:
+            p.add_argument(flag, type=kind, required=True, help=text)
+        p.set_defaults(handler=handler)
     return parser
 
 

@@ -7,6 +7,10 @@ walker from sheet j to sheet j + t mod q, and one integer t per arc records
 the walk. From the walks follow which lift of a wall is crossed at each
 underpass (the sigma offsets) and how path-lifts of the non-branch
 components close up into connected curves (the cosets).
+
+A lift is named by a non-branch curve and a coset of sheets; `_lift` is the
+one place that resolves such a name, refuses the branch and canonicalizes
+the coset, for every module that takes a lift.
 """
 
 from __future__ import annotations
@@ -117,27 +121,28 @@ def build_cover(diagram: LinkDiagram, q: int) -> CoverStructure:
     )
 
 
-def lift_components(cover: CoverStructure, curve: int | str) -> list[tuple[int, ...]]:
-    """The sheet cosets whose path-lifts join into one closed curve each."""
+def _lift(cover: CoverStructure, curve: int | str, coset) -> tuple[int, tuple[int, ...]]:
+    """The component index and canonical coset of a lift, named by any sheet or all of them."""
     ci = cover.diagram.component_index(curve)
-    if ci == cover.diagram.branch:
-        raise ValueError("the branch component lifts to the branch locus, not to curves")
-    return list(cover.components_of[ci])
-
-
-def resolve_coset(cover: CoverStructure, curve: int | str, coset) -> tuple[int, ...]:
-    """Canonicalize a coset given as its smallest member or as a collection."""
-    ci = cover.diagram.component_index(curve)
-    if ci == cover.diagram.branch:
-        raise ValueError("the branch component has no lift cosets")
     cosets = cover.components_of[ci]
+    if cosets is None:
+        raise ValueError(f"component {ci} is the branch; it lifts to the branch locus, not to curves")
     if isinstance(coset, int):
         for c in cosets:
             if coset in c:
-                return c
+                return ci, c
         raise ValueError(f"no lift of component {ci} contains sheet {coset}")
     wanted = tuple(sorted(set(coset)))
     if wanted in cosets:
-        return wanted
+        return ci, wanted
     raise ValueError(f"{wanted} is not a lift component of component {ci}")
 
+
+def lift_components(cover: CoverStructure, curve: int | str) -> list[tuple[int, ...]]:
+    """The sheet cosets whose path-lifts join into one closed curve each."""
+    return list(cover.components_of[_lift(cover, curve, 1)[0]])
+
+
+def resolve_coset(cover: CoverStructure, curve: int | str, coset) -> tuple[int, ...]:
+    """Canonicalize a coset given as any sheet in it or as a collection."""
+    return _lift(cover, curve, coset)[1]

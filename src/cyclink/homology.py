@@ -19,7 +19,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cover import CoverStructure, resolve_coset, wrap_sheet
+from .cover import CoverStructure, _lift, wrap_sheet
 from .diagram import _integer
 from .rational_linalg import (
     format_rational,
@@ -71,12 +71,12 @@ class TwoChain:
         return cls(curve=curve, coset=coset, x=x)
 
 
-def _lift(cover: CoverStructure, curve: int | str, coset) -> tuple[int, tuple[int, ...]]:
-    """The component index and canonical coset of one liftable curve."""
-    ci = cover.diagram.component_index(curve)
-    if ci == cover.diagram.branch:
-        raise ValueError("cannot bound lifts of the branch component")
-    return ci, resolve_coset(cover, ci, coset)
+def _chain_lift(cover: CoverStructure, chain: TwoChain) -> tuple[int, tuple[int, ...]]:
+    """The lift a chain bounds, once its shape is checked against the cover."""
+    x = chain.x
+    if len(x) != cover.diagram.components[cover.diagram.branch].arc_count or set(map(len, x)) - {cover.q}:
+        raise ValueError("chain shape does not match this cover")
+    return _lift(cover, chain.curve, chain.coset)
 
 
 def _system_matrix(cover: CoverStructure):
@@ -218,16 +218,11 @@ def verify_boundary(cover: CoverStructure, chain: TwoChain) -> bool:
     wall bottom edges, and the slits cut where wall lifts pass under
     crossings. It shares no code path with assemble_system.
     """
+    ci, group = _chain_lift(cover, chain)
     diagram = cover.diagram
     q = cover.q
     branch = diagram.branch
-    ci = chain.curve
-    if not 0 <= ci < len(diagram.components) or ci == branch:
-        raise ValueError("chain curve does not name a liftable component")
-    group = set(resolve_coset(cover, ci, chain.coset))
-    n = diagram.components[branch].arc_count
-    if len(chain.x) != n or any(len(row) != q for row in chain.x):
-        raise ValueError("chain shape does not match this cover")
+    n = len(chain.x)
 
     boundary: dict[tuple, Fraction] = defaultdict(Fraction)
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cover import CoverStructure, resolve_coset, wrap_sheet
-from .homology import TwoChain, _solved_chains, bounding_chain
+from .cover import CoverStructure, _lift, wrap_sheet
+from .homology import TwoChain, _chain_lift, _solved_chains
 from .rational_linalg import format_rational
 
 SELF_PAIRING = "self-pairing"
@@ -29,20 +29,21 @@ class UndefinedEntry:
         return {"undefined": self.reason}
 
 
-def _linking_sum(cover: CoverStructure, chain: TwoChain, gamma: int, group: tuple[int, ...]) -> Fraction:
+def _linking_sum(cover: CoverStructure, x, bi: int, gb: tuple, gamma: int, group: tuple) -> Fraction:
+    """lk of lift (gamma, group) with lift (bi, gb), which chain coefficients x bound."""
     diagram = cover.diagram
     branch = diagram.branch
     q = cover.q
     comp = diagram.components[gamma]
-    chain_sheets = set(chain.coset)
+    chain_sheets = set(gb)
     total = Fraction(0)
     for j in group:
         for up, off in zip(comp.underpasses, cover.sigma[gamma]):
             oc, oa = up.over.component, up.over.arc
             s = wrap_sheet(j + off, q)
             if oc == branch:
-                total += up.sign * chain.x[oa][s - 1]
-            elif oc == chain.curve and s in chain_sheets:
+                total += up.sign * x[oa][s - 1]
+            elif oc == bi and s in chain_sheets:
                 total += up.sign
     return total
 
@@ -50,26 +51,24 @@ def _linking_sum(cover: CoverStructure, chain: TwoChain, gamma: int, group: tupl
 def linking_number(cover: CoverStructure, chain: TwoChain, gamma: int | str, coset_j) -> Fraction | UndefinedEntry:
     """lk of the lifted curve described by (gamma, coset_j) with chain's curve.
 
+    The chain is checked against the cover as verify_boundary checks it.
     Both curves must avoid the branch locus; the pairing is undefined when
     gamma's lift is not itself rationally null-homologous, and a curve cannot
     be paired with itself.
     """
-    diagram = cover.diagram
-    gi = diagram.component_index(gamma)
-    if gi == diagram.branch:
-        raise ValueError("cannot link against lifts of the branch component")
-    group = resolve_coset(cover, gi, coset_j)
-    if gi == chain.curve and group == tuple(chain.coset):
+    bounded = _chain_lift(cover, chain)
+    lift = _lift(cover, gamma, coset_j)
+    if lift == bounded:
         raise ValueError("self-pairing: that lifted curve is the chain's own boundary")
-    if bounding_chain(cover, gi, group) is None:
+    if _solved_chains(cover)[lift] is None:
         return UndefinedEntry(NOT_NULL_HOMOLOGOUS)
-    return _linking_sum(cover, chain, gi, group)
+    return _linking_sum(cover, chain.x, *bounded, *lift)
 
 
 def _entry(cover: CoverStructure, ai: int, ga: tuple, bi: int, gb: tuple) -> Fraction | UndefinedEntry:
     """One linking matrix entry: lk of lift (ai, ga) with lift (bi, gb).
 
-    The cosets must be canonical (see resolve_coset). The sum is read off
+    The lifts must be canonical (see cover._lift). The sum is read off
     the chain bounding (bi, gb), as in linking_number.
     """
     if ai == bi and ga == gb:
@@ -77,7 +76,7 @@ def _entry(cover: CoverStructure, ai: int, ga: tuple, bi: int, gb: tuple) -> Fra
     chains = _solved_chains(cover)
     if chains[(bi, gb)] is None or chains[(ai, ga)] is None:
         return UndefinedEntry(NOT_NULL_HOMOLOGOUS)
-    return _linking_sum(cover, chains[(bi, gb)], ai, ga)
+    return _linking_sum(cover, chains[(bi, gb)].x, bi, gb, ai, ga)
 
 
 @dataclass(frozen=True)
@@ -116,11 +115,8 @@ def linking_matrix(cover: CoverStructure, curve_a: int | str, curve_b: int | str
     Self-pairings (same curve, same coset) and lifts that fail to bound
     rationally produce UndefinedEntry values rather than errors.
     """
-    diagram = cover.diagram
-    ai = diagram.component_index(curve_a)
-    bi = diagram.component_index(curve_b)
-    if diagram.branch in (ai, bi):
-        raise ValueError("cannot link against lifts of the branch component")
+    ai, _ = _lift(cover, curve_a, 1)  # sheet 1 lies in the first coset
+    bi, _ = _lift(cover, curve_b, 1)
     cosets_a = cover.components_of[ai]
     cosets_b = cover.components_of[bi]
     return LinkingReport(

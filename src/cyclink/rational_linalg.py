@@ -47,18 +47,18 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from exc
 
 
+def _integer_row(values: list) -> list:
+    """The values scaled by the lcm of their denominators, unless all are ints."""
+    if all(isinstance(x, int) for x in values):
+        return values
+    entries = [Fraction(x) for x in values]
+    scale = lcm(*(x.denominator for x in entries))
+    return [int(x * scale) for x in entries]
+
+
 def _integer_rows(matrix, rhss):
     """Scale each row of [A|b_1..b_k] by the lcm of denominators, as int rows."""
-    rows = []
-    for i, row in enumerate(matrix):
-        merged = list(row) + [rhs[i] for rhs in rhss]
-        if all(isinstance(x, int) for x in merged):
-            rows.append(merged)
-            continue
-        entries = [Fraction(x) for x in merged]
-        scale = lcm(*(x.denominator for x in entries)) if entries else 1
-        rows.append([int(x * scale) for x in entries])
-    return rows
+    return [_integer_row(list(row) + [rhs[i] for rhs in rhss]) for i, row in enumerate(matrix)]
 
 
 def _rescale(row, start, width, num, den):
@@ -206,12 +206,20 @@ def _eliminate_units(matrix, rhs):
     pivot row and column retire. The column operations that would clear the
     rest of the pivot row touch no other row, since the pivot column is zero
     elsewhere, so they are left out: the retired pair is a diagonal entry 1
-    of the Smith form and adds nothing to the multiple.
+    of the Smith form and adds nothing to the multiple. A row of [A | b]
+    that holds a non-int is first scaled by the lcm of its denominators,
+    which leaves its integer solutions unchanged.
 
     Returns the live rows, their right-hand sides and the number of pivots.
     """
-    rows = [{j: int(row[j]) for j in compress(range(len(row)), row)} for row in matrix]
-    c = [int(v) for v in rhs]
+    rows, c = [], []
+    for row, b in zip(matrix, rhs):
+        entries = {j: row[j] for j in compress(range(len(row)), row)}
+        if type(b) is not int or not all(type(v) is int for v in entries.values()):
+            *values, b = _integer_row([*entries.values(), b])
+            entries = dict(zip(entries, values))
+        rows.append(entries)
+        c.append(b)
     where = defaultdict(set)
     for i, row in enumerate(rows):
         for j in row:
@@ -273,6 +281,8 @@ def minimal_scalar_integer_solution(matrix, rhs) -> int | None:
     makes c's entry a multiple of h_i[i], and clears it with h_i. Every
     entry is kept modulo D, which changes neither L nor the order.
     """
+    if len(rhs) != len(matrix):
+        raise ValueError("right-hand side length does not match row count")
     rows, c, steps = _eliminate_units(matrix, rhs)
     cols = sorted(set().union(*rows))
     # [T | c] transposed: one row per column of T, then c

@@ -286,6 +286,71 @@ def test_info_lists_lifts(capsys):
     assert k.get("branch") is True
 
 
+STEVEDORE_Q3_SESSION = {
+    "info": (
+        ("-q", "3"),
+        "degree q=3\n"
+        "0: eta arcs=2 writhe=0\n"
+        "   lk(branch)=0 lbar=0 lifts: {1} {2} {3}\n"
+        "1: K (branch) arcs=10 writhe=0\n",
+    ),
+    "lk": (("-q", "3", "--a", "eta", "--i", "1", "--b", "eta", "--j", "2"), "1/7\n"),
+    "matrix": (
+        ("-q", "3", "--a", "eta", "--b", "eta"),
+        "\t{1}\t{2}\t{3}\n"
+        "{1}\tundefined (self-pairing)\t1/7\t1/7\n"
+        "{2}\t1/7\tundefined (self-pairing)\t1/7\n"
+        "{3}\t1/7\t1/7\tundefined (self-pairing)\n",
+    ),
+    "order": (("-q", "3", "--curve", "eta", "--coset", "1"), "7\n"),
+    "obstruct": (
+        ("-q", "3"),
+        "q=3 winding=0 order=7\n"
+        "hypotheses: prime_power_degree=yes degree_divides_winding=yes "
+        "integral_lifts=no odd_order_or_winding_multiple=yes\n"
+        "sign profile: all-nonneg-not-zero\n"
+        "verdict: obstructed\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(STEVEDORE_Q3_SESSION))
+def test_readme_session_text_is_exact(capsys, command):
+    options, expected = STEVEDORE_Q3_SESSION[command]
+    path = str(fixture_diagram_path("stevedore_w0"))
+    assert run(capsys, command, path, *options) == (0, expected, "")
+
+
+def test_validate_text_prints_one_violation_per_line(capsys, tmp_path):
+    path = tmp_path / "two_bad_arcs.json"
+    data = json.loads(fixture_diagram_path("cable_n3_k0").read_text())
+    for comp in data["components"]:
+        comp["underpasses"][0]["over"]["arc"] = 99
+    path.write_text(json.dumps(data))
+    assert run(capsys, "validate", str(path)) == (
+        2,
+        "component 0 (eta) underpass 0: overstrand arc 99 out of range for component 1 with 6 arcs\n"
+        "component 1 (K) underpass 0: overstrand arc 99 out of range for component 0 with 3 arcs\n",
+        "",
+    )
+
+
+@pytest.mark.parametrize("fmt", [(), ("--json",)])
+def test_branch_curve_is_refused_with_one_message(capsys, fmt):
+    path = str(fixture_diagram_path("stevedore_w0"))
+    for command, *options in [
+        ("chain", "--curve", "K", "--coset", "1"),
+        ("lk", "--a", "K", "--i", "1", "--b", "eta", "--j", "1"),
+        ("lk", "--a", "eta", "--i", "1", "--b", "K", "--j", "1"),
+        ("order", "--curve", "K", "--coset", "1"),
+        ("matrix", "--a", "K", "--b", "eta"),
+        ("matrix", "--a", "eta", "--b", "K"),
+    ]:
+        assert run(capsys, command, path, "-q", "3", *options, *fmt) == (
+            2, "", "error: component 1 is the branch; it lifts to the branch locus, not to curves\n"
+        ), command
+
+
 def test_undefined_values_are_in_band_success(capsys, clasp_file):
     code, out, _ = run(
         capsys,

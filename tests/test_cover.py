@@ -4,10 +4,18 @@ import pytest
 
 from conftest import fixture, hopf_diagram, trefoil_diagram, wire_with_meridian
 from cyclink import (
+    TwoChain,
+    assemble_system,
+    bounding_chain,
+    bounding_chains,
     build_cover,
     lift_components,
+    linking_matrix,
+    linking_number,
+    minimal_bounding_multiple,
     normalize_writhe,
     resolve_coset,
+    verify_boundary,
     wrap_sheet,
 )
 from cyclink.cover import MAX_COVER_DEGREE
@@ -127,6 +135,28 @@ def test_resolve_coset_accepts_member_or_collection():
         resolve_coset(cover, "eta", (1, 2))
     with pytest.raises(ValueError):
         resolve_coset(cover, "K", 1)
+
+
+def test_every_lift_argument_refuses_the_branch_alike():
+    cover = build_cover(fixture("stevedore_w0").diagram, 3)
+    chain = bounding_chain(cover, "eta", 1)
+    on_branch = TwoChain(curve=1, coset=(1,), x=chain.x)
+    calls = [
+        lambda: lift_components(cover, "K"),
+        lambda: resolve_coset(cover, 1, (1, 2, 3)),
+        lambda: assemble_system(cover, "K", 1),
+        lambda: bounding_chain(cover, "K", 1),
+        lambda: bounding_chains(cover, "K"),
+        lambda: minimal_bounding_multiple(cover, "K", 1),
+        lambda: verify_boundary(cover, on_branch),
+        lambda: linking_number(cover, chain, "K", 1),
+        lambda: linking_number(cover, on_branch, "eta", 2),
+        lambda: linking_matrix(cover, "K", "eta"),
+        lambda: linking_matrix(cover, "eta", "K"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^component 1 is the branch; it lifts to the branch locus, not to curves$"):
+            call()
 
 
 def test_sigma_at_bounds_checks():

@@ -19,6 +19,7 @@ from cyclink import (
     assemble_system,
     TwoChain,
     pairwise_linking,
+    verify_boundary,
 )
 from cyclink.linking import NOT_NULL_HOMOLOGOUS, SELF_PAIRING
 
@@ -76,6 +77,31 @@ def test_linking_number_rejects_branch_and_self_pairing():
     with pytest.raises(ValueError, match="self"):
         linking_number(cover, chain, "eta", 1)
     assert linking_number(cover, chain, "eta", 2) == Fraction(1, 7)
+
+
+def test_linking_number_rejects_a_chain_of_another_cover():
+    # The q=5 chain read on the q=3 cover gave 27/31; verify_boundary
+    # refuses it for its shape, and so must linking_number.
+    chain = bounding_chain(cover_for("stevedore_w0", 5), "eta", 1)
+    cover = cover_for("stevedore_w0", 3)
+    with pytest.raises(ValueError, match="shape"):
+        verify_boundary(cover, chain)
+    with pytest.raises(ValueError, match="shape"):
+        linking_number(cover, chain, "eta", 2)
+    assert linking_number(cover, bounding_chain(cover, "eta", 1), "eta", 2) == Fraction(1, 7)
+
+
+def test_linking_number_canonicalizes_the_chain_coset():
+    # A coset written [3, 1] is the lift (1, 3): its chain still bounds, and
+    # pairing it with (1, 3) is a self-pairing, not the 14/9 it once gave.
+    cover = cover_for("stevedore_w2", 4)
+    chain = bounding_chain(cover, "eta", 1)
+    assert chain.coset == (1, 3)
+    reordered = TwoChain(curve=chain.curve, coset=(3, 1), x=chain.x)
+    assert verify_boundary(cover, reordered)
+    with pytest.raises(ValueError, match="self-pairing"):
+        linking_number(cover, reordered, "eta", 1)
+    assert linking_number(cover, reordered, "eta", 2) == linking_number(cover, chain, "eta", 2)
 
 
 def test_gauge_invariance_on_one_fixture():

@@ -7,12 +7,12 @@ never touches it.
 import logging
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 import sympy
 
-from conftest import fixture, sympy_minimal_multiples
+from conftest import fixture, sympy_minimal_multiple, sympy_minimal_multiples
 from cyclink.fixtures import corpus_names
 from cyclink.homology import _system_matrix, _system_rhs
 from cyclink.rational_linalg import _eliminate, _eliminate_units, _integer_rows
@@ -489,6 +489,36 @@ def test_minimal_multiple_logs_its_shape_at_debug_only(caplog):
     assert [r.getMessage() for r in caplog.records] == [
         "minimal multiple: 1 unit steps, tail 2 x 1, 2 rows independent, minor 2 bits"
     ]
+
+
+def test_minimal_multiple_takes_rationals_exactly():
+    # int() would truncate 1/2 to 0: 3 and None instead of 12 and 1.
+    assert minimal_scalar_integer_solution([[2, 0], [0, 3]], [Fraction(1, 2), 1]) == 12
+    assert minimal_scalar_integer_solution([[Fraction(1, 2)]], [1]) == 1
+    assert minimal_scalar_integer_solution([[Fraction(2, 3), 0], [0, 1]], [1, Fraction(1, 5)]) == 10
+
+
+@pytest.mark.parametrize("rhs", [[1], [1, 1, 5]])
+def test_minimal_multiple_rejects_mismatched_rhs_length(rhs):
+    with pytest.raises(ValueError, match="right-hand side length does not match row count"):
+        minimal_scalar_integer_solution([[2, 0], [0, 3]], rhs)
+
+
+def test_minimal_multiple_of_rational_systems_against_sympy():
+    # Oracle: sympy's Smith form of each system with every row of [A | b]
+    # scaled to integers by the lcm of its denominators.
+    rng = random.Random(2718)
+    pool = [Fraction(p, q) for p in range(-3, 4) for q in (1, 1, 2, 3, 4)]
+    for _ in range(150):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        A = [[rng.choice(pool) for _ in range(n)] for _ in range(m)]
+        b = [rng.choice(pool) for _ in range(m)]
+        scaled_A, scaled_b = [], []
+        for row, v in zip(A, b):
+            scale = lcm(*(x.denominator for x in row), v.denominator)
+            scaled_A.append([int(x * scale) for x in row])
+            scaled_b.append(int(v * scale))
+        assert minimal_scalar_integer_solution(A, b) == sympy_minimal_multiple(scaled_A, scaled_b), (A, b)
 
 
 def test_minimal_multiple_zero_rhs():
