@@ -42,8 +42,9 @@ class CoverStructure:
     linking number with the branch mod q, and components_of[c] lists the
     sheet cosets that form closed lifted curves.
 
-    _memo keeps what cyclink.homology solves on this cover, at most one
-    answer per (curve, coset); it fills on the first query, not here.
+    _memo keeps what cyclink.homology solves on this cover: one
+    factorization, one solution and one multiple per curve, and the chains
+    asked for; it fills on the first query, not here.
     """
 
     q: int

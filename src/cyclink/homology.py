@@ -8,9 +8,11 @@ verify_boundary recomputes the boundary of a candidate chain cell by cell,
 independently of how the system was assembled.
 
 The matrix depends only on the cover, and the deck shift of the sheets
-permutes it while carrying each lift of a curve to the next. So the first
-chain asked of a cover solves one lift per deck orbit, the first coset of
-each curve, in one elimination; every other chain is a shift of one of these.
+permutes it while carrying each lift of a curve to the next. So the cover
+system is factored once, with one lift per deck orbit riding along, the
+first coset of each curve; its chains and its integral multiples are both
+read off that factorization, and every other chain is a shift of one of
+these. The `cyclink` logger reports each factorization at DEBUG level.
 """
 
 from __future__ import annotations
@@ -21,15 +23,11 @@ from fractions import Fraction
 
 from .cover import CoverStructure, _lift, wrap_sheet
 from .diagram import _integer
-from .rational_linalg import (
-    format_rational,
-    minimal_scalar_integer_solution,
-    parse_rational,
-    solve_many,
-)
+from .rational_linalg import _factor, _log_debug, _rational, _tail_multiple, format_rational, parse_rational
 
-# The system is stored dense: above this many entries it is refused before
-# anything is allocated (the corpus systems reach about 4 * 10**4).
+# assemble_system hands the system out dense, so above this many entries
+# it is refused before anything is built (the corpus systems reach about
+# 4 * 10**4).
 MAX_SYSTEM_ENTRIES = 4_000_000
 
 
@@ -80,7 +78,7 @@ def _chain_lift(cover: CoverStructure, chain: TwoChain) -> tuple[int, tuple[int,
 
 
 def _system_matrix(cover: CoverStructure):
-    """The coefficient matrix of assemble_system, with its column map."""
+    """The coefficient matrix of assemble_system as {col: int} rows, with its column map."""
     diagram = cover.diagram
     branch = diagram.branch
     q = cover.q
@@ -96,29 +94,24 @@ def _system_matrix(cover: CoverStructure):
     columns = {
         (i, j): i * q + (j - 1) for i in range(n) for j in range(1, q + 1)
     }
-    rows: list[list[int]] = []
 
     # Vertical walls are built from sheet-gap cells, so the per-arc
     # coefficients must sum to zero.
-    for i in range(n):
-        row = [0] * width
-        for j in range(1, q + 1):
-            row[columns[(i, j)]] = 1
-        rows.append(row)
+    rows = [{columns[(i, j)]: 1 for j in range(1, q + 1)} for i in range(n)]
 
     for i, up in enumerate(comp.underpasses):
         oc, oa = up.over.component, up.over.arc
         eps = up.sign
         off = cover.sigma[branch][i]
         for j in range(1, q + 1):
-            row = [0] * width
+            row = defaultdict(int)
             row[columns[(i, j)]] += 1
             row[columns[((i + 1) % n, j)]] -= 1
             if oc == branch:
                 row[columns[(oa, wrap_sheet(j + off, q))]] -= eps
                 row[columns[(oa, wrap_sheet(j + 1 + off, q))]] += eps
             # Curve walls have fixed coefficients; _system_rhs carries them.
-            rows.append(row)
+            rows.append({col: v for col, v in row.items() if v})
 
     return rows, columns
 
@@ -150,31 +143,65 @@ def assemble_system(cover: CoverStructure, curve: int | str, coset):
     """
     ci, group = _lift(cover, curve, coset)
     rows, columns = _system_matrix(cover)
-    return rows, _system_rhs(cover, ci, group), columns
+    dense = []
+    for row in rows:
+        entries = [0] * len(columns)
+        for col, v in row.items():
+            entries[col] = v
+        dense.append(entries)
+    return dense, _system_rhs(cover, ci, group), columns
 
 
-def _solved_chains(cover: CoverStructure) -> dict:
-    """Bounding chains of every lift of every curve, keyed by (curve, coset).
+def _factorization(cover: CoverStructure) -> tuple:
+    """The cover system factored once (rational_linalg._factor), with each
+    curve's first coset riding along; those curves in order; the width.
 
-    The first call solves each curve's first coset in one elimination. The
-    coset at sheet 1+s gets x_s[i][j] = x_0[i][(j - s) mod q], or None if x_0 is.
+    Chains and multiples are both read off this one factorization.
     """
-    chains = cover._memo.get("chains")
-    if chains is None:
-        q = cover.q
+    memo = cover._memo.get("factorization")
+    if memo is None:
         # components_of is None at the branch, which has no lifts to bound.
         curves = [ci for ci, cosets in enumerate(cover.components_of) if cosets]
-        matrix, _ = _system_matrix(cover)
-        firsts = solve_many(matrix, [_system_rhs(cover, ci, cover.components_of[ci][0]) for ci in curves])
-        chains = {}
-        for ci, x in zip(curves, firsts):
-            # Column i*q + (j-1) holds the lift of branch arc i to sheet j.
-            rows = [x[k:k + q] for k in range(0, len(x), q)] if x else []
-            for s, group in enumerate(cover.components_of[ci]):
-                chains[(ci, group)] = None if x is None else TwoChain(
-                    ci, group, tuple(tuple(row[q - s:] + row[:q - s]) for row in rows))
-        cover._memo["chains"] = chains
-    return chains
+        rows, columns = _system_matrix(cover)
+        rhss = [_system_rhs(cover, ci, cover.components_of[ci][0]) for ci in curves]
+        tail, _, retired, cols, _, pivots = factors = _factor(rows, rhss, len(columns))
+        _log_debug(
+            "cover system %d x %d: %d unit steps, tail %d x %d, rank %d, nullity %d",
+            len(rows), len(columns), len(retired), len(tail), len(cols), len(pivots), len(cols) - len(pivots),
+        )
+        memo = cover._memo["factorization"] = (factors, curves, len(columns))
+    return memo
+
+
+def _first_solutions(cover: CoverStructure) -> dict:
+    """Each curve's first-coset solution, keyed by curve, or None if it has none.
+
+    Solved from the cover's factorization on the first call. Row i, entry
+    j-1 is the coefficient of the lift of branch arc i to sheet j; the
+    coset that starts at sheet 1+s is bounded by x_s[i][j] = x_0[i][(j - s) mod q].
+    """
+    solutions = cover._memo.get("solutions")
+    if solutions is None:
+        q = cover.q
+        factors, curves, n = _factorization(cover)
+        # Column i*q + (j-1) holds the lift of branch arc i to sheet j.
+        solutions = cover._memo["solutions"] = {
+            ci: None if x is None else [x[k:k + q] for k in range(0, n, q)]
+            for ci, x in zip(curves, _rational(factors, n)[0])
+        }
+    return solutions
+
+
+def _chain(cover: CoverStructure, ci: int, group: tuple[int, ...]) -> TwoChain | None:
+    """The chain of a canonical lift, shifted from its curve's first solution
+    when first asked for and kept on the cover."""
+    chains = cover._memo.setdefault("chains", {})
+    if (ci, group) not in chains:
+        rows = _first_solutions(cover)[ci]
+        q, s = cover.q, cover.components_of[ci].index(group)
+        chains[(ci, group)] = None if rows is None else TwoChain(
+            ci, group, tuple(tuple(row[q - s:] + row[:q - s]) for row in rows))
+    return chains[(ci, group)]
 
 
 def bounding_chain(cover: CoverStructure, curve: int | str, coset) -> TwoChain | None:
@@ -183,8 +210,7 @@ def bounding_chain(cover: CoverStructure, curve: int | str, coset) -> TwoChain |
     The chain of the coset that starts at sheet 1+s is defined as the chain
     of the curve's first coset, shifted by the deck group s sheets up.
     """
-    lift = _lift(cover, curve, coset)  # reject bad input before solving
-    return _solved_chains(cover)[lift]
+    return _chain(cover, *_lift(cover, curve, coset))
 
 
 def bounding_chains(cover: CoverStructure, curve: int | str) -> dict[tuple[int, ...], TwoChain | None]:
@@ -193,8 +219,7 @@ def bounding_chains(cover: CoverStructure, curve: int | str) -> dict[tuple[int, 
     Unbounded lifts map to None. The dict is new on every call.
     """
     ci, _ = _lift(cover, curve, 1)  # sheet 1 lies in the first coset
-    chains = _solved_chains(cover)
-    return {group: chains[(ci, group)] for group in cover.components_of[ci]}
+    return {group: _chain(cover, ci, group) for group in cover.components_of[ci]}
 
 
 def minimal_bounding_multiple(cover: CoverStructure, curve: int | str, coset) -> int | None:
@@ -206,8 +231,8 @@ def minimal_bounding_multiple(cover: CoverStructure, curve: int | str, coset) ->
     ci, _ = _lift(cover, curve, coset)
     orders = cover._memo.setdefault("orders", {})
     if ci not in orders:
-        matrix, _ = _system_matrix(cover)
-        orders[ci] = minimal_scalar_integer_solution(matrix, _system_rhs(cover, ci, cover.components_of[ci][0]))
+        (tail, rhs, retired, *_), curves, _ = _factorization(cover)
+        orders[ci] = _tail_multiple(tail, rhs[curves.index(ci)], len(retired))
     return orders[ci]
 
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .cover import CoverStructure, _lift, wrap_sheet
-from .homology import TwoChain, _chain_lift, _solved_chains
+from .homology import TwoChain, _chain_lift, _first_solutions
 from .rational_linalg import format_rational
 
 SELF_PAIRING = "self-pairing"
@@ -29,23 +30,33 @@ class UndefinedEntry:
         return {"undefined": self.reason}
 
 
-def _linking_sum(cover: CoverStructure, x, bi: int, gb: tuple, gamma: int, group: tuple) -> Fraction:
-    """lk of lift (gamma, group) with lift (bi, gb), which chain coefficients x bound."""
+def _linking_sum(cover: CoverStructure, x, shift: int, bi: int, gb: tuple, gamma: int, group: tuple) -> Fraction:
+    """lk of lift (gamma, group) with lift (bi, gb), bounded by the chain with
+    coefficients x shifted `shift` sheets up: x[i][(j - 1 - shift) mod q] at
+    the lift of branch arc i to sheet j.
+
+    The wall coefficients met are summed as integer numerators over the
+    lcm of their denominators, so the call makes one Fraction.
+    """
     diagram = cover.diagram
     branch = diagram.branch
     q = cover.q
     comp = diagram.components[gamma]
     chain_sheets = set(gb)
-    total = Fraction(0)
+    walls = []  # (sign, coefficient) of each branch wall lift passed under
+    crossings = 0
     for j in group:
         for up, off in zip(comp.underpasses, cover.sigma[gamma]):
-            oc, oa = up.over.component, up.over.arc
+            oc = up.over.component
             s = wrap_sheet(j + off, q)
             if oc == branch:
-                total += up.sign * x[oa][s - 1]
+                walls.append((up.sign, x[up.over.arc][(s - 1 - shift) % q]))
             elif oc == bi and s in chain_sheets:
-                total += up.sign
-    return total
+                crossings += up.sign
+    den = lcm(*(v.denominator for _, v in walls))
+    return Fraction(
+        sum(sign * v.numerator * (den // v.denominator) for sign, v in walls) + crossings * den, den
+    )
 
 
 def linking_number(cover: CoverStructure, chain: TwoChain, gamma: int | str, coset_j) -> Fraction | UndefinedEntry:
@@ -60,23 +71,24 @@ def linking_number(cover: CoverStructure, chain: TwoChain, gamma: int | str, cos
     lift = _lift(cover, gamma, coset_j)
     if lift == bounded:
         raise ValueError("self-pairing: that lifted curve is the chain's own boundary")
-    if _solved_chains(cover)[lift] is None:
+    if _first_solutions(cover)[lift[0]] is None:
         return UndefinedEntry(NOT_NULL_HOMOLOGOUS)
-    return _linking_sum(cover, chain.x, *bounded, *lift)
+    return _linking_sum(cover, chain.x, 0, *bounded, *lift)
 
 
 def _entry(cover: CoverStructure, ai: int, ga: tuple, bi: int, gb: tuple) -> Fraction | UndefinedEntry:
     """One linking matrix entry: lk of lift (ai, ga) with lift (bi, gb).
 
     The lifts must be canonical (see cover._lift). The sum is read off
-    the chain bounding (bi, gb), as in linking_number.
+    the chain bounding (bi, gb), as in linking_number: the first solution
+    of curve bi, shifted to coset gb.
     """
     if ai == bi and ga == gb:
         return UndefinedEntry(SELF_PAIRING)
-    chains = _solved_chains(cover)
-    if chains[(bi, gb)] is None or chains[(ai, ga)] is None:
+    solutions = _first_solutions(cover)
+    if solutions[bi] is None or solutions[ai] is None:
         return UndefinedEntry(NOT_NULL_HOMOLOGOUS)
-    return _linking_sum(cover, chains[(bi, gb)].x, bi, gb, ai, ga)
+    return _linking_sum(cover, solutions[bi], cover.components_of[bi].index(gb), bi, gb, ai, ga)
 
 
 @dataclass(frozen=True)

@@ -1,24 +1,30 @@
 """Exact linear algebra over the rationals and the integers.
 
-Everything here runs on arbitrary-precision numbers: `fractions.Fraction`
-for rational data and Python ints for integer matrices. No floating point,
-no fixed-width arithmetic. All rational work (particular solutions and
-nullspaces) is one fraction-free Bareiss elimination, `_eliminate`, then
-back-substitution. The integral work, the least multiple d for which
-A x = d b has an integer solution, is a sparse unit-pivot elimination and
-then a Hermite reduction modulo a maximal minor of the small tail it leaves.
+All arithmetic is on Python ints and `fractions.Fraction`s. Every solver
+factors [A | b_1..b_k] once (`_factor`): the rows become {col: int}
+dicts, a row holding a rational scaled by the lcm of its denominators; a
+unit phase (`_eliminate_units`) pivots on +-1 entries with row operations
+only and keeps each retired row; fraction-free Bareiss elimination
+(`_eliminate`) brings what is left, the tail, to echelon form with the
+right-hand sides riding along. A cover system has at most four nonzeros
+per row apart from the per-arc sum rows, nearly all +-1, so its tail has a
+few dozen rows.
 
-Matrices are passed dense, but the cover systems are sparse: at most four
-nonzeros per row apart from the per-arc sum rows, nearly all of them +-1.
-Bareiss visits only the nonzero entries of the pivot row and of each target
-row, and rescales a row lazily, when it is next used, since its piv/prev
-rescales telescope; it returns the dense algorithm's integers. The unit
-phase keeps each row as a {column: entry} dict with a column-to-rows index
-and needs row operations only, because a +-1 pivot adds nothing to d. The
-Hermite reduction then sees only the independent rows of what is left,
-with every entry reduced modulo their minor, so none grows past it. The
-`cyclink` logger reports each multiple's unit steps, tail shape and minor
-size at DEBUG level.
+Rational answers follow reduced row echelon form. The free columns F are
+the columns that are combinations of the columns to their left. A
+particular solution is zero on F, and the nullspace basis has one vector
+per f in F, 1 at f and 0 on the rest of F. Both are read off in integers,
+over one denominator per vector: back-substitution through the tail, then
+through the retired rows, last first, whose +-1 pivots need no division.
+That gives the convention for the tail's own free columns G. Scanned from
+the right, the coordinates of any nullspace basis keep exactly F, and
+where G is not F one square Bareiss solve on the F coordinates moves the
+answers there.
+
+The least d for which A x = d b has an integer solution reads the same unit
+phase, as a +-1 pivot adds nothing to d, and reduces the tail modulo a
+maximal minor. The `cyclink` logger reports each multiple's tail at DEBUG
+level.
 """
 
 from __future__ import annotations
@@ -29,6 +35,8 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import gcd, lcm
+
+_ZERO = Fraction(0)
 
 
 def format_rational(value: Fraction | int) -> str:
@@ -47,18 +55,35 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from exc
 
 
-def _integer_row(values: list) -> list:
-    """The values scaled by the lcm of their denominators, unless all are ints."""
-    if all(isinstance(x, int) for x in values):
-        return values
-    entries = [Fraction(x) for x in values]
-    scale = lcm(*(x.denominator for x in entries))
-    return [int(x * scale) for x in entries]
+def _log_debug(message: str, *args) -> None:
+    # Only a program that has imported logging can have configured the
+    # `cyclink` logger; importing it here would slow every CLI start.
+    logging = sys.modules.get("logging")
+    if logging and logging.getLogger("cyclink").isEnabledFor(logging.DEBUG):
+        logging.getLogger("cyclink").debug(message, *args)
 
 
-def _integer_rows(matrix, rhss):
-    """Scale each row of [A|b_1..b_k] by the lcm of denominators, as int rows."""
-    return [_integer_row(list(row) + [rhs[i] for rhs in rhss]) for i, row in enumerate(matrix)]
+def _sparse_rows(matrix, rhss):
+    """A as {col: int} rows and each b as a list of ints, row by row scaled
+    to integers, which changes neither rational nor integer solutions."""
+    rows = []
+    rhs = [list(b) for b in rhss]
+    for i, row in enumerate(matrix):
+        entries = {j: row[j] for j in compress(range(len(row)), row)}
+        values = [*entries.values(), *(b[i] for b in rhs)]
+        if not all(type(v) is int for v in values):
+            values = [Fraction(v) for v in values]
+            scale = lcm(*(v.denominator for v in values))
+            values = [int(v * scale) for v in values]
+            entries = dict(zip(entries, values))
+            for b, v in zip(rhs, values[len(entries):]):
+                b[i] = v
+        rows.append(entries)
+    return rows, rhs
+
+
+def _fractions(values, den) -> list[Fraction]:
+    return [Fraction(v, den) if v else _ZERO for v in values]
 
 
 def _rescale(row, start, width, num, den):
@@ -120,106 +145,55 @@ def _eliminate(rows, m, n, width):
     return pivots
 
 
-def solve_particular(matrix, rhs) -> list[Fraction] | None:
-    """One exact solution of A x = b, or None when the system is inconsistent.
+def _back_substitute(rows, pivots, width, x, scale, b_col=None):
+    """Fill x at the pivot columns of echelon rows, in integers, in place.
 
-    Free variables are set to zero, so the answer is deterministic.
+    x holds scale times the free columns' values and ends as scale times the
+    solution for right-hand side column b_col (zero when None). The
+    divisions are exact if the last Bareiss pivot, a nonzero minor of the
+    pivot rows, divides scale (Cramer's rule).
     """
-    return solve_many(matrix, [rhs])[0]
-
-
-def solve_many(matrix, rhss) -> list[list[Fraction] | None]:
-    """Solutions of A x = b for several right-hand sides, one elimination.
-
-    Equivalent to [solve_particular(A, b) for b in rhss] but the coefficient
-    matrix is eliminated once with every right-hand side riding along;
-    consistency checks and back-substitution stay per-system.
-    """
-    if not rhss:
-        return []
-    m = len(matrix)
-    if m == 0:
-        return [[] for _ in rhss]
-    n = len(matrix[0])
-    for rhs in rhss:
-        if len(rhs) != m:
-            raise ValueError("right-hand side length does not match row count")
-    k = len(rhss)
-    rows = _integer_rows(matrix, rhss)
-    pivots = _eliminate(rows, m, n, n + k)
-
-    rank = len(pivots)
-    return [
-        None if any(rows[i][b] for i in range(rank, m))
-        else _back_substitute(rows, pivots, [Fraction(0)] * n, b)
-        for b in range(n, n + k)
-    ]
-
-
-def _back_substitute(rows, pivots, x, b_col=None):
-    """Solve the echelon rows for x at the pivot columns, in place.
-
-    x holds its free-column values on entry; the right-hand side is column
-    b_col of the rows, or zero when b_col is None.
-    """
-    for row_idx, col in reversed(pivots):
-        row = rows[row_idx]
-        acc = Fraction(0 if b_col is None else row[b_col])
-        for j in range(col + 1, len(x)):
-            if row[j] and x[j]:
-                acc -= row[j] * x[j]
-        x[col] = acc / row[col]
+    for r, col in reversed(pivots):
+        row = rows[r]
+        acc = 0 if b_col is None else scale * row[b_col]
+        for j in compress(range(col + 1, width), row[col + 1:width]):
+            acc -= row[j] * x[j]
+        x[col] = acc // row[col]
     return x
 
 
-def nullspace_basis(matrix) -> list[list[Fraction]]:
-    """A basis of the rational nullspace of A, one vector per free column.
+def _free_columns(null, n) -> list[int]:
+    """F from a nullspace basis: the coordinates that a scan from the right
+    keeps, each independent of those kept.
 
-    The vector for free column f is 1 at f and 0 at the other free columns:
-    the basis read off the reduced row echelon form.
+    They represent the dual of A's column matroid, so this greedy basis is
+    the complement of the column rank profile. Bareiss makes the scan on a
+    window of coordinates from the right, doubled until it has full rank.
     """
-    m = len(matrix)
-    if m == 0:
-        return []
-    n = len(matrix[0])
-    rows = _integer_rows(matrix, [])
-    pivots = _eliminate(rows, m, n, n)
-    pivot_cols = {col for _, col in pivots}
-    basis = []
-    for free in range(n):
-        if free in pivot_cols:
-            continue
-        vec = [Fraction(0)] * n
-        vec[free] = Fraction(1)
-        basis.append(_back_substitute(rows, pivots, vec))
-    return basis
+    window = len(null)
+    while True:
+        js = range(n - 1, max(n - window, 0) - 1, -1)
+        pivots = _eliminate([[z[j] for j in js] for z in null], len(null), len(js), len(js))
+        if len(pivots) == len(null):
+            return sorted(js[col] for _, col in pivots)
+        window *= 2
 
 
-def _eliminate_units(matrix, rhs):
-    """Row-only elimination with +-1 pivots on sparse rows, mirrored on rhs.
+def _eliminate_units(rows, rhs):
+    """Row-only elimination with +-1 pivots on {col: int} rows, in place.
 
-    Each row is a {col: entry} dict, and `where` maps each column to the
-    live rows that are nonzero in it. While a live row holds a unit, the
-    shortest such row pivots at its unit column with the fewest live rows
-    (ties to the lowest index), which keeps fill-in and the loss of units
-    low. The pivot column is cleared from every other live row, and the
-    pivot row and column retire. The column operations that would clear the
-    rest of the pivot row touch no other row, since the pivot column is zero
-    elsewhere, so they are left out: the retired pair is a diagonal entry 1
-    of the Smith form and adds nothing to the multiple. A row of [A | b]
-    that holds a non-int is first scaled by the lcm of its denominators,
-    which leaves its integer solutions unchanged.
+    rhs[t][i] is row i's entry of right-hand side t. While a live row holds
+    a unit, the shortest such row pivots at its unit column with the fewest
+    live rows (ties to the lowest index; `where` maps columns to live rows),
+    which keeps fill-in and the loss of units low. The column is cleared from
+    the other live rows, right-hand sides included, and the row retires as
+    (col, u, rest, b): u x_col + rest . x = b, u = +-1, where rest holds only
+    columns still live. The column operations that would clear rest touch no
+    other row, so the pair is a Smith entry 1 and adds nothing to a multiple.
 
-    Returns the live rows, their right-hand sides and the number of pivots.
+    Returns the live rows, each right-hand side on them, and the retired
+    rows in pivot order.
     """
-    rows, c = [], []
-    for row, b in zip(matrix, rhs):
-        entries = {j: row[j] for j in compress(range(len(row)), row)}
-        if type(b) is not int or not all(type(v) is int for v in entries.values()):
-            *values, b = _integer_row([*entries.values(), b])
-            entries = dict(zip(entries, values))
-        rows.append(entries)
-        c.append(b)
     where = defaultdict(set)
     for i, row in enumerate(rows):
         for j in row:
@@ -228,7 +202,7 @@ def _eliminate_units(matrix, rhs):
     # row has since retired or changed length is stale and skipped.
     queue = [(len(row), i) for i, row in enumerate(rows)]
     heapify(queue)
-    steps = 0
+    retired = []
     while queue:
         length, r = heappop(queue)
         row_r = rows[r]
@@ -242,6 +216,7 @@ def _eliminate_units(matrix, rhs):
         for j in row_r:
             where[j].remove(r)
         u = row_r.pop(col)
+        b_r = [b[r] for b in rhs]
         for i in where.pop(col):
             row_i = rows[i]
             k = row_i.pop(col) * u  # row_i -= k * row_r clears col, as u * u == 1
@@ -255,35 +230,146 @@ def _eliminate_units(matrix, rhs):
                     where[j].remove(i)
                 else:
                     row_i[j] = old - k * v
-            c[i] -= k * c[r]
+            for b, v in zip(rhs, b_r):
+                b[i] -= k * v
             heappush(queue, (len(row_i), i))
-        steps += 1
+        retired.append((col, u, row_r, b_r))
     live = [i for i, row in enumerate(rows) if row is not None]
-    return [rows[i] for i in live], [c[i] for i in live], steps
+    return [rows[i] for i in live], [[b[i] for i in live] for b in rhs], retired
+
+
+def _factor(rows, rhs, n: int):
+    """[A | b_1..b_k], as {col: int} rows and a list per b, factored once.
+
+    The unit phase retires most rows; Bareiss brings the rest, the tail over
+    the columns that never pivoted (cols, ascending), to echelon form with
+    the right-hand sides riding along. Returns (tail, each b on the tail,
+    retired, cols, echelon, pivots).
+    """
+    tail, rhs, retired = _eliminate_units(rows, rhs)
+    pivoted = {col for col, *_ in retired}
+    cols = [j for j in range(n) if j not in pivoted]
+    echelon = [[row.get(j, 0) for j in cols] + [b[i] for b in rhs] for i, row in enumerate(tail)]
+    return tail, rhs, retired, cols, echelon, _eliminate(echelon, len(tail), len(cols), len(cols) + len(rhs))
+
+
+def _rational(factors, n: int, with_basis: bool = False):
+    """The solution of each b that is zero on F, or None, and the basis.
+
+    solve(t, v, scale) is scale times the solution for b_t (None: zero)
+    whose values at the tail's free columns G are v / scale: integer
+    back-substitution through the tail, then through the retired rows, last
+    first. With v = 0 it is zero on G, and with v = scale e_g it is the null
+    vector of g. Where G is not F, solving N[F] a = x[F] and N[F] w = e_f,
+    N the null vectors of G, gives the values -a that move x onto F and the
+    values w of f's basis vector.
+    """
+    _, rhs, retired, cols, echelon, pivots = factors
+    w, rank = len(cols), len(pivots)
+    D = echelon[pivots[-1][0]][pivots[-1][1]] if pivots else 1
+    used = {col for _, col in pivots}
+    free = [g for g in range(w) if g not in used]
+
+    def solve(t, values, scale):
+        y = [0] * w
+        for g, v in zip(free, values):
+            y[g] = v
+        _back_substitute(echelon, pivots, w, y, scale, None if t is None else w + t)
+        x = [0] * n
+        for j, v in zip(cols, y):
+            x[j] = v
+        for col, u, rest, b in reversed(retired):
+            acc = 0 if t is None else scale * b[t]
+            for j, v in rest.items():
+                acc -= v * x[j]
+            x[col] = u * acc
+        return x
+
+    d = len(free)
+    ts = [t for t in range(len(rhs)) if not any(row[w + t] for row in echelon[rank:])]
+    G = [cols[g] for g in free]
+    null = [solve(None, [D * (g == h) for h in free], D) for g in free]
+    F = _free_columns(null, n)
+    xs = {t: solve(t, [0] * d, D) for t in ts}
+    if F == G:
+        sols = {t: _fractions(x, D) for t, x in xs.items()}
+        basis = [_fractions(z, D) for z in null] if with_basis else []
+    else:
+        # One row per coordinate f in F: N[F] | the xs there | the identity.
+        square = [[z[f] for z in null] + [x[f] for x in xs.values()] + [int(f == e) for e in F if with_basis] for f in F]
+        order = _eliminate(square, d, d, len(square[0]))
+        det = square[order[-1][0]][d - 1]
+        a = [_back_substitute(square, order, d, [0] * d, det, b_col) for b_col in range(d, len(square[0]))]
+        sols = {t: _fractions(solve(t, [-D * v for v in a[i]], det * D), det * D) for i, t in enumerate(xs)}
+        basis = [_fractions(solve(None, [D * D * v for v in ai], det * D), det * D) for ai in a[len(xs):]]
+    return [sols.get(t) for t in range(len(rhs))], basis
+
+
+def solve_particular(matrix, rhs) -> list[Fraction] | None:
+    """One exact solution of A x = b, or None when the system is inconsistent.
+
+    It is zero at every free column (one that is a combination of the
+    columns to its left), so the answer is deterministic.
+    """
+    return solve_many(matrix, [rhs])[0]
+
+
+def solve_many(matrix, rhss) -> list[list[Fraction] | None]:
+    """[solve_particular(A, b) for b in rhss], from one factorization of A."""
+    if not rhss:
+        return []
+    m = len(matrix)
+    if m == 0:
+        return [[] for _ in rhss]
+    for rhs in rhss:
+        if len(rhs) != m:
+            raise ValueError("right-hand side length does not match row count")
+    n = len(matrix[0])
+    return _rational(_factor(*_sparse_rows(matrix, rhss), n), n)[0]
+
+
+def nullspace_basis(matrix) -> list[list[Fraction]]:
+    """A basis of the rational nullspace of A, one vector per free column.
+
+    The vector for free column f is 1 at f and 0 at the other free columns:
+    the basis read off the reduced row echelon form.
+    """
+    if not matrix:
+        return []
+    n = len(matrix[0])
+    return _rational(_factor(*_sparse_rows(matrix, []), n), n, True)[1]
 
 
 def minimal_scalar_integer_solution(matrix, rhs) -> int | None:
     """Least d >= 1 such that A x = d b has an integer solution x.
 
     Returns None when A x = b is not even rationally solvable. The unit
-    pivots come first, on sparse rows (`_eliminate_units`); they leave the
-    tail T y = d c. A row of [T | c] that is a rational combination of
-    the others is an equation they imply for every y, so Bareiss on the
-    transpose picks a maximal independent set of them, r rows. If c's row
-    of the transpose is a pivot, c is outside the span of T. Otherwise the
-    last pivot is an r x r minor of those rows of T, D != 0, so their
-    column lattice L holds D Z^r, and d is the order of c in Z^r / L.
-    The Hermite reduction modulo D (Domich, Kannan and Trotter, 1987)
-    finds a triangular basis h_0, ..., h_{r-1} of L, h_i zero before i:
-    h_i starts as D e_i, and a Euclid loop on coordinate i folds each
-    generator into it, keeping the remainders for the next coordinate.
-    Then d collects, coordinate by coordinate, the least factor that
-    makes c's entry a multiple of h_i[i], and clears it with h_i. Every
-    entry is kept modulo D, which changes neither L nor the order.
+    pivots come first (`_eliminate_units`), and `_tail_multiple` finishes.
     """
     if len(rhs) != len(matrix):
         raise ValueError("right-hand side length does not match row count")
-    rows, c, steps = _eliminate_units(matrix, rhs)
+    tail, c, retired = _eliminate_units(*_sparse_rows(matrix, [rhs]))
+    return _tail_multiple(tail, c[0], len(retired))
+
+
+def _tail_multiple(rows, c, steps: int) -> int | None:
+    """Least d >= 1 such that T y = d c has an integer solution, or None.
+
+    T is the tail left by `steps` unit pivots, as {col: int} rows. A row of
+    [T | c] that is a rational combination of the others is an equation
+    they imply for every y, so Bareiss on the transpose picks a maximal
+    independent set of them, r rows. If c's row of the transpose is a
+    pivot, c is outside the span of T. Otherwise the last pivot is an
+    r x r minor of those rows of T, D != 0, so their column lattice L holds
+    D Z^r, and d is the order of c in Z^r / L. The Hermite reduction
+    modulo D (Domich, Kannan and Trotter, 1987) finds a triangular basis
+    h_0, ..., h_{r-1} of L, h_i zero before i: h_i starts as D e_i, and a
+    Euclid loop on coordinate i folds each generator into it, keeping the
+    remainders for the next coordinate. Then d collects, coordinate by
+    coordinate, the least factor that makes c's entry a multiple of h_i[i],
+    and clears it with h_i. Every entry is kept modulo D, which changes
+    neither L nor the order.
+    """
     cols = sorted(set().union(*rows))
     # [T | c] transposed: one row per column of T, then c
     c_row = list(c)
@@ -291,14 +377,10 @@ def minimal_scalar_integer_solution(matrix, rhs) -> int | None:
     pivots = _eliminate(transposed, len(transposed), len(rows), len(rows))
     keep = [i for _, i in pivots]
     D = abs(transposed[pivots[-1][0]][pivots[-1][1]]) if pivots else 1
-    # Only a program that has imported logging can have configured the
-    # `cyclink` logger; importing it here would slow every CLI start.
-    logging = sys.modules.get("logging")
-    if logging and logging.getLogger("cyclink").isEnabledFor(logging.DEBUG):
-        logging.getLogger("cyclink").debug(
-            "minimal multiple: %d unit steps, tail %d x %d, %d rows independent, minor %d bits",
-            steps, len(rows), len(cols), len(keep), D.bit_length(),
-        )
+    _log_debug(
+        "minimal multiple: %d unit steps, tail %d x %d, %d rows independent, minor %d bits",
+        steps, len(rows), len(cols), len(keep), D.bit_length(),
+    )
     if any(row is c_row for row in transposed[:len(pivots)]):
         return None
     r = len(keep)

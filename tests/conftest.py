@@ -18,7 +18,7 @@ from sympy.polys.matrices import DomainMatrix
 from builders import Builder, ClosedBraid, closed_braid_diagram
 from cyclink import LinkDiagram
 from cyclink.fixtures import Fixture, load_fixture
-from cyclink.rational_linalg import _eliminate_units
+from cyclink.rational_linalg import _eliminate_units, _sparse_rows
 
 
 def sympy_minimal_multiple(rows, rhs):
@@ -62,7 +62,8 @@ def sympy_hermite_multiple(rows, rhs):
     a Hermite diagonal. sympy reduces modulo D, the determinant of r
     independent columns of T', which is a multiple of both indices.
     """
-    T, c, _ = _eliminate_units(rows, rhs)
+    T, c, _ = _eliminate_units(*_sparse_rows(rows, [rhs]))
+    c = c[0]
     cols = sorted(set().union(*T))
     T = sympy.Matrix([[row.get(j, 0) for j in cols] for row in T])
     Tc = T.row_join(sympy.Matrix(c))

@@ -153,6 +153,21 @@ def check_against_per_lift_solve(cover, chains):
                 )
 
 
+def fraction_linking_sum(cover, x, bi, gb, gamma, group):
+    """lk of lift (gamma, group) with lift (bi, gb), bounded by coefficients x,
+    added up one Fraction at a time: the oracle for linking._linking_sum."""
+    branch, q = cover.diagram.branch, cover.q
+    total = Fraction(0)
+    for j in group:
+        for up, off in zip(cover.diagram.components[gamma].underpasses, cover.sigma[gamma]):
+            s = wrap_sheet(j + off, q)
+            if up.over.component == branch:
+                total += up.sign * x[up.over.arc][s - 1]
+            elif up.over.component == bi and s in gb:
+                total += up.sign
+    return total
+
+
 def perturbed(chain, basis, columns, rng):
     n = len(chain.x)
     q = len(chain.x[0]) if n else 0
@@ -193,6 +208,9 @@ def check_gauge_invariance(cover, chains, rng):
                 linking_number(cover, alt, oc, ocoset) for oc, ocoset in others
             ]
             assert got == baseline
+            assert got == [
+                fraction_linking_sum(cover, alt.x, ci, coset, oc, ocoset) for oc, ocoset in others
+            ]
 
 
 def check_symmetry(cover):

@@ -400,8 +400,9 @@ def test_output_is_deterministic(capsys):
 
 
 def test_oversized_cover_system_is_a_usage_error(capsys):
-    # 10**5 sheets over stevedore_w0's branch arcs would be a dense system
-    # of about 10**12 entries; it is refused before anything is allocated.
+    # 10**5 sheets over stevedore_w0's branch arcs give a system of about
+    # 10**12 entries in its (rows x columns) shape, far above the cap; it is
+    # refused before any row is built.
     start = time.perf_counter()
     code, out, err = run(
         capsys,

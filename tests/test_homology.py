@@ -1,5 +1,6 @@
 """Bounding chains: system assembly, solving, and the cell-level oracle."""
 
+import logging
 import random
 from fractions import Fraction
 
@@ -380,3 +381,22 @@ def test_mutating_bounding_chains_result_leaves_the_cover_alone():
     assert bounding_chains(cover, "eta") == expected
     for coset, chain in expected.items():
         assert bounding_chain(cover, "eta", coset) is chain
+
+
+def test_cover_factorization_logs_once_at_debug_only(caplog):
+    # One factorization per cover serves the multiple and the chains; each
+    # logs one DEBUG line, and nothing is logged above DEBUG.
+    def ask(cover):
+        minimal_bounding_multiple(cover, "eta", 1)
+        bounding_chains(cover, "eta")
+        minimal_bounding_multiple(cover, "eta", 2)
+
+    with caplog.at_level(logging.WARNING, logger="cyclink"):
+        ask(cover_for("stevedore_w0", 3))
+    assert caplog.records == []
+    with caplog.at_level(logging.DEBUG, logger="cyclink"):
+        ask(cover_for("stevedore_w0", 3))
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("cyclink", logging.DEBUG, "cover system 40 x 30: 26 unit steps, tail 14 x 4, rank 2, nullity 2"),
+        ("cyclink", logging.DEBUG, "minimal multiple: 26 unit steps, tail 14 x 4, 2 rows independent, minor 6 bits"),
+    ]

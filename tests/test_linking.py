@@ -21,7 +21,10 @@ from cyclink import (
     pairwise_linking,
     verify_boundary,
 )
-from cyclink.linking import NOT_NULL_HOMOLOGOUS, SELF_PAIRING
+from cyclink.fixtures import corpus_names
+from cyclink.homology import _first_solutions
+from cyclink.linking import NOT_NULL_HOMOLOGOUS, SELF_PAIRING, _linking_sum
+from property_checks import fraction_linking_sum
 
 
 def cover_for(name, q):
@@ -187,3 +190,26 @@ def test_two_meridian_lifts_do_not_link():
         assert lift_components(cover, "eta1") == [tuple(range(1, q + 1))]
         report = linking_matrix(cover, "eta1", "eta2")
         assert report.entry(0, 0) == 0
+
+
+def test_linking_sum_equals_the_fraction_by_fraction_sum_on_the_corpus():
+    # The library sums integer numerators over one common denominator; the
+    # oracle adds one Fraction per wall lift passed under, on the chain
+    # bounding_chain builds. The library reads the same chain both ways: as
+    # that chain, and as the curve's first solution shifted s sheets up.
+    pairs = 0
+    for name in corpus_names():
+        for q in fixture(name).writhe_zero_mod:
+            cover = build_cover(fixture(name).diagram, q)
+            ci = cover.diagram.component_index("eta")
+            cosets = lift_components(cover, "eta")
+            for s, gb in enumerate(cosets):
+                chain = bounding_chain(cover, "eta", gb)
+                for ga in cosets:
+                    if chain is not None and ga != gb:
+                        pairs += 1
+                        expected = fraction_linking_sum(cover, chain.x, ci, gb, ci, ga)
+                        assert _linking_sum(cover, chain.x, 0, ci, gb, ci, ga) == expected, (name, q, gb, ga)
+                        first = _first_solutions(cover)[ci]
+                        assert _linking_sum(cover, first, s, ci, gb, ci, ga) == expected, (name, q, gb, ga)
+    assert pairs > 300, pairs

@@ -15,7 +15,7 @@ import sympy
 from conftest import fixture, sympy_minimal_multiple, sympy_minimal_multiples
 from cyclink.fixtures import corpus_names
 from cyclink.homology import _system_matrix, _system_rhs
-from cyclink.rational_linalg import _eliminate, _eliminate_units, _integer_rows
+from cyclink.rational_linalg import _eliminate, _eliminate_units, _factor, _sparse_rows
 from cyclink import (
     assemble_system,
     build_cover,
@@ -163,6 +163,71 @@ def test_solve_many_rejects_mismatched_rhs_length():
         solve_many([[1, 0], [0, 1]], [[1, 2], [3]])
 
 
+# -- the free-column convention against sympy --------------------------------
+
+
+def rank_deficient_system(rng, pool):
+    """B C with a random inner dimension, so often rank deficient, plus two
+    right-hand sides in its image and one at random."""
+    m, n = rng.randint(1, 7), rng.randint(1, 7)
+    inner = rng.randint(1, min(m, n))
+    B = [[rng.choice(pool) for _ in range(inner)] for _ in range(m)]
+    C = [[rng.choice((-2, -1, 0, 0, 1, 1, 2)) for _ in range(n)] for _ in range(inner)]
+    A = [[sum(B[i][t] * C[t][j] for t in range(inner)) for j in range(n)] for i in range(m)]
+    rhss = []
+    for _ in range(2):
+        x0 = [rng.choice(pool) for _ in range(n)]
+        rhss.append([sum(a * x for a, x in zip(row, x0)) for row in A])
+    rhss.append([rng.choice(pool) for _ in range(m)])
+    return A, rhss
+
+
+def sympy_particular(A, b):
+    """sympy's Gauss-Jordan solution with every free parameter 0, or None."""
+    try:
+        sol, params = sympy.Matrix(A).gauss_jordan_solve(sympy.Matrix(b))
+    except ValueError:
+        return None
+    return list(sol.subs({p: 0 for p in params}))
+
+
+RATIONAL_POOL = [Fraction(p, q) for p in range(-3, 4) for q in (1, 1, 1, 2, 3)]
+
+
+def assert_solutions_match_sympy(A, rhss):
+    """solve_many against sympy's Gauss-Jordan solution; returns whether the
+    tail's own free columns were not F, so the convention had to move it."""
+    ours = solve_many(A, rhss)
+    assert [x and [sympy.Rational(v) for v in x] for x in ours] == [
+        sympy_particular(A, b) for b in rhss
+    ], (A, rhss)
+    # G, the tail's own free columns, against F, the non-pivots of the rref
+    _, _, _, cols, _, pivots = _factor(*_sparse_rows(A, rhss), len(A[0]))
+    used = {col for _, col in pivots}
+    rref_pivots = sympy.Matrix(A).rref()[1]
+    F = [j for j in range(len(A[0])) if j not in rref_pivots]
+    return [cols[g] for g in range(len(cols)) if g not in used] != F
+
+
+def test_solve_many_is_sympy_gauss_jordan_with_free_parameters_zero():
+    # The oracle shares no code with the factorization. Unit-heavy entries
+    # make the unit phase retire columns out of order, so the draw reaches
+    # systems whose tail leaves other free columns than F.
+    rng = random.Random(20261019)
+    pool = (-1, 1, -1, 1, 0, 2, Fraction(1, 2))
+    moved = sum(assert_solutions_match_sympy(*rank_deficient_system(rng, pool)) for _ in range(200))
+    assert moved > 20, moved
+    for _ in range(100):
+        assert_solutions_match_sympy(*rank_deficient_system(rng, RATIONAL_POOL))
+
+
+def test_solve_many_is_sympy_gauss_jordan_on_cover_shaped_systems():
+    rng = random.Random(3)
+    pool = (1, -1, 1, -1, 1, -1, 2, -2, 3)
+    moved = sum(assert_solutions_match_sympy(*cover_shaped_system(rng, pool)) for _ in range(40))
+    assert moved > 10, moved
+
+
 # -- the Bareiss kernel against the textbook algorithm ------------------------
 
 
@@ -191,13 +256,28 @@ def dense_bareiss(rows, m, n):
 
 
 def assert_kernel_matches_dense(rows, n):
-    """_eliminate leaves the same rows and pivots; returns the oracle's rescales."""
+    """_eliminate leaves the same rows and pivots as the oracle.
+
+    Returns the oracle's rescales, its echelon rows and its pivots.
+    """
     ours, theirs = [list(row) for row in rows], [list(row) for row in rows]
     m = len(rows)
     pivots, rescales = dense_bareiss(theirs, m, n)
     assert _eliminate(ours, m, n, len(rows[0])) == pivots
     assert ours == theirs
-    return rescales
+    return rescales, theirs, pivots
+
+
+def fraction_back_substitution(rows, pivots, n, b_col):
+    """The solution of echelon rows that is zero at every column without a
+    pivot, in Fractions, or None when a zero row has a nonzero b_col."""
+    if any(row[b_col] for row in rows[len(pivots):]):
+        return None
+    x = [Fraction(0)] * n
+    for r, col in reversed(pivots):
+        row = rows[r]
+        x[col] = (row[b_col] - sum(row[j] * x[j] for j in range(col + 1, n))) / Fraction(row[col])
+    return x
 
 
 # Off-table writhe-0 rows, as in the benchmark's corpus_tables q-sweep.
@@ -212,14 +292,30 @@ CORPUS_AND_SWEEP = [
 ] + SWEEP
 
 
-@pytest.mark.parametrize("name, q", CORPUS_AND_SWEEP)
+@pytest.mark.parametrize("name, q", CORPUS_AND_SWEEP + [("twobridge_m2", 11)])
 def test_kernel_matches_dense_bareiss_on_cover_systems(name, q):
     # Every lift's right-hand side rides along, as the integral columns do.
+    # The oracle's echelon rows, back-substituted in Fractions with every
+    # column without a pivot at zero, give what solve_many gives.
     cover = build_cover(fixture(name).diagram, q)
-    matrix, _ = _system_matrix(cover)
+    matrix, columns = _system_matrix(cover)
+    matrix = [[row.get(j, 0) for j in range(len(columns))] for row in matrix]
     lifts = [(ci, g) for ci, cosets in enumerate(cover.components_of) for g in cosets or ()]
-    rows = _integer_rows(matrix, [_system_rhs(cover, ci, g) for ci, g in lifts])
-    assert_kernel_matches_dense(rows, len(matrix[0]))
+    rhss = [_system_rhs(cover, ci, g) for ci, g in lifts]
+    rows = [row + [rhs[i] for rhs in rhss] for i, row in enumerate(matrix)]
+    n = len(matrix[0])
+    _, echelon, pivots = assert_kernel_matches_dense(rows, n)
+    assert solve_many(matrix, rhss) == [
+        fraction_back_substitution(echelon, pivots, n, n + t) for t in range(len(rhss))
+    ]
+
+
+@pytest.mark.parametrize("name, q", CORPUS_AND_SWEEP)
+def test_cover_nullity_is_q_minus_one(name, q):
+    # The deck group's gauge freedom: one null vector per nontrivial sheet
+    # shift, on every corpus and sweep system.
+    A, _, _ = assemble_system(build_cover(fixture(name).diagram, q), "eta", 1)
+    assert len(nullspace_basis(A)) == q - 1
 
 
 def test_kernel_matches_dense_bareiss_on_sparse_random_matrices():
@@ -230,7 +326,7 @@ def test_kernel_matches_dense_bareiss_on_sparse_random_matrices():
     for _ in range(400):
         m, n, k = rng.randint(2, 9), rng.randint(2, 9), rng.randint(0, 3)
         rows = [[rng.choice((0, 0, 0, 0, 1, -1, 2, -3, 5)) for _ in range(n + k)] for _ in range(m)]
-        rescales += assert_kernel_matches_dense(rows, n)
+        rescales += assert_kernel_matches_dense(rows, n)[0]
     assert rescales > 400
 
 
@@ -254,7 +350,7 @@ def test_kernel_defers_the_rescale_of_zero_factor_rows():
     # Rows 1 and 2 have zero factors under the pivot 2, then under 3; the
     # dense algorithm rescales them at each step, the kernel when used.
     rows = [[2, 0, 0, 1], [0, 3, 0, 1], [0, 0, 5, 1], [0, 0, 0, 0]]
-    assert assert_kernel_matches_dense(rows, 3) == 3
+    assert assert_kernel_matches_dense(rows, 3)[0] == 3
 
 
 # -- nullspace ---------------------------------------------------------------
@@ -291,6 +387,15 @@ def test_nullspace_matches_sympy_on_corpus_systems(name, q):
     M = sympy.Matrix(A)
     for v in basis:
         assert M * sympy.Matrix([sympy.Rational(x) for x in v]) == sympy.zeros(len(A), 1)
+
+
+def test_nullspace_basis_is_sympy_nullspace_vector_for_vector():
+    rng = random.Random(8128)
+    for pool in (RATIONAL_POOL, (-2, -1, 0, 1, 1, 2, 3)):
+        for _ in range(120):
+            A, _ = rank_deficient_system(rng, pool)
+            ours = [[sympy.Rational(v) for v in vec] for vec in nullspace_basis(A)]
+            assert ours == [list(v) for v in sympy.Matrix(A).nullspace()], A
 
 
 def test_nullspace_of_invertible_matrix_is_empty():
@@ -408,7 +513,7 @@ def test_unit_phase_then_tail_against_sympy_on_cover_shaped_systems():
     multiples = []
     for _ in range(60):
         A, rhss = cover_shaped_system(rng, pool=(1, -1, 1, -1, 1, -1, 2, -2, 3))
-        rows, _, _ = _eliminate_units(A, rhss[0])
+        rows, _, _ = _eliminate_units(*_sparse_rows(A, [rhss[0]]))
         tail = [row for row in rows if row]
         assert all(abs(v) != 1 for row in tail for v in row.values())
         tails += bool(tail)
@@ -444,7 +549,8 @@ def test_minimal_multiple_none_when_rationally_unsolvable():
 
 def test_minimal_multiple_none_on_a_zero_row_with_nonzero_rhs():
     # The unit pivot at (0, 0) clears row 1 to zero with c_1 = 2 - 1.
-    assert _eliminate_units([[1, 0], [1, 0]], [1, 2]) == ([{}], [1], 1)
+    rows, c, retired = _eliminate_units(*_sparse_rows([[1, 0], [1, 0]], [[1, 2]]))
+    assert (rows, c, len(retired)) == ([{}], [[1]], 1)
     assert minimal_scalar_integer_solution([[1, 0], [1, 0]], [1, 2]) is None
     assert minimal_scalar_integer_solution([[1, 0], [1, 0]], [3, 3]) == 1
     # The same behind a non-unit tail: 2y = d and a zero row with c = 1.
@@ -457,8 +563,8 @@ def test_minimal_multiple_none_on_a_zero_row_with_nonzero_rhs():
 def test_minimal_multiple_with_an_empty_tail():
     # Unit pivots retire every column: the Hermite reduction gets no rows.
     A = [[1, 2, 0], [0, 1, 3], [1, 2, 1]]
-    rows, c, steps = _eliminate_units(A, [3, 5, 7])
-    assert steps == 3 and rows == [] and c == []
+    rows, c, retired = _eliminate_units(*_sparse_rows(A, [[3, 5, 7]]))
+    assert len(retired) == 3 and rows == [] and c == [[]]
     assert minimal_scalar_integer_solution(A, [3, 5, 7]) == 1
     # Tall, with every extra row cleared to zero: consistent or not.
     A = [[1, 0], [0, -1], [1, 1], [2, -3]]
