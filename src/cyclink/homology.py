@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .cover import CoverStructure, _lift, wrap_sheet
 from .diagram import _integer
-from .rational_linalg import _factor, _log_debug, _rational, _tail_multiple, format_rational, parse_rational
+from .rational_linalg import _log_debug, _rational, _rref_factor, _tail_multiple, format_rational, parse_rational
 
 # assemble_system hands the system out dense, so above this many entries
 # it is refused before anything is built (the corpus systems reach about
@@ -153,7 +153,7 @@ def assemble_system(cover: CoverStructure, curve: int | str, coset):
 
 
 def _factorization(cover: CoverStructure) -> tuple:
-    """The cover system factored once (rational_linalg._factor), with each
+    """The cover system factored once (rational_linalg._rref_factor), with each
     curve's first coset riding along; those curves in order; the width.
 
     Chains and multiples are both read off this one factorization.
@@ -164,7 +164,7 @@ def _factorization(cover: CoverStructure) -> tuple:
         curves = [ci for ci, cosets in enumerate(cover.components_of) if cosets]
         rows, columns = _system_matrix(cover)
         rhss = [_system_rhs(cover, ci, cover.components_of[ci][0]) for ci in curves]
-        tail, _, retired, cols, _, pivots = factors = _factor(rows, rhss, len(columns))
+        tail, _, retired, cols, _, pivots = factors = _rref_factor(rows, rhss, len(columns), cover.q - 1)
         _log_debug(
             "cover system %d x %d: %d unit steps, tail %d x %d, rank %d, nullity %d",
             len(rows), len(columns), len(retired), len(tail), len(cols), len(pivots), len(cols) - len(pivots),

@@ -16,10 +16,14 @@ particular solution is zero on F, and the nullspace basis has one vector
 per f in F, 1 at f and 0 on the rest of F. Both are read off in integers,
 over one denominator per vector: back-substitution through the tail, then
 through the retired rows, last first, whose +-1 pivots need no division.
-That gives the convention for the tail's own free columns G. Scanned from
-the right, the coordinates of any nullspace basis keep exactly F, and
-where G is not F one square Bareiss solve on the F coordinates moves the
-answers there.
+That gives the convention for the tail's own free columns G, so the
+factorization is made with G = F (`_rref_factor`). The last `keep`
+columns take no +-1 pivot and reach the tail, where Bareiss visits them
+last. If G then lies inside that kept suffix, or is itself a suffix of the
+columns, the pivot columns start with an independent prefix and G = F;
+otherwise the rows are factored again with a wider suffix. A cover's F is
+its last q - 1 columns, the deck-group gauge, whenever the cover is a
+rational homology sphere, so one pass is the rule there.
 
 The least d for which A x = d b has an integer solution reads the same unit
 phase, as a +-1 pivot adds nothing to d, and reduces the tail modulo a
@@ -34,7 +38,7 @@ from collections import defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 _ZERO = Fraction(0)
 
@@ -162,31 +166,15 @@ def _back_substitute(rows, pivots, width, x, scale, b_col=None):
     return x
 
 
-def _free_columns(null, n) -> list[int]:
-    """F from a nullspace basis: the coordinates that a scan from the right
-    keeps, each independent of those kept.
-
-    They represent the dual of A's column matroid, so this greedy basis is
-    the complement of the column rank profile. Bareiss makes the scan on a
-    window of coordinates from the right, doubled until it has full rank.
-    """
-    window = len(null)
-    while True:
-        js = range(n - 1, max(n - window, 0) - 1, -1)
-        pivots = _eliminate([[z[j] for j in js] for z in null], len(null), len(js), len(js))
-        if len(pivots) == len(null):
-            return sorted(js[col] for _, col in pivots)
-        window *= 2
-
-
-def _eliminate_units(rows, rhs):
+def _eliminate_units(rows, rhs, limit=inf):
     """Row-only elimination with +-1 pivots on {col: int} rows, in place.
 
-    rhs[t][i] is row i's entry of right-hand side t. While a live row holds
-    a unit, the shortest such row pivots at its unit column with the fewest
-    live rows (ties to the lowest index; `where` maps columns to live rows),
-    which keeps fill-in and the loss of units low. The column is cleared from
-    the other live rows, right-hand sides included, and the row retires as
+    rhs[t][i] is row i's entry of right-hand side t; only columns below
+    limit may pivot. While a live row holds a unit there, the shortest such
+    row pivots at its unit column with the fewest live rows (ties to the
+    lowest index; `where` maps columns to live rows), which keeps fill-in
+    and the loss of units low. The column is cleared from the other live
+    rows, right-hand sides included, and the row retires as
     (col, u, rest, b): u x_col + rest . x = b, u = +-1, where rest holds only
     columns still live. The column operations that would clear rest touch no
     other row, so the pair is a Smith entry 1 and adds nothing to a multiple.
@@ -208,7 +196,7 @@ def _eliminate_units(rows, rhs):
         row_r = rows[r]
         if row_r is None or len(row_r) != length:
             continue
-        units = [j for j, v in row_r.items() if v == 1 or v == -1]
+        units = [j for j, v in row_r.items() if (v == 1 or v == -1) and j < limit]
         if not units:
             continue  # queued again if a later pivot changes the row
         col = min(units, key=lambda j: (len(where[j]), j))
@@ -238,71 +226,80 @@ def _eliminate_units(rows, rhs):
     return [rows[i] for i in live], [[b[i] for i in live] for b in rhs], retired
 
 
-def _factor(rows, rhs, n: int):
+def _factor(rows, rhs, n: int, keep: int = 0):
     """[A | b_1..b_k], as {col: int} rows and a list per b, factored once.
 
-    The unit phase retires most rows; Bareiss brings the rest, the tail over
-    the columns that never pivoted (cols, ascending), to echelon form with
-    the right-hand sides riding along. Returns (tail, each b on the tail,
-    retired, cols, echelon, pivots).
+    The unit phase retires most rows, pivoting on none of the last keep
+    columns; Bareiss brings the rest, the tail over the columns that never
+    pivoted (cols, ascending), to echelon form with the right-hand sides
+    riding along. Returns (tail, each b on the tail, retired, cols,
+    echelon, pivots).
     """
-    tail, rhs, retired = _eliminate_units(rows, rhs)
+    tail, rhs, retired = _eliminate_units(rows, rhs, n - keep)
     pivoted = {col for col, *_ in retired}
     cols = [j for j in range(n) if j not in pivoted]
     echelon = [[row.get(j, 0) for j in cols] + [b[i] for b in rhs] for i, row in enumerate(tail)]
     return tail, rhs, retired, cols, echelon, _eliminate(echelon, len(tail), len(cols), len(cols) + len(rhs))
 
 
+def _free(cols, pivots) -> list[int]:
+    """G as positions in cols: the tail columns without a Bareiss pivot."""
+    used = {col for _, col in pivots}
+    return [g for g in range(len(cols)) if g not in used]
+
+
+def _rref_factor(rows, rhs, n: int, keep: int):
+    """`_factor` of the rows, which are left as they are, with G = F.
+
+    Let s be the larger of keep and |G|. When G lies in the last s columns,
+    every column before them pivots, so they are independent and the
+    leftmost basis takes them all. In the last s columns G is either all
+    of them, or lies in the kept ones, which no unit pivot touched and
+    Bareiss takes in order, each where it is independent of the columns
+    before it: the leftmost basis again. Otherwise the rows are factored
+    again keeping max(|G|, 2 keep) columns; keep = n is plain Bareiss.
+    """
+    while True:
+        factors = _factor([dict(row) for row in rows], [list(b) for b in rhs], n, keep)
+        G = [factors[3][g] for g in _free(factors[3], factors[5])]
+        if not G or G[0] >= n - max(keep, len(G)):
+            return factors
+        wider = min(n, max(len(G), 2 * keep))
+        _log_debug("factorization keeping %d of %d columns: %d free from %d; keeping %d", keep, n, len(G), G[0], wider)
+        keep = wider
+
+
 def _rational(factors, n: int, with_basis: bool = False):
     """The solution of each b that is zero on F, or None, and the basis.
 
-    solve(t, v, scale) is scale times the solution for b_t (None: zero)
-    whose values at the tail's free columns G are v / scale: integer
-    back-substitution through the tail, then through the retired rows, last
-    first. With v = 0 it is zero on G, and with v = scale e_g it is the null
-    vector of g. Where G is not F, solving N[F] a = x[F] and N[F] w = e_f,
-    N the null vectors of G, gives the values -a that move x onto F and the
-    values w of f's basis vector.
+    The factors come from `_rref_factor`, so the tail's free columns G are
+    F. solve(t, g) is the solution for b_t (None: zero) that is 1 at tail
+    column g (None: at none) and 0 on the rest of G. It is found in
+    integers, D times the answer for D the last Bareiss pivot, by
+    back-substitution through the tail, then through the retired rows,
+    last first.
     """
     _, rhs, retired, cols, echelon, pivots = factors
     w, rank = len(cols), len(pivots)
     D = echelon[pivots[-1][0]][pivots[-1][1]] if pivots else 1
-    used = {col for _, col in pivots}
-    free = [g for g in range(w) if g not in used]
 
-    def solve(t, values, scale):
+    def solve(t, g):
         y = [0] * w
-        for g, v in zip(free, values):
-            y[g] = v
-        _back_substitute(echelon, pivots, w, y, scale, None if t is None else w + t)
+        if g is not None:
+            y[g] = D
+        _back_substitute(echelon, pivots, w, y, D, None if t is None else w + t)
         x = [0] * n
         for j, v in zip(cols, y):
             x[j] = v
         for col, u, rest, b in reversed(retired):
-            acc = 0 if t is None else scale * b[t]
+            acc = 0 if t is None else D * b[t]
             for j, v in rest.items():
                 acc -= v * x[j]
             x[col] = u * acc
-        return x
+        return _fractions(x, D)
 
-    d = len(free)
-    ts = [t for t in range(len(rhs)) if not any(row[w + t] for row in echelon[rank:])]
-    G = [cols[g] for g in free]
-    null = [solve(None, [D * (g == h) for h in free], D) for g in free]
-    F = _free_columns(null, n)
-    xs = {t: solve(t, [0] * d, D) for t in ts}
-    if F == G:
-        sols = {t: _fractions(x, D) for t, x in xs.items()}
-        basis = [_fractions(z, D) for z in null] if with_basis else []
-    else:
-        # One row per coordinate f in F: N[F] | the xs there | the identity.
-        square = [[z[f] for z in null] + [x[f] for x in xs.values()] + [int(f == e) for e in F if with_basis] for f in F]
-        order = _eliminate(square, d, d, len(square[0]))
-        det = square[order[-1][0]][d - 1]
-        a = [_back_substitute(square, order, d, [0] * d, det, b_col) for b_col in range(d, len(square[0]))]
-        sols = {t: _fractions(solve(t, [-D * v for v in a[i]], det * D), det * D) for i, t in enumerate(xs)}
-        basis = [_fractions(solve(None, [D * D * v for v in ai], det * D), det * D) for ai in a[len(xs):]]
-    return [sols.get(t) for t in range(len(rhs))], basis
+    sols = [None if any(row[w + t] for row in echelon[rank:]) else solve(t, None) for t in range(len(rhs))]
+    return sols, [solve(None, g) for g in _free(cols, pivots)] if with_basis else []
 
 
 def solve_particular(matrix, rhs) -> list[Fraction] | None:
@@ -325,7 +322,7 @@ def solve_many(matrix, rhss) -> list[list[Fraction] | None]:
         if len(rhs) != m:
             raise ValueError("right-hand side length does not match row count")
     n = len(matrix[0])
-    return _rational(_factor(*_sparse_rows(matrix, rhss), n), n)[0]
+    return _rational(_rref_factor(*_sparse_rows(matrix, rhss), n, 0), n)[0]
 
 
 def nullspace_basis(matrix) -> list[list[Fraction]]:
@@ -337,7 +334,7 @@ def nullspace_basis(matrix) -> list[list[Fraction]]:
     if not matrix:
         return []
     n = len(matrix[0])
-    return _rational(_factor(*_sparse_rows(matrix, []), n), n, True)[1]
+    return _rational(_rref_factor(*_sparse_rows(matrix, []), n, 0), n, True)[1]
 
 
 def minimal_scalar_integer_solution(matrix, rhs) -> int | None:

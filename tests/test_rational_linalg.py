@@ -12,19 +12,23 @@ from math import gcd, lcm
 import pytest
 import sympy
 
-from conftest import fixture, sympy_minimal_multiple, sympy_minimal_multiples
+from conftest import fixture, sympy_minimal_multiple, sympy_minimal_multiples, trefoil_diagram
+from cyclink import rational_linalg
 from cyclink.fixtures import corpus_names
-from cyclink.homology import _system_matrix, _system_rhs
-from cyclink.rational_linalg import _eliminate, _eliminate_units, _factor, _sparse_rows
+from cyclink.homology import _factorization, _first_solutions, _system_matrix, _system_rhs
+from cyclink.rational_linalg import _eliminate, _eliminate_units, _factor, _rational, _sparse_rows
 from cyclink import (
     assemble_system,
+    bounding_chains,
     build_cover,
     format_rational,
     minimal_scalar_integer_solution,
+    normalize_writhe,
     nullspace_basis,
     parse_rational,
     solve_many,
     solve_particular,
+    verify_boundary,
 )
 
 
@@ -305,9 +309,13 @@ def test_kernel_matches_dense_bareiss_on_cover_systems(name, q):
     rows = [row + [rhs[i] for rhs in rhss] for i, row in enumerate(matrix)]
     n = len(matrix[0])
     _, echelon, pivots = assert_kernel_matches_dense(rows, n)
-    assert solve_many(matrix, rhss) == [
-        fraction_back_substitution(echelon, pivots, n, n + t) for t in range(len(rhss))
-    ]
+    oracle = [fraction_back_substitution(echelon, pivots, n, n + t) for t in range(len(rhss))]
+    assert solve_many(matrix, rhss) == oracle
+    # The cover path keeps the gauge columns out of the unit phase and
+    # solves each curve's first coset; it must land on the same solution.
+    for ci, x in _first_solutions(cover).items():
+        want = oracle[lifts.index((ci, cover.components_of[ci][0]))]
+        assert (x and [v for row in x for v in row]) == want, (name, q, ci)
 
 
 @pytest.mark.parametrize("name, q", CORPUS_AND_SWEEP)
@@ -316,6 +324,58 @@ def test_cover_nullity_is_q_minus_one(name, q):
     # shift, on every corpus and sweep system.
     A, _, _ = assemble_system(build_cover(fixture(name).diagram, q), "eta", 1)
     assert len(nullspace_basis(A)) == q - 1
+
+
+LARGE_COVERS = [("stevedore_w0", 96), ("stevedore_w0", 160), ("twobridge_m2", 64)]
+
+
+@pytest.mark.parametrize("name, q", CORPUS_AND_SWEEP + LARGE_COVERS)
+def test_cover_factorization_takes_one_pass(name, q, monkeypatch):
+    # These covers are rational homology spheres, so their free columns
+    # are the last q - 1 and the first guess that keeps them is accepted.
+    calls = []
+
+    def counted(rows, rhs, n, keep=0):
+        calls.append(keep)
+        return _factor(rows, rhs, n, keep)
+
+    monkeypatch.setattr(rational_linalg, "_factor", counted)
+    cover = build_cover(fixture(name).diagram, q)
+    _factorization(cover)
+    assert calls == [q - 1]
+    if (name, q) not in LARGE_COVERS:
+        return
+    for ci, cosets in enumerate(cover.components_of):
+        if not cosets:
+            continue  # the branch
+        chains = bounding_chains(cover, ci)
+        for coset, chain in chains.items():
+            assert chain is not None and verify_boundary(cover, chain), (ci, coset)
+        if (name, q) == ("stevedore_w0", 96):
+            # The public path starts with no column kept, so it pivots
+            # differently on its way to the same solution.
+            A, b, columns = assemble_system(cover, ci, cosets[0])
+            x = solve_particular(A, b)
+            assert all(x[col] == chains[cosets[0]].coefficient(*arc_sheet) for arc_sheet, col in columns.items())
+
+
+@pytest.mark.parametrize("q, nullity, widened", [(2, 1, []), (3, 2, []), (5, 4, []), (6, 7, [5, 10]), (12, 13, [11, 22])])
+def test_cover_factorization_widens_its_kept_suffix_on_a_trefoil_branch(q, nullity, widened, caplog):
+    # The trefoil's Alexander polynomial is t^2 - t + 1, the sixth
+    # cyclotomic polynomial. From q = 6 on the cover is no rational homology
+    # sphere: it has more free columns than the last q - 1, so the first
+    # guess is refused and the kept suffix doubles until it holds them.
+    cover = build_cover(normalize_writhe(trefoil_diagram(), q), q)
+    with caplog.at_level(logging.DEBUG, logger="cyclink"):
+        factors, _, n = _factorization(cover)
+    refused = [r.getMessage() for r in caplog.records if r.getMessage().startswith("factorization keeping")]
+    assert [int(message.split()[2]) for message in refused] == widened
+    assert len(caplog.records) == len(widened) + 1
+    basis = _rational(factors, n, True)[1]
+    assert len(basis) == nullity
+    rows, columns = _system_matrix(cover)
+    dense = sympy.Matrix([[row.get(j, 0) for j in range(len(columns))] for row in rows])
+    assert [[sympy.Rational(v) for v in z] for z in basis] == [list(z) for z in dense.nullspace()]
 
 
 def test_kernel_matches_dense_bareiss_on_sparse_random_matrices():
