@@ -128,12 +128,16 @@ def _lift(cover: CoverStructure, curve: int | str, coset) -> tuple[int, tuple[in
     cosets = cover.components_of[ci]
     if cosets is None:
         raise ValueError(f"component {ci} is the branch; it lifts to the branch locus, not to curves")
-    if isinstance(coset, int):
+    # Exact type tests: True would pass as sheet 1.
+    if type(coset) is int:
         for c in cosets:
             if coset in c:
                 return ci, c
         raise ValueError(f"no lift of component {ci} contains sheet {coset}")
-    wanted = tuple(sorted(set(coset)))
+    sheets = list(coset) if hasattr(coset, "__iter__") else [coset]
+    if not all(type(s) is int for s in sheets):
+        raise ValueError(f"a coset is a sheet or a collection of sheets, not {coset!r}")
+    wanted = tuple(sorted(set(sheets)))
     if wanted in cosets:
         return ci, wanted
     raise ValueError(f"{wanted} is not a lift component of component {ci}")

@@ -55,16 +55,19 @@ class LinkDiagram:
 
     def component_index(self, key: int | str) -> int:
         """Resolve a component given by index or by name."""
-        if isinstance(key, int):
+        # An exact type test: False would pass as index 0, and 1.0 as 1.
+        if type(key) is int:
             if not 0 <= key < len(self.components):
                 raise ValueError(f"component index {key} out of range")
             return key
+        if not isinstance(key, str):
+            raise ValueError(f"a component is named by an index or a name, not {key!r}")
         for i, c in enumerate(self.components):
             if c.name == key:
                 return i
         try:
             return self.component_index(int(key))
-        except (TypeError, ValueError):
+        except ValueError:
             pass
         raise ValueError(f"no component named {key!r}")
 
@@ -231,7 +234,8 @@ def load_diagram(path) -> LinkDiagram:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: arrays or objects nested too deep to parse
             raise ValueError(f"not valid JSON: {exc}") from exc
     return diagram_from_dict(data)
 

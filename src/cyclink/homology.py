@@ -10,8 +10,9 @@ independently of how the system was assembled.
 The matrix depends only on the cover, and the deck shift of the sheets
 permutes it while carrying each lift of a curve to the next. So the cover
 system is factored once, with one lift per deck orbit riding along, the
-first coset of each curve; its chains and its integral multiples are both
-read off that factorization, and every other chain is a shift of one of
+first coset of each curve. Its chains are back-substituted from that
+factorization, and its integral multiples read its pivot rows and last
+pivot, with no second elimination; every other chain is a shift of one of
 these. The `cyclink` logger reports each factorization at DEBUG level.
 """
 
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 from .cover import CoverStructure, _lift, wrap_sheet
 from .diagram import _integer
-from .rational_linalg import _log_debug, _rational, _rref_factor, _tail_multiple, format_rational, parse_rational
+from .rational_linalg import _log_debug, _multiple, _rational, _rref_factor, format_rational, parse_rational
 
 # assemble_system hands the system out dense, so above this many entries
 # it is refused before anything is built (the corpus systems reach about
@@ -231,8 +232,8 @@ def minimal_bounding_multiple(cover: CoverStructure, curve: int | str, coset) ->
     ci, _ = _lift(cover, curve, coset)
     orders = cover._memo.setdefault("orders", {})
     if ci not in orders:
-        (tail, rhs, retired, *_), curves, _ = _factorization(cover)
-        orders[ci] = _tail_multiple(tail, rhs[curves.index(ci)], len(retired))
+        factors, curves, _ = _factorization(cover)
+        orders[ci] = _multiple(factors, curves.index(ci))
     return orders[ci]
 
 

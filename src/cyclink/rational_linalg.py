@@ -25,10 +25,11 @@ otherwise the rows are factored again with a wider suffix. A cover's F is
 its last q - 1 columns, the deck-group gauge, whenever the cover is a
 rational homology sphere, so one pass is the rule there.
 
-The least d for which A x = d b has an integer solution reads the same unit
-phase, as a +-1 pivot adds nothing to d, and reduces the tail modulo a
-maximal minor. The `cyclink` logger reports each multiple's tail at DEBUG
-level.
+The least d for which A x = d b has an integer solution reads the same
+factorization, on any kept suffix: a +-1 pivot adds nothing to d, Bareiss's
+pivot rows are a maximal independent set of tail rows, and its last pivot
+is a nonzero minor of them, modulo which the tail is reduced. The `cyclink`
+logger reports each multiple's tail at DEBUG level.
 """
 
 from __future__ import annotations
@@ -233,13 +234,19 @@ def _factor(rows, rhs, n: int, keep: int = 0):
     columns; Bareiss brings the rest, the tail over the columns that never
     pivoted (cols, ascending), to echelon form with the right-hand sides
     riding along. Returns (tail, each b on the tail, retired, cols,
-    echelon, pivots).
+    echelon, pivots). The tail and each b are left as the unit phase left
+    them, but in the order Bareiss left the echelon rows, so their first
+    rank rows are the pivot rows.
     """
     tail, rhs, retired = _eliminate_units(rows, rhs, n - keep)
     pivoted = {col for col, *_ in retired}
     cols = [j for j in range(n) if j not in pivoted]
     echelon = [[row.get(j, 0) for j in cols] + [b[i] for b in rhs] for i, row in enumerate(tail)]
-    return tail, rhs, retired, cols, echelon, _eliminate(echelon, len(tail), len(cols), len(cols) + len(rhs))
+    # Bareiss moves rows between slots and updates them in place.
+    slot = {id(row): i for i, row in enumerate(echelon)}
+    pivots = _eliminate(echelon, len(tail), len(cols), len(cols) + len(rhs))
+    moved = [slot[id(row)] for row in echelon]
+    return [tail[i] for i in moved], [[b[i] for i in moved] for b in rhs], retired, cols, echelon, pivots
 
 
 def _free(cols, pivots) -> list[int]:
@@ -269,8 +276,16 @@ def _rref_factor(rows, rhs, n: int, keep: int):
         keep = wider
 
 
+def _consistent(factors, t: int) -> bool:
+    """Whether b_t is in the rational span of A's columns: it is zero on
+    every echelon row below the rank."""
+    _, _, _, cols, echelon, pivots = factors
+    return not any(row[len(cols) + t] for row in echelon[len(pivots):])
+
+
 def _rational(factors, n: int, with_basis: bool = False):
-    """The solution of each b that is zero on F, or None, and the basis.
+    """The solution of each b that is zero on F, or None where b is not
+    `_consistent`, and the basis.
 
     The factors come from `_rref_factor`, so the tail's free columns G are
     F. solve(t, g) is the solution for b_t (None: zero) that is 1 at tail
@@ -280,7 +295,7 @@ def _rational(factors, n: int, with_basis: bool = False):
     last first.
     """
     _, rhs, retired, cols, echelon, pivots = factors
-    w, rank = len(cols), len(pivots)
+    w = len(cols)
     D = echelon[pivots[-1][0]][pivots[-1][1]] if pivots else 1
 
     def solve(t, g):
@@ -298,91 +313,39 @@ def _rational(factors, n: int, with_basis: bool = False):
             x[col] = u * acc
         return _fractions(x, D)
 
-    sols = [None if any(row[w + t] for row in echelon[rank:]) else solve(t, None) for t in range(len(rhs))]
+    sols = [solve(t, None) if _consistent(factors, t) else None for t in range(len(rhs))]
     return sols, [solve(None, g) for g in _free(cols, pivots)] if with_basis else []
 
 
-def solve_particular(matrix, rhs) -> list[Fraction] | None:
-    """One exact solution of A x = b, or None when the system is inconsistent.
+def _multiple(factors, t: int) -> int | None:
+    """Least d >= 1 such that A x = d b_t has an integer solution, or None.
 
-    It is zero at every free column (one that is a combination of the
-    columns to its left), so the answer is deterministic.
+    Any factorization will do. A +-1 unit pivot adds nothing to d, so d is
+    the least for which T y = d c has one, T the tail and c b_t on it. The
+    first r tail rows, the rank, are Bareiss's pivot rows: a maximal
+    independent set. If c is in the span of T, every other row of [T | c]
+    is a rational combination of them, an equation they imply for every y.
+    The last pivot is an r x r minor of those rows of T, so D = |last
+    pivot| != 0, their column lattice L holds D Z^r, and d is the order of
+    c in Z^r / L. The Hermite reduction modulo D (Domich, Kannan and
+    Trotter, 1987) finds a triangular basis h_0, ..., h_{r-1} of L, h_i zero
+    before i: h_i starts as D e_i, and a Euclid loop on coordinate i folds
+    each generator into it, keeping the remainders for the next coordinate.
+    Then d collects, coordinate by coordinate, the least factor that makes
+    c's entry a multiple of h_i[i], and clears it with h_i. Every entry is
+    kept modulo D, which changes neither L nor the order.
     """
-    return solve_many(matrix, [rhs])[0]
-
-
-def solve_many(matrix, rhss) -> list[list[Fraction] | None]:
-    """[solve_particular(A, b) for b in rhss], from one factorization of A."""
-    if not rhss:
-        return []
-    m = len(matrix)
-    if m == 0:
-        return [[] for _ in rhss]
-    for rhs in rhss:
-        if len(rhs) != m:
-            raise ValueError("right-hand side length does not match row count")
-    n = len(matrix[0])
-    return _rational(_rref_factor(*_sparse_rows(matrix, rhss), n, 0), n)[0]
-
-
-def nullspace_basis(matrix) -> list[list[Fraction]]:
-    """A basis of the rational nullspace of A, one vector per free column.
-
-    The vector for free column f is 1 at f and 0 at the other free columns:
-    the basis read off the reduced row echelon form.
-    """
-    if not matrix:
-        return []
-    n = len(matrix[0])
-    return _rational(_rref_factor(*_sparse_rows(matrix, []), n, 0), n, True)[1]
-
-
-def minimal_scalar_integer_solution(matrix, rhs) -> int | None:
-    """Least d >= 1 such that A x = d b has an integer solution x.
-
-    Returns None when A x = b is not even rationally solvable. The unit
-    pivots come first (`_eliminate_units`), and `_tail_multiple` finishes.
-    """
-    if len(rhs) != len(matrix):
-        raise ValueError("right-hand side length does not match row count")
-    tail, c, retired = _eliminate_units(*_sparse_rows(matrix, [rhs]))
-    return _tail_multiple(tail, c[0], len(retired))
-
-
-def _tail_multiple(rows, c, steps: int) -> int | None:
-    """Least d >= 1 such that T y = d c has an integer solution, or None.
-
-    T is the tail left by `steps` unit pivots, as {col: int} rows. A row of
-    [T | c] that is a rational combination of the others is an equation
-    they imply for every y, so Bareiss on the transpose picks a maximal
-    independent set of them, r rows. If c's row of the transpose is a
-    pivot, c is outside the span of T. Otherwise the last pivot is an
-    r x r minor of those rows of T, D != 0, so their column lattice L holds
-    D Z^r, and d is the order of c in Z^r / L. The Hermite reduction
-    modulo D (Domich, Kannan and Trotter, 1987) finds a triangular basis
-    h_0, ..., h_{r-1} of L, h_i zero before i: h_i starts as D e_i, and a
-    Euclid loop on coordinate i folds each generator into it, keeping the
-    remainders for the next coordinate. Then d collects, coordinate by
-    coordinate, the least factor that makes c's entry a multiple of h_i[i],
-    and clears it with h_i. Every entry is kept modulo D, which changes
-    neither L nor the order.
-    """
-    cols = sorted(set().union(*rows))
-    # [T | c] transposed: one row per column of T, then c
-    c_row = list(c)
-    transposed = [[row.get(j, 0) for row in rows] for j in cols] + [c_row]
-    pivots = _eliminate(transposed, len(transposed), len(rows), len(rows))
-    keep = [i for _, i in pivots]
-    D = abs(transposed[pivots[-1][0]][pivots[-1][1]]) if pivots else 1
+    tail, rhs, retired, cols, echelon, pivots = factors
+    r, consistent = len(pivots), _consistent(factors, t)
+    D = abs(echelon[pivots[-1][0]][pivots[-1][1]]) if pivots else 1
     _log_debug(
         "minimal multiple: %d unit steps, tail %d x %d, %d rows independent, minor %d bits",
-        steps, len(rows), len(cols), len(keep), D.bit_length(),
+        len(retired), len(tail), len(set().union(*tail)), r + (not consistent), D.bit_length(),
     )
-    if any(row is c_row for row in transposed[:len(pivots)]):
+    if not consistent:
         return None
-    r = len(keep)
-    gens = [g for j in cols if any(g := [rows[i].get(j, 0) % D for i in keep])]
-    v = [c[i] % D for i in keep]
+    gens = [g for j in cols if any(g := [row.get(j, 0) % D for row in tail[:r]])]
+    v = [x % D for x in rhs[t][:r]]
     d = 1
     for i in range(r):
         h = [0] * r
@@ -396,7 +359,49 @@ def _tail_multiple(rows, c, steps: int) -> int | None:
                 rest.append(g)
         gens = rest
         k = h[i] // gcd(h[i], v[i])
-        t = k * v[i] // h[i]
-        v = [(k * p - t * s) % D for p, s in zip(v, h)]
+        e = k * v[i] // h[i]
+        v = [(k * p - e * s) % D for p, s in zip(v, h)]
         d *= k
     return d
+
+
+def _factor_system(matrix, rhss, factor=_rref_factor):
+    """factor(A and each b as `_sparse_rows`, keeping no column), and A's
+    width, once every b is checked to have one entry per row of A."""
+    for rhs in rhss:
+        if len(rhs) != len(matrix):
+            raise ValueError("right-hand side length does not match row count")
+    n = len(matrix[0]) if matrix else 0
+    return factor(*_sparse_rows(matrix, rhss), n, 0), n
+
+
+def solve_particular(matrix, rhs) -> list[Fraction] | None:
+    """One exact solution of A x = b, or None when the system is inconsistent.
+
+    It is zero at every free column (one that is a combination of the
+    columns to its left), so the answer is deterministic.
+    """
+    return solve_many(matrix, [rhs])[0]
+
+
+def solve_many(matrix, rhss) -> list[list[Fraction] | None]:
+    """[solve_particular(A, b) for b in rhss], from one factorization of A."""
+    return _rational(*_factor_system(matrix, rhss))[0]
+
+
+def nullspace_basis(matrix) -> list[list[Fraction]]:
+    """A basis of the rational nullspace of A, one vector per free column.
+
+    The vector for free column f is 1 at f and 0 at the other free columns:
+    the basis read off the reduced row echelon form.
+    """
+    return _rational(*_factor_system(matrix, []), True)[1]
+
+
+def minimal_scalar_integer_solution(matrix, rhs) -> int | None:
+    """Least d >= 1 such that A x = d b has an integer solution x.
+
+    Returns None when A x = b is not even rationally solvable. It is read
+    off one factorization of [A | b] (`_multiple`).
+    """
+    return _multiple(_factor_system(matrix, [rhs], _factor)[0], 0)

@@ -115,6 +115,15 @@ def test_malformed_json_is_a_usage_error(capsys, tmp_path):
     assert code == 2
 
 
+def test_deeply_nested_json_is_a_usage_error(capsys, tmp_path):
+    # The JSON parser recurses once per level and runs out of stack.
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000)
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert err.startswith("error: not valid JSON: "), err
+
+
 def test_unknown_subcommand_is_a_usage_error(capsys):
     assert run(capsys, "frobnicate", "x.json")[0] == 2
 

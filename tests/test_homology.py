@@ -2,6 +2,7 @@
 
 import logging
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -287,6 +288,30 @@ def test_two_chain_from_dict_rejects_non_integer_fields(data):
     reason = "" if field == "x" else ".*must be an integer"
     with pytest.raises(ValueError, match=rf"^{field}\b{reason}"):
         TwoChain.from_dict({**good, **data})
+
+
+def test_a_curve_named_by_a_bool_or_a_float_is_refused_and_leaves_the_memo_alone():
+    # isinstance(False, int) holds: an isinstance test would resolve False to
+    # curve 0 and cache a chain with curve False, which a later query for
+    # curve 0 would get back and from_dict would refuse.
+    cover = cover_for("stevedore_w0", 3)
+    eta = cover.diagram.component_index("eta")
+    for curve in (False, True, float(eta), None):
+        with pytest.raises(ValueError, match=rf"^a component is named by an index or a name, not {curve!r}$"):
+            bounding_chain(cover, curve, 1)
+    chain = bounding_chain(cover, eta, 1)
+    assert type(chain.curve) is int
+    assert TwoChain.from_dict(chain.to_dict()) == chain
+
+
+@pytest.mark.parametrize("coset", [True, 1.0, None, "1", [1.0], [1, True], [[1]]])
+def test_a_coset_that_is_not_sheets_is_refused(coset):
+    # An isinstance test would read True as sheet 1; none of these names a
+    # sheet, so each is a ValueError, not a TypeError.
+    cover = cover_for("stevedore_w0", 3)
+    for call in (bounding_chain, minimal_bounding_multiple):
+        with pytest.raises(ValueError, match=rf"^a coset is a sheet or a collection of sheets, not {re.escape(repr(coset))}$"):
+            call(cover, "eta", coset)
 
 
 @pytest.mark.parametrize("name, q", CORPUS_PAIRS)

@@ -22,6 +22,7 @@ from cyclink import (
     bounding_chains,
     build_cover,
     format_rational,
+    minimal_bounding_multiple,
     minimal_scalar_integer_solution,
     normalize_writhe,
     nullspace_basis,
@@ -359,6 +360,40 @@ def test_cover_factorization_takes_one_pass(name, q, monkeypatch):
             assert all(x[col] == chains[cosets[0]].coefficient(*arc_sheet) for arc_sheet, col in columns.items())
 
 
+@pytest.mark.parametrize("name, q", [("stevedore_w0", 3), ("twobridge_m1", 4), ("twobridge_m2", 11)])
+def test_the_multiple_eliminates_nothing_after_the_cover_factorization(name, q, monkeypatch):
+    calls = []
+
+    def counted(rows, m, n, width):
+        calls.append((m, n))
+        return _eliminate(rows, m, n, width)
+
+    monkeypatch.setattr(rational_linalg, "_eliminate", counted)
+    cover = build_cover(fixture(name).diagram, q)
+    _factorization(cover)
+    calls.clear()
+    d = minimal_bounding_multiple(cover, "eta", 1)
+    assert calls == []
+    # The public solver factors [A | b] once, keeping no column.
+    A, b, _ = assemble_system(cover, "eta", 1)
+    assert minimal_scalar_integer_solution(A, b) == d
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name, q", CORPUS_AND_SWEEP)
+def test_the_multiple_reads_independent_rows_and_a_minor_off_the_factorization(name, q):
+    # The first rank tail rows are Bareiss's pivot rows, and D, the last
+    # pivot's absolute value, is the absolute determinant of those rows on
+    # the pivot columns; sympy shares no code with either.
+    tail, _, _, cols, echelon, pivots = _factorization(build_cover(fixture(name).diagram, q))[0]
+    r = len(pivots)
+    assert [slot for slot, _ in pivots] == list(range(r))
+    rows = sympy.Matrix(r, len(cols), lambda i, j: tail[i].get(cols[j], 0))
+    assert rows.rank() == r
+    D = abs(echelon[pivots[-1][0]][pivots[-1][1]]) if pivots else 1
+    assert abs(rows.extract(range(r), [col for _, col in pivots]).det()) == D
+
+
 @pytest.mark.parametrize("q, nullity, widened", [(2, 1, []), (3, 2, []), (5, 4, []), (6, 7, [5, 10]), (12, 13, [11, 22])])
 def test_cover_factorization_widens_its_kept_suffix_on_a_trefoil_branch(q, nullity, widened, caplog):
     # The trefoil's Alexander polynomial is t^2 - t + 1, the sixth
@@ -630,6 +665,10 @@ def test_minimal_multiple_with_an_empty_tail():
     A = [[1, 0], [0, -1], [1, 1], [2, -3]]
     assert minimal_scalar_integer_solution(A, [1, 1, 0, 5]) == 1
     assert minimal_scalar_integer_solution(A, [1, 1, 0, 4]) is None
+    # No rows, or rows without columns.
+    assert minimal_scalar_integer_solution([], []) == 1
+    assert minimal_scalar_integer_solution([[], []], [0, 0]) == 1
+    assert minimal_scalar_integer_solution([[], []], [0, 1]) is None
 
 
 def test_minimal_multiple_logs_its_shape_at_debug_only(caplog):
