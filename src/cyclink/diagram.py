@@ -65,10 +65,11 @@ class LinkDiagram:
         for i, c in enumerate(self.components):
             if c.name == key:
                 return i
-        try:
-            return self.component_index(int(key))
-        except ValueError:
-            pass
+        # Only the plain decimal form of an index: int() would also read
+        # " 1", "+1", "01" and non-ASCII digits.
+        for i in range(len(self.components)):
+            if key == str(i):
+                return i
         raise ValueError(f"no component named {key!r}")
 
 

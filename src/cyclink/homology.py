@@ -5,7 +5,8 @@ arc lift and one horizontal cell per sheet gap; a lifted curve bounds
 rationally iff a linear system over the wall coefficients is consistent.
 assemble_system writes that system down, bounding_chain solves it, and
 verify_boundary recomputes the boundary of a candidate chain cell by cell,
-independently of how the system was assembled.
+independently of how the system was assembled, in integers over the lcm
+of the chain's denominators.
 
 The matrix depends only on the cover, and the deck shift of the sheets
 permutes it while carrying each lift of a curve to the next. So the cover
@@ -21,6 +22,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .cover import CoverStructure, _lift, wrap_sheet
 from .diagram import _integer
@@ -243,62 +245,65 @@ def verify_boundary(cover: CoverStructure, chain: TwoChain) -> bool:
     This walks every 1-cell of the cover complex directly: wall side edges,
     wall bottom edges, and the slits cut where wall lifts pass under
     crossings. It shares no code path with assemble_system.
+
+    The walk is in integers: each coefficient is scaled by the lcm `den` of
+    the chain's denominators, so each curve wall lift carries den instead
+    of 1. The chain bounds its curve when every branch edge and every curve
+    side edge sums to 0 and every curve bottom edge sums to den. An entry
+    that is not exactly an int or a Fraction raises ValueError.
     """
     ci, group = _chain_lift(cover, chain)
     diagram = cover.diagram
     q = cover.q
     branch = diagram.branch
-    n = len(chain.x)
 
-    boundary: dict[tuple, Fraction] = defaultdict(Fraction)
+    # A float would be summed inexactly, and True is not a coefficient.
+    den = 1
+    for row in chain.x:
+        for v in row:
+            if type(v) is Fraction:
+                den = lcm(den, v.denominator)
+            elif type(v) is not int:
+                raise ValueError(f"chain entry {v!r} is not an int or a Fraction")
+    x = [[v.numerator * (den // v.denominator) for v in row] for row in chain.x]
+    n = len(x)
 
     # Branch wall lifts: bottom edge on the branch arc, one side edge up
-    # each neighbouring sheet gap.
-    for i in range(n):
-        for j in range(1, q + 1):
-            v = chain.x[i][j - 1]
-            if not v:
-                continue
-            boundary[("h", branch, i, None)] += v
-            boundary[("v", branch, i, j)] += v
-            boundary[("v", branch, (i - 1) % n, j)] -= v
+    # each neighbouring sheet gap. side[i][j-1] is the side edge on sheet j
+    # shared by the lifts of arcs i and i+1.
+    bottom = [sum(row) for row in x]
+    side = [[a - b for a, b in zip(row, x[(i + 1) % n])] for i, row in enumerate(x)]
 
-    # Curve wall lifts over the chosen sheets, all with coefficient 1.
+    # Curve wall lifts over the chosen sheets, all with coefficient den.
     m = diagram.components[ci].arc_count
+    curve_bottom, curve_side = defaultdict(int), defaultdict(int)
     for u in range(m):
         for s in group:
-            boundary[("h", ci, u, s)] += 1
-            boundary[("v", ci, u, s)] += 1
-            boundary[("v", ci, (u - 1) % m, s)] -= 1
+            curve_bottom[(u, s)] += den
+            curve_side[(u, s)] += den
+            curve_side[((u - 1) % m, s)] -= den
 
     # Slits: where a wall lift passes under a crossing of the branch, its
     # bottom edge is interrupted and the two sides land one sheet apart.
     # Under a crossing of any other component both sides land on the same
-    # edge and cancel, so only branch underpasses contribute.
-    comp = diagram.components[branch]
-    for u, up in enumerate(comp.underpasses):
-        oc, oa = up.over.component, up.over.arc
-        eps = up.sign
-        off = cover.sigma[branch][u]
+    # edge and cancel, so only branch underpasses contribute. Sheets are
+    # 0-based here, and edges[p - 1] wraps from sheet 1 to sheet q.
+    for u, up in enumerate(diagram.components[branch].underpasses):
+        oc, eps, off, edges = up.over.component, up.sign, cover.sigma[branch][u], side[u]
         if oc == branch:
-            for s in range(1, q + 1):
-                v = chain.x[oa][s - 1]
-                if not v:
-                    continue
-                p = wrap_sheet(s - off, q)
-                boundary[("v", branch, u, p)] -= eps * v
-                boundary[("v", branch, u, wrap_sheet(p - 1, q))] += eps * v
+            for s, v in enumerate(x[up.over.arc]):
+                p = (s - off) % q
+                edges[p] -= eps * v
+                edges[p - 1] += eps * v
         elif oc == ci:
             for s in group:
-                p = wrap_sheet(s - off, q)
-                boundary[("v", branch, u, p)] -= eps
-                boundary[("v", branch, u, wrap_sheet(p - 1, q))] += eps
+                p = (s - 1 - off) % q
+                edges[p] -= eps * den
+                edges[p - 1] += eps * den
 
-    target: dict[tuple, Fraction] = defaultdict(Fraction)
-    for u in range(m):
-        for s in group:
-            target[("h", ci, u, s)] += 1
-
-    left = {k: v for k, v in boundary.items() if v}
-    right = {k: v for k, v in target.items() if v}
-    return left == right
+    return (
+        not any(bottom)
+        and not any(map(any, side))
+        and not any(curve_side.values())
+        and all(v == den for v in curve_bottom.values())
+    )

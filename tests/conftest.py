@@ -17,7 +17,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from builders import Builder, ClosedBraid, closed_braid_diagram
 from cyclink import LinkDiagram
-from cyclink.fixtures import Fixture, load_fixture
+from cyclink.fixtures import Fixture, corpus_names, load_fixture
 from cyclink.rational_linalg import _eliminate_units, _sparse_rows
 
 
@@ -81,6 +81,18 @@ def sympy_hermite_multiple(rows, rhs):
 def fixture(name: str) -> Fixture:
     # Fixtures are frozen; caching keeps repeated loads out of the profile.
     return load_fixture(name)
+
+
+# Off-table writhe-0 rows, as in the benchmark's corpus_tables q-sweep.
+SWEEP = (
+    [("stevedore_w0", q) for q in (1, 6, 7, 8, 9, 10, 11)]
+    + [("twobridge_m0", q) for q in (6, 7, 8, 9, 10, 11)]
+    + [("twobridge_m1", q) for q in (6, 7, 8)]
+    + [("twobridge_m2", q) for q in (6, 7)]
+)
+CORPUS_AND_SWEEP = [
+    (name, q) for name in corpus_names() for q in fixture(name).writhe_zero_mod
+] + SWEEP
 
 
 def hopf_diagram(sign: int = 1) -> LinkDiagram:

@@ -12,6 +12,7 @@ hand-picked cases.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from fractions import Fraction
 from itertools import accumulate
 
@@ -31,6 +32,7 @@ from cyclink import (
     normalize_writhe,
     nullspace_basis,
     pairwise_linking,
+    resolve_coset,
     solve_particular,
     verify_boundary,
     wrap_sheet,
@@ -166,6 +168,44 @@ def fraction_linking_sum(cover, x, bi, gb, gamma, group):
             elif up.over.component == bi and s in gb:
                 total += up.sign
     return total
+
+
+def fraction_boundary(cover, chain):
+    """Whether the chain bounds its curve, with the boundary added up one
+    Fraction at a time into cells keyed by 4-tuples: the oracle for
+    homology.verify_boundary, which sums integers over one denominator."""
+    diagram, q = cover.diagram, cover.q
+    branch = diagram.branch
+    ci = diagram.component_index(chain.curve)
+    group = resolve_coset(cover, ci, chain.coset)
+    n = len(chain.x)
+    boundary = defaultdict(Fraction)
+    for i in range(n):
+        for j in range(1, q + 1):
+            v = chain.x[i][j - 1]
+            boundary[("h", branch, i, None)] += v
+            boundary[("v", branch, i, j)] += v
+            boundary[("v", branch, (i - 1) % n, j)] -= v
+    m = diagram.components[ci].arc_count
+    for u in range(m):
+        for s in group:
+            boundary[("h", ci, u, s)] += 1
+            boundary[("v", ci, u, s)] += 1
+            boundary[("v", ci, (u - 1) % m, s)] -= 1
+    for u, up in enumerate(diagram.components[branch].underpasses):
+        oc, oa, eps, off = up.over.component, up.over.arc, up.sign, cover.sigma[branch][u]
+        if oc == branch:
+            slits = [(s, chain.x[oa][s - 1]) for s in range(1, q + 1)]
+        elif oc == ci:
+            slits = [(s, 1) for s in group]
+        else:
+            continue
+        for s, v in slits:
+            p = wrap_sheet(s - off, q)
+            boundary[("v", branch, u, p)] -= eps * v
+            boundary[("v", branch, u, wrap_sheet(p - 1, q))] += eps * v
+    target = {("h", ci, u, s): 1 for u in range(m) for s in group}
+    return {k: v for k, v in boundary.items() if v} == target
 
 
 def perturbed(chain, basis, columns, rng):

@@ -360,6 +360,13 @@ def test_branch_curve_is_refused_with_one_message(capsys, fmt):
         ), command
 
 
+def test_a_padded_component_index_is_a_usage_error(capsys):
+    path = str(fixture_diagram_path("stevedore_w0"))
+    args = ("chain", path, "-q", "3", "--coset", "1")
+    assert run(capsys, *args, "--curve", " 1") == (2, "", "error: no component named ' 1'\n")
+    assert run(capsys, *args, "--curve", "0")[0] == 0
+
+
 def test_undefined_values_are_in_band_success(capsys, clasp_file):
     code, out, _ = run(
         capsys,

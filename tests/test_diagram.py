@@ -1,6 +1,7 @@
 """Diagram data structure: validation, invariants, serialization."""
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -23,6 +24,7 @@ from cyclink import (
     validate,
     writhe,
 )
+from cyclink.fixtures import fixture_diagram_path
 
 
 def kinked_unknot(signs) -> LinkDiagram:
@@ -74,6 +76,15 @@ def test_component_index_by_name_index_and_digit_string():
         d.component_index("gamma")
     with pytest.raises(ValueError):
         d.component_index(5)
+
+
+def test_component_index_reads_only_the_plain_decimal_form():
+    # int() reads all four as 1, the branch of stevedore_w0.
+    d = load_diagram(fixture_diagram_path("stevedore_w0"))
+    assert (d.component_index("0"), d.component_index("1")) == (0, 1)
+    for key in (" 1", "+1", "01", "\u0661"):
+        with pytest.raises(ValueError, match=f"^no component named {re.escape(repr(key))}$"):
+            d.component_index(key)
 
 
 def test_validate_accepts_built_diagrams():

@@ -3,12 +3,14 @@
 import logging
 import random
 import re
+import zlib
 from fractions import Fraction
 
 import pytest
 
 from builders import random_diagram
 from conftest import (
+    CORPUS_AND_SWEEP,
     clasped_wire_diagram,
     fixture,
     hopf_diagram,
@@ -26,12 +28,20 @@ from cyclink import (
     minimal_bounding_multiple,
     minimal_scalar_integer_solution,
     normalize_writhe,
+    nullspace_basis,
     parse_rational,
     solve_particular,
     verify_boundary,
 )
 from cyclink.fixtures import corpus_names
-from property_checks import check_against_per_lift_solve, check_chains, chains_of, per_lift_chain
+from property_checks import (
+    check_against_per_lift_solve,
+    check_chains,
+    chains_of,
+    fraction_boundary,
+    per_lift_chain,
+    perturbed,
+)
 
 CORPUS_PAIRS = [(name, q) for name in corpus_names() for q in fixture(name).writhe_zero_mod]
 
@@ -128,6 +138,65 @@ def test_boundary_oracle_shape_checks():
         verify_boundary(cover, TwoChain(curve=cover.diagram.branch, coset=(1,), x=chain.x))
     with pytest.raises(ValueError):
         verify_boundary(cover, TwoChain(curve=chain.curve, coset=(1,), x=chain.x[1:]))
+
+
+def with_entries(chain, x, coset=None):
+    return TwoChain(chain.curve, coset or chain.coset, tuple(map(tuple, x)))
+
+
+def assert_verdict(cover, chain, expected):
+    assert verify_boundary(cover, chain) is fraction_boundary(cover, chain) is expected
+
+
+@pytest.mark.parametrize("name, q", CORPUS_AND_SWEEP)
+def test_boundary_check_gives_the_fraction_oracle_verdict(name, q):
+    # Every lift bounds, and so does its chain moved by a nullspace
+    # combination; one coefficient moved by 1/7, or a coset it does not
+    # bound, does not. The oracle adds one Fraction at a time.
+    rng = random.Random(zlib.crc32(f"{name}:{q}".encode()))
+    cover = build_cover(fixture(name).diagram, q)
+    A, _, columns = assemble_system(cover, "eta", 1)
+    basis = nullspace_basis(A)
+    for (ci, coset), chain in chains_of(cover).items():
+        assert_verdict(cover, chain, True)
+        assert_verdict(cover, perturbed(chain, basis, columns, rng), True)
+        x = [list(row) for row in chain.x]
+        x[rng.randrange(len(x))][rng.randrange(q)] += rng.choice((1, -1)) * Fraction(1, 7)
+        assert_verdict(cover, with_entries(chain, x), False)
+        cosets = lift_components(cover, ci)
+        other = cosets[cosets.index(coset) - 1]
+        if other != coset:
+            assert_verdict(cover, with_entries(chain, chain.x, other), False)
+
+
+@pytest.mark.parametrize("name, q", [("cable_n3_k1", 3), ("cable_n5_k2", 5), ("cable_n7_k3", 7)])
+def test_boundary_check_on_all_integer_chains(name, q):
+    # These lifts bound integrally, so their chains hold ints alone and the
+    # common denominator is 1; d times a chain of a lift with multiple d
+    # bounds d times the lift, not the lift.
+    cover = build_cover(fixture(name).diagram, q)
+    for (ci, coset), chain in chains_of(cover).items():
+        assert minimal_bounding_multiple(cover, ci, coset) == 1
+        assert_verdict(cover, with_entries(chain, [[int(v) for v in row] for row in chain.x]), True)
+        assert_verdict(cover, with_entries(chain, [[0] * q for _ in chain.x]), False)
+    cover = build_cover(fixture("stevedore_w0").diagram, 3)
+    chain = bounding_chain(cover, "eta", 1)
+    assert_verdict(cover, with_entries(chain, [[int(7 * v) for v in row] for row in chain.x]), False)
+
+
+@pytest.mark.parametrize("entry", [0.5, "1/7", True])
+def test_boundary_check_refuses_inexact_entries(entry):
+    # In floats the stevedore_w0 q=3 chain does not sum to a boundary,
+    # though its exact form does; a str is no number, and True no coefficient.
+    cover = cover_for("stevedore_w0", 3)
+    chain = bounding_chain(cover, "eta", 1)
+    assert verify_boundary(cover, chain)
+    x = [list(row) for row in chain.x]
+    x[0][0] = entry
+    with pytest.raises(ValueError, match=f"^chain entry {re.escape(repr(entry))} is not an int or a Fraction$"):
+        verify_boundary(cover, with_entries(chain, x))
+    with pytest.raises(ValueError, match="^chain entry 0.14285714285714285 "):
+        verify_boundary(cover, with_entries(chain, [[float(v) for v in row] for row in chain.x]))
 
 
 def test_meridian_lift_bounds_integrally_at_every_degree():

@@ -12,9 +12,8 @@ from math import gcd, lcm
 import pytest
 import sympy
 
-from conftest import fixture, sympy_minimal_multiple, sympy_minimal_multiples, trefoil_diagram
+from conftest import CORPUS_AND_SWEEP, fixture, sympy_minimal_multiple, sympy_minimal_multiples, trefoil_diagram
 from cyclink import rational_linalg
-from cyclink.fixtures import corpus_names
 from cyclink.homology import _factorization, _first_solutions, _system_matrix, _system_rhs
 from cyclink.rational_linalg import _eliminate, _eliminate_units, _factor, _rational, _sparse_rows
 from cyclink import (
@@ -31,6 +30,7 @@ from cyclink import (
     solve_particular,
     verify_boundary,
 )
+from property_checks import fraction_boundary
 
 
 def random_system(rng, max_dim=6, pool=(-2, -1, 0, 0, 1, 2)):
@@ -285,18 +285,6 @@ def fraction_back_substitution(rows, pivots, n, b_col):
     return x
 
 
-# Off-table writhe-0 rows, as in the benchmark's corpus_tables q-sweep.
-SWEEP = (
-    [("stevedore_w0", q) for q in (1, 6, 7, 8, 9, 10, 11)]
-    + [("twobridge_m0", q) for q in (6, 7, 8, 9, 10, 11)]
-    + [("twobridge_m1", q) for q in (6, 7, 8)]
-    + [("twobridge_m2", q) for q in (6, 7)]
-)
-CORPUS_AND_SWEEP = [
-    (name, q) for name in corpus_names() for q in fixture(name).writhe_zero_mod
-] + SWEEP
-
-
 @pytest.mark.parametrize("name, q", CORPUS_AND_SWEEP + [("twobridge_m2", 11)])
 def test_kernel_matches_dense_bareiss_on_cover_systems(name, q):
     # Every lift's right-hand side rides along, as the integral columns do.
@@ -353,6 +341,8 @@ def test_cover_factorization_takes_one_pass(name, q, monkeypatch):
         for coset, chain in chains.items():
             assert chain is not None and verify_boundary(cover, chain), (ci, coset)
         if (name, q) == ("stevedore_w0", 96):
+            # The Fraction-by-Fraction boundary agrees on a large cover too.
+            assert all(fraction_boundary(cover, chain) for chain in chains.values())
             # The public path starts with no column kept, so it pivots
             # differently on its way to the same solution.
             A, b, columns = assemble_system(cover, ci, cosets[0])
