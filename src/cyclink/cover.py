@@ -34,13 +34,17 @@ def wrap_sheet(value: int, q: int) -> int:
 class CoverStructure:
     """The combinatorial structure of one branched cover.
 
+    Sheets are named 1..q; the solvers index them from 0, sheet j at j - 1.
     sigma[c][i] is the offset in 0..q-1 of the wall lift crossed at
     underpass i of component c: walking in on sheet j, the walker crosses
     the lift with superscript wrap_sheet(j + offset, q), and the lift with
     superscript s sits on sheet wrap_sheet(s - offset, q). lbar[c] and
     components_of[c] are None at the branch; elsewhere lbar[c] is the
     linking number with the branch mod q, and components_of[c] lists the
-    sheet cosets that form closed lifted curves.
+    sheet cosets that form closed lifted curves. With g =
+    len(components_of[c]) = gcd(lbar[c], q), coset s holds the sheets
+    s + 1, s + 1 + g, ... up to q, so sheet j lies in coset (j - 1) % g
+    and the deck group carries coset 0 to coset s in s sheet shifts.
 
     _memo keeps what cyclink.homology solves on this cover: one
     factorization, one solution and one multiple per curve, and the chains
@@ -130,15 +134,15 @@ def _lift(cover: CoverStructure, curve: int | str, coset) -> tuple[int, tuple[in
         raise ValueError(f"component {ci} is the branch; it lifts to the branch locus, not to curves")
     # Exact type tests: True would pass as sheet 1.
     if type(coset) is int:
-        for c in cosets:
-            if coset in c:
-                return ci, c
+        if 0 < coset <= cover.q:
+            return ci, cosets[(coset - 1) % len(cosets)]
         raise ValueError(f"no lift of component {ci} contains sheet {coset}")
     sheets = list(coset) if hasattr(coset, "__iter__") else [coset]
     if not all(type(s) is int for s in sheets):
         raise ValueError(f"a coset is a sheet or a collection of sheets, not {coset!r}")
     wanted = tuple(sorted(set(sheets)))
-    if wanted in cosets:
+    # The coset holding the smallest sheet is the only one it can be.
+    if wanted and cosets[(wanted[0] - 1) % len(cosets)] == wanted:
         return ci, wanted
     raise ValueError(f"{wanted} is not a lift component of component {ci}")
 

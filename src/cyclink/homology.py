@@ -4,17 +4,20 @@ The cover deformation-retracts onto a 2-complex with one vertical wall per
 arc lift and one horizontal cell per sheet gap; a lifted curve bounds
 rationally iff a linear system over the wall coefficients is consistent.
 assemble_system writes that system down, bounding_chain solves it, and
-verify_boundary recomputes the boundary of a candidate chain cell by cell,
-independently of how the system was assembled, in integers over the lcm
-of the chain's denominators.
+verify_boundary recomputes the boundary of a candidate chain on the branch
+wall edges, independently of how the system was assembled, in integers
+over the lcm of the chain's denominators.
 
-The matrix depends only on the cover, and the deck shift of the sheets
-permutes it while carrying each lift of a curve to the next. So the cover
-system is factored once, with one lift per deck orbit riding along, the
-first coset of each curve. Its chains are back-substituted from that
-factorization, and its integral multiples read its pivot rows and last
-pivot, with no second elimination; every other chain is a shift of one of
-these. The `cyclink` logger reports each factorization at DEBUG level.
+Sheets are 0-based throughout: column i*q + s is the lift of branch arc i
+to sheet s + 1, and coset s of a curve is the one that starts at sheet
+s + 1. The matrix depends only on the cover, and the deck shift of the
+sheets permutes it while carrying each lift of a curve to the next, coset
+0 to coset s in s shifts. So the cover system is factored once, with one
+lift per deck orbit riding along, the first coset of each curve. Its
+chains are back-substituted from that factorization, and its integral
+multiples read its pivot rows and last pivot, with no second elimination;
+every other chain is a shift of one of these. The `cyclink` logger
+reports each factorization at DEBUG level.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .cover import CoverStructure, _lift, wrap_sheet
+from .cover import CoverStructure, _lift
 from .diagram import _integer
 from .rational_linalg import _log_debug, _multiple, _rational, _rref_factor, format_rational, parse_rational
 
@@ -40,12 +43,22 @@ class TwoChain:
 
     x[i][j-1] is the coefficient of the j-th lift of the wall under branch
     arc i; the lifted curve is the union of path-lifts of component `curve`
-    over the sheets in `coset`, each taken with coefficient 1.
+    over the sheets in `coset`, each taken with coefficient 1. An entry
+    that is not exactly an int or a Fraction raises ValueError.
     """
 
     curve: int
     coset: tuple[int, ...]
     x: tuple[tuple[Fraction, ...], ...]
+
+    def __post_init__(self):
+        # Rows are frozen first, so the check holds for the chain's life; a
+        # float would be summed inexactly, and True is not a coefficient.
+        object.__setattr__(self, "x", tuple(map(tuple, self.x)))
+        for row in self.x:
+            for v in row:
+                if type(v) is not int and type(v) is not Fraction:
+                    raise ValueError(f"chain entry {v!r} is not an int or a Fraction")
 
     def coefficient(self, arc: int, sheet: int) -> Fraction:
         return self.x[arc][sheet - 1]
@@ -81,7 +94,11 @@ def _chain_lift(cover: CoverStructure, chain: TwoChain) -> tuple[int, tuple[int,
 
 
 def _system_matrix(cover: CoverStructure):
-    """The coefficient matrix of assemble_system as {col: int} rows, with its column map."""
+    """The coefficient matrix of assemble_system as {col: int} rows, with its width.
+
+    Column i*q + s holds the lift of branch arc i to sheet s + 1, so the
+    rows are written in 0-based sheets, reduced mod q.
+    """
     diagram = cover.diagram
     branch = diagram.branch
     q = cover.q
@@ -94,29 +111,26 @@ def _system_matrix(cover: CoverStructure):
             f"limit of {MAX_SYSTEM_ENTRIES} entries"
         )
 
-    columns = {
-        (i, j): i * q + (j - 1) for i in range(n) for j in range(1, q + 1)
-    }
-
     # Vertical walls are built from sheet-gap cells, so the per-arc
     # coefficients must sum to zero.
-    rows = [{columns[(i, j)]: 1 for j in range(1, q + 1)} for i in range(n)]
+    rows = [{i * q + s: 1 for s in range(q)} for i in range(n)]
 
     for i, up in enumerate(comp.underpasses):
-        oc, oa = up.over.component, up.over.arc
+        oc, over = up.over.component, up.over.arc * q
         eps = up.sign
         off = cover.sigma[branch][i]
-        for j in range(1, q + 1):
+        here, ahead = i * q, (i + 1) % n * q
+        for s in range(q):
             row = defaultdict(int)
-            row[columns[(i, j)]] += 1
-            row[columns[((i + 1) % n, j)]] -= 1
+            row[here + s] += 1
+            row[ahead + s] -= 1
             if oc == branch:
-                row[columns[(oa, wrap_sheet(j + off, q))]] -= eps
-                row[columns[(oa, wrap_sheet(j + 1 + off, q))]] += eps
+                row[over + (s + off) % q] -= eps
+                row[over + (s + 1 + off) % q] += eps
             # Curve walls have fixed coefficients; _system_rhs carries them.
             rows.append({col: v for col, v in row.items() if v})
 
-    return rows, columns
+    return rows, width
 
 
 def _system_rhs(cover: CoverStructure, ci: int, group: tuple[int, ...]) -> list[int]:
@@ -124,16 +138,15 @@ def _system_rhs(cover: CoverStructure, ci: int, group: tuple[int, ...]) -> list[
     branch = cover.diagram.branch
     q = cover.q
     comp = cover.diagram.components[branch]
+    inside = [False] * q
+    for j in group:
+        inside[j - 1] = True
     rhs = [0] * comp.arc_count
-    for i, up in enumerate(comp.underpasses):
-        off = cover.sigma[branch][i]
-        for j in range(1, q + 1):
-            b_val = 0
-            if up.over.component == ci:
-                s_here = wrap_sheet(j + off, q)
-                s_above = wrap_sheet(j + 1 + off, q)
-                b_val = up.sign * ((s_here in group) - (s_above in group))
-            rhs.append(b_val)
+    for up, off in zip(comp.underpasses, cover.sigma[branch]):
+        if up.over.component == ci:
+            rhs += [up.sign * (inside[(s + off) % q] - inside[(s + 1 + off) % q]) for s in range(q)]
+        else:
+            rhs += [0] * q
     return rhs
 
 
@@ -145,10 +158,12 @@ def assemble_system(cover: CoverStructure, curve: int | str, coset):
     cover; only b depends on which lifted curve is being bounded.
     """
     ci, group = _lift(cover, curve, coset)
-    rows, columns = _system_matrix(cover)
+    rows, width = _system_matrix(cover)
+    q = cover.q
+    columns = {(i, j): i * q + j - 1 for i in range(width // q) for j in range(1, q + 1)}
     dense = []
     for row in rows:
-        entries = [0] * len(columns)
+        entries = [0] * width
         for col, v in row.items():
             entries[col] = v
         dense.append(entries)
@@ -165,14 +180,14 @@ def _factorization(cover: CoverStructure) -> tuple:
     if memo is None:
         # components_of is None at the branch, which has no lifts to bound.
         curves = [ci for ci, cosets in enumerate(cover.components_of) if cosets]
-        rows, columns = _system_matrix(cover)
+        rows, width = _system_matrix(cover)
         rhss = [_system_rhs(cover, ci, cover.components_of[ci][0]) for ci in curves]
-        tail, _, retired, cols, _, pivots = factors = _rref_factor(rows, rhss, len(columns), cover.q - 1)
+        tail, _, retired, cols, _, pivots = factors = _rref_factor(rows, rhss, width, cover.q - 1)
         _log_debug(
             "cover system %d x %d: %d unit steps, tail %d x %d, rank %d, nullity %d",
-            len(rows), len(columns), len(retired), len(tail), len(cols), len(pivots), len(cols) - len(pivots),
+            len(rows), width, len(retired), len(tail), len(cols), len(pivots), len(cols) - len(pivots),
         )
-        memo = cover._memo["factorization"] = (factors, curves, len(columns))
+        memo = cover._memo["factorization"] = (factors, curves, width)
     return memo
 
 
@@ -201,7 +216,7 @@ def _chain(cover: CoverStructure, ci: int, group: tuple[int, ...]) -> TwoChain |
     chains = cover._memo.setdefault("chains", {})
     if (ci, group) not in chains:
         rows = _first_solutions(cover)[ci]
-        q, s = cover.q, cover.components_of[ci].index(group)
+        q, s = cover.q, group[0] - 1  # the deck shift from the first coset
         chains[(ci, group)] = None if rows is None else TwoChain(
             ci, group, tuple(tuple(row[q - s:] + row[:q - s]) for row in rows))
     return chains[(ci, group)]
@@ -242,29 +257,24 @@ def minimal_bounding_multiple(cover: CoverStructure, curve: int | str, coset) ->
 def verify_boundary(cover: CoverStructure, chain: TwoChain) -> bool:
     """Recompute the chain's boundary cell by cell and compare to its curve.
 
-    This walks every 1-cell of the cover complex directly: wall side edges,
-    wall bottom edges, and the slits cut where wall lifts pass under
-    crossings. It shares no code path with assemble_system.
+    This walks the 1-cells of the branch walls directly: side edges, bottom
+    edges, and the slits cut where wall lifts pass under crossings. It
+    shares no code path with assemble_system.
 
-    The walk is in integers: each coefficient is scaled by the lcm `den` of
-    the chain's denominators, so each curve wall lift carries den instead
-    of 1. The chain bounds its curve when every branch edge and every curve
-    side edge sums to 0 and every curve bottom edge sums to den. An entry
-    that is not exactly an int or a Fraction raises ValueError.
+    The curve's own walls carry coefficient 1 whatever the chain, so their
+    edges always close up: each side edge is met once from either side, and
+    each bottom edge is the curve. Only the branch edges decide, with the
+    curve's slit terms on them. The walk is in integers: each coefficient
+    is scaled by the lcm `den` of the chain's denominators, so the curve's
+    slit terms carry den instead of 1. The chain bounds its curve when
+    every branch edge sums to 0.
     """
     ci, group = _chain_lift(cover, chain)
     diagram = cover.diagram
     q = cover.q
     branch = diagram.branch
 
-    # A float would be summed inexactly, and True is not a coefficient.
-    den = 1
-    for row in chain.x:
-        for v in row:
-            if type(v) is Fraction:
-                den = lcm(den, v.denominator)
-            elif type(v) is not int:
-                raise ValueError(f"chain entry {v!r} is not an int or a Fraction")
+    den = lcm(*(v.denominator for row in chain.x for v in row))
     x = [[v.numerator * (den // v.denominator) for v in row] for row in chain.x]
     n = len(x)
 
@@ -273,15 +283,6 @@ def verify_boundary(cover: CoverStructure, chain: TwoChain) -> bool:
     # shared by the lifts of arcs i and i+1.
     bottom = [sum(row) for row in x]
     side = [[a - b for a, b in zip(row, x[(i + 1) % n])] for i, row in enumerate(x)]
-
-    # Curve wall lifts over the chosen sheets, all with coefficient den.
-    m = diagram.components[ci].arc_count
-    curve_bottom, curve_side = defaultdict(int), defaultdict(int)
-    for u in range(m):
-        for s in group:
-            curve_bottom[(u, s)] += den
-            curve_side[(u, s)] += den
-            curve_side[((u - 1) % m, s)] -= den
 
     # Slits: where a wall lift passes under a crossing of the branch, its
     # bottom edge is interrupted and the two sides land one sheet apart.
@@ -301,9 +302,4 @@ def verify_boundary(cover: CoverStructure, chain: TwoChain) -> bool:
                 edges[p] -= eps * den
                 edges[p - 1] += eps * den
 
-    return (
-        not any(bottom)
-        and not any(map(any, side))
-        and not any(curve_side.values())
-        and all(v == den for v in curve_bottom.values())
-    )
+    return not any(bottom) and not any(map(any, side))

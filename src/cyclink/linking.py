@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .cover import CoverStructure, _lift, wrap_sheet
+from .cover import CoverStructure, _lift
 from .homology import TwoChain, _chain_lift, _first_solutions
 from .rational_linalg import format_rational
 
@@ -36,22 +36,24 @@ def _linking_sum(cover: CoverStructure, x, shift: int, bi: int, gb: tuple, gamma
     the lift of branch arc i to sheet j.
 
     The wall coefficients met are summed as integer numerators over the
-    lcm of their denominators, so the call makes one Fraction.
+    lcm of their denominators, so the call makes one Fraction. Sheets are
+    0-based here: the lift crossed from sheet j is on sheet j - 1 + off
+    mod q, and it lies in gb when that is gb[0] - 1 mod len(cosets of bi).
     """
     diagram = cover.diagram
     branch = diagram.branch
     q = cover.q
     comp = diagram.components[gamma]
-    chain_sheets = set(gb)
+    g, first = len(cover.components_of[bi]), gb[0] - 1
     walls = []  # (sign, coefficient) of each branch wall lift passed under
     crossings = 0
     for j in group:
         for up, off in zip(comp.underpasses, cover.sigma[gamma]):
             oc = up.over.component
-            s = wrap_sheet(j + off, q)
+            s = j - 1 + off
             if oc == branch:
-                walls.append((up.sign, x[up.over.arc][(s - 1 - shift) % q]))
-            elif oc == bi and s in chain_sheets:
+                walls.append((up.sign, x[up.over.arc][(s - shift) % q]))
+            elif oc == bi and (s - first) % g == 0:
                 crossings += up.sign
     den = lcm(*(v.denominator for _, v in walls))
     return Fraction(
@@ -88,7 +90,7 @@ def _entry(cover: CoverStructure, ai: int, ga: tuple, bi: int, gb: tuple) -> Fra
     solutions = _first_solutions(cover)
     if solutions[bi] is None or solutions[ai] is None:
         return UndefinedEntry(NOT_NULL_HOMOLOGOUS)
-    return _linking_sum(cover, solutions[bi], cover.components_of[bi].index(gb), bi, gb, ai, ga)
+    return _linking_sum(cover, solutions[bi], gb[0] - 1, bi, gb, ai, ga)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
 """Sheet bookkeeping: walks, wall offsets, lift cosets."""
 
+import random
+
 import pytest
 
+from builders import random_diagram
 from conftest import fixture, hopf_diagram, trefoil_diagram, wire_with_meridian
 from cyclink import (
     TwoChain,
@@ -135,6 +138,37 @@ def test_resolve_coset_accepts_member_or_collection():
         resolve_coset(cover, "eta", (1, 2))
     with pytest.raises(ValueError):
         resolve_coset(cover, "K", 1)
+
+
+def test_lift_cosets_are_residue_classes_of_the_first_sheet():
+    # Coset s of a curve holds the sheets = s + 1 mod g, g the coset count,
+    # so a sheet names its coset by arithmetic alone; checked on stevedore_w2
+    # q=4 (lbar 2) and on seeded random diagrams.
+    rng = random.Random(14)
+    covers = [build_cover(normalize_writhe(fixture("stevedore_w2").diagram, 4), 4)]
+    for _ in range(30):
+        q = rng.randint(1, 8)
+        covers.append(build_cover(normalize_writhe(random_diagram(rng), q), q))
+    strides, chains = set(), 0
+    for cover in covers:
+        q = cover.q
+        for c, cosets in enumerate(cover.components_of):
+            if cosets is None:
+                continue
+            g = len(cosets)
+            strides.add((g, q))
+            assert cosets == tuple(tuple(range(s + 1, q + 1, g)) for s in range(g))
+            for j in range(1, q + 1):
+                coset = resolve_coset(cover, c, j)
+                assert j in coset and coset in cosets
+                chain = bounding_chain(cover, c, j)
+                if chain is not None:
+                    assert chain.coset == coset
+                    chains += 1
+            for j in (0, -1, q + 1):
+                with pytest.raises(ValueError, match=f"^no lift of component {c} contains sheet {j}$"):
+                    resolve_coset(cover, c, j)
+    assert any(1 < g < q for g, q in strides) and chains > 30
 
 
 def test_every_lift_argument_refuses_the_branch_alike():

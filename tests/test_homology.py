@@ -199,6 +199,27 @@ def test_boundary_check_refuses_inexact_entries(entry):
         verify_boundary(cover, with_entries(chain, [[float(v) for v in row] for row in chain.x]))
 
 
+@pytest.mark.parametrize("entry", [0.5, "1/7", True])
+def test_a_chain_refuses_inexact_entries_when_built(entry):
+    # linking_number read True as 1 and raised AttributeError on 0.5 and
+    # "1/7"; no function that takes a chain now sees such an entry.
+    cover = cover_for("stevedore_w0", 3)
+    chain = bounding_chain(cover, "eta", 1)
+    x = [[entry if v else v for v in row] for row in chain.x]
+    with pytest.raises(ValueError, match=f"^chain entry {re.escape(repr(entry))} is not an int or a Fraction$"):
+        with_entries(chain, x)
+
+
+def test_a_chain_built_from_lists_keeps_its_checked_entries():
+    # Rows given as lists are frozen, so no entry can be swapped for a float
+    # after the check.
+    cover = cover_for("stevedore_w0", 3)
+    chain = bounding_chain(cover, "eta", 1)
+    listed = TwoChain(chain.curve, chain.coset, [list(row) for row in chain.x])
+    assert listed == chain and type(listed.x) is tuple and all(type(row) is tuple for row in listed.x)
+    assert verify_boundary(cover, listed)
+
+
 def test_meridian_lift_bounds_integrally_at_every_degree():
     d = wire_with_meridian()
     for q in (1, 2, 3, 5):

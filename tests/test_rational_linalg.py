@@ -291,8 +291,8 @@ def test_kernel_matches_dense_bareiss_on_cover_systems(name, q):
     # The oracle's echelon rows, back-substituted in Fractions with every
     # column without a pivot at zero, give what solve_many gives.
     cover = build_cover(fixture(name).diagram, q)
-    matrix, columns = _system_matrix(cover)
-    matrix = [[row.get(j, 0) for j in range(len(columns))] for row in matrix]
+    matrix, width = _system_matrix(cover)
+    matrix = [[row.get(j, 0) for j in range(width)] for row in matrix]
     lifts = [(ci, g) for ci, cosets in enumerate(cover.components_of) for g in cosets or ()]
     rhss = [_system_rhs(cover, ci, g) for ci, g in lifts]
     rows = [row + [rhs[i] for rhs in rhss] for i, row in enumerate(matrix)]
@@ -398,8 +398,8 @@ def test_cover_factorization_widens_its_kept_suffix_on_a_trefoil_branch(q, nulli
     assert len(caplog.records) == len(widened) + 1
     basis = _rational(factors, n, True)[1]
     assert len(basis) == nullity
-    rows, columns = _system_matrix(cover)
-    dense = sympy.Matrix([[row.get(j, 0) for j in range(len(columns))] for row in rows])
+    rows, width = _system_matrix(cover)
+    dense = sympy.Matrix([[row.get(j, 0) for j in range(width)] for row in rows])
     assert [[sympy.Rational(v) for v in z] for z in basis] == [list(z) for z in dense.nullspace()]
 
 
