@@ -15,10 +15,9 @@ the coset, for every module that takes a lift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 
-from .diagram import LinkDiagram, validate, writhe
+from .diagram import LinkDiagram, _Record, validate, writhe
 
 # Largest cover degree build_cover accepts. The lift cosets hold q sheet
 # labels per curve, so a larger q is refused before any of them is built.
@@ -30,8 +29,7 @@ def wrap_sheet(value: int, q: int) -> int:
     return (value - 1) % q + 1
 
 
-@dataclass(frozen=True)
-class CoverStructure:
+class CoverStructure(_Record):
     """The combinatorial structure of one branched cover.
 
     Sheets are named 1..q; the solvers index them from 0, sheet j at j - 1.
@@ -48,15 +46,27 @@ class CoverStructure:
 
     _memo keeps what cyclink.homology solves on this cover: one
     factorization, one solution and one multiple per curve, and the chains
-    asked for; it fills on the first query, not here.
+    asked for; it fills on the first query, not here. It is not a field:
+    equality, hashing and repr ignore it, and a copy starts empty.
     """
 
-    q: int
-    diagram: LinkDiagram
-    sigma: tuple[tuple[int, ...], ...]
-    lbar: tuple[int | None, ...]
-    components_of: tuple[tuple[tuple[int, ...], ...] | None, ...]
-    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _fields = ("q", "diagram", "sigma", "lbar", "components_of")
+    __slots__ = (*_fields, "_memo")
+
+    def __init__(
+        self,
+        q: int,
+        diagram: LinkDiagram,
+        sigma: tuple[tuple[int, ...], ...],
+        lbar: tuple[int | None, ...],
+        components_of: tuple[tuple[tuple[int, ...], ...] | None, ...],
+    ):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "diagram", diagram)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "lbar", lbar)
+        object.__setattr__(self, "components_of", components_of)
+        object.__setattr__(self, "_memo", {})
 
 
 def build_cover(diagram: LinkDiagram, q: int) -> CoverStructure:

@@ -16,31 +16,73 @@ arrange this.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 
 FORMAT = "cyclink-diagram-1"
 
 
-@dataclass(frozen=True)
-class OverstrandRef:
+class _Record:
+    """An immutable record: the fields named in _fields, each in a slot.
+
+    Two records are equal when they are of the same class with equal
+    fields, and hash as the tuple of their fields; repr reads like the
+    constructor call. Pickle and copy rebuild a record through its
+    __init__, so subclasses take their fields in _fields order.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class OverstrandRef(_Record):
     """The arc passing over at some crossing: component index plus arc index."""
 
-    component: int
-    arc: int
+    __slots__ = _fields = ("component", "arc")
+
+    def __init__(self, component: int, arc: int):
+        object.__setattr__(self, "component", component)
+        object.__setattr__(self, "arc", arc)
 
 
-@dataclass(frozen=True)
-class Underpass:
+class Underpass(_Record):
     """One undercrossing along a walk: crossing sign and the overstrand arc."""
 
-    sign: int
-    over: OverstrandRef
+    __slots__ = _fields = ("sign", "over")
+
+    def __init__(self, sign: int, over: OverstrandRef):
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "over", over)
 
 
-@dataclass(frozen=True)
-class LinkComponent:
-    name: str
-    underpasses: tuple[Underpass, ...]
+class LinkComponent(_Record):
+    __slots__ = _fields = ("name", "underpasses")
+
+    def __init__(self, name: str, underpasses: tuple[Underpass, ...]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "underpasses", underpasses)
 
     @property
     def arc_count(self) -> int:
@@ -48,10 +90,12 @@ class LinkComponent:
         return max(1, len(self.underpasses))
 
 
-@dataclass(frozen=True)
-class LinkDiagram:
-    components: tuple[LinkComponent, ...]
-    branch: int
+class LinkDiagram(_Record):
+    __slots__ = _fields = ("components", "branch")
+
+    def __init__(self, components: tuple[LinkComponent, ...], branch: int):
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "branch", branch)
 
     def component_index(self, key: int | str) -> int:
         """Resolve a component given by index or by name."""
@@ -163,8 +207,8 @@ def normalize_writhe(diagram: LinkDiagram, q: int) -> LinkDiagram:
     for _ in range(count):
         ups.append(Underpass(sign, OverstrandRef(diagram.branch, len(ups))))
     comps = list(diagram.components)
-    comps[diagram.branch] = replace(comp, underpasses=tuple(ups))
-    return replace(diagram, components=tuple(comps))
+    comps[diagram.branch] = LinkComponent(comp.name, tuple(ups))
+    return LinkDiagram(tuple(comps), diagram.branch)
 
 
 def mirror(diagram: LinkDiagram) -> LinkDiagram:
@@ -172,8 +216,8 @@ def mirror(diagram: LinkDiagram) -> LinkDiagram:
     comps = []
     for comp in diagram.components:
         ups = tuple(Underpass(-u.sign, u.over) for u in comp.underpasses)
-        comps.append(replace(comp, underpasses=ups))
-    return replace(diagram, components=tuple(comps))
+        comps.append(LinkComponent(comp.name, ups))
+    return LinkDiagram(tuple(comps), diagram.branch)
 
 
 def diagram_to_dict(diagram: LinkDiagram) -> dict:

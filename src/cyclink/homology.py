@@ -23,22 +23,26 @@ reports each factorization at DEBUG level.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .cover import CoverStructure, _lift
-from .diagram import _integer
+from .diagram import _integer, _Record
 from .rational_linalg import _log_debug, _multiple, _rational, _rref_factor, format_rational, parse_rational
 
 # assemble_system hands the system out dense, so above this many entries
-# it is refused before anything is built (the corpus systems reach about
-# 4 * 10**4).
+# it is refused before the dense matrix is built (the corpus systems reach
+# about 4 * 10**4).
 MAX_SYSTEM_ENTRIES = 4_000_000
 
+# The solvers hold the system as sparse rows, n(q + 1) of them for n branch
+# arcs, and factor it with a dense tail that grows with q; above this many
+# rows the system is refused before any row is built. stevedore_w0 at
+# q=2000 (20,010 rows) factors in about 30 s with a 530 MB peak.
+MAX_SYSTEM_ROWS = 20_000
 
-@dataclass(frozen=True)
-class TwoChain:
+
+class TwoChain(_Record):
     """A rational 2-chain whose boundary is one lifted curve.
 
     x[i][j-1] is the coefficient of the j-th lift of the wall under branch
@@ -47,18 +51,19 @@ class TwoChain:
     that is not exactly an int or a Fraction raises ValueError.
     """
 
-    curve: int
-    coset: tuple[int, ...]
-    x: tuple[tuple[Fraction, ...], ...]
+    __slots__ = _fields = ("curve", "coset", "x")
 
-    def __post_init__(self):
+    def __init__(self, curve: int, coset: tuple[int, ...], x: tuple[tuple[Fraction, ...], ...]):
         # Rows are frozen first, so the check holds for the chain's life; a
         # float would be summed inexactly, and True is not a coefficient.
-        object.__setattr__(self, "x", tuple(map(tuple, self.x)))
-        for row in self.x:
+        x = tuple(map(tuple, x))
+        for row in x:
             for v in row:
                 if type(v) is not int and type(v) is not Fraction:
                     raise ValueError(f"chain entry {v!r} is not an int or a Fraction")
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "coset", coset)
+        object.__setattr__(self, "x", x)
 
     def coefficient(self, arc: int, sheet: int) -> Fraction:
         return self.x[arc][sheet - 1]
@@ -105,10 +110,10 @@ def _system_matrix(cover: CoverStructure):
     comp = diagram.components[branch]
     n = comp.arc_count
     height, width = n + n * q, n * q
-    if height * width > MAX_SYSTEM_ENTRIES:
+    if height > MAX_SYSTEM_ROWS:
         raise ValueError(
             f"the cover system would be {height} x {width}, above the "
-            f"limit of {MAX_SYSTEM_ENTRIES} entries"
+            f"limit of {MAX_SYSTEM_ROWS} rows"
         )
 
     # Vertical walls are built from sheet-gap cells, so the per-arc
@@ -159,6 +164,11 @@ def assemble_system(cover: CoverStructure, curve: int | str, coset):
     """
     ci, group = _lift(cover, curve, coset)
     rows, width = _system_matrix(cover)
+    if len(rows) * width > MAX_SYSTEM_ENTRIES:
+        raise ValueError(
+            f"the cover system would be {len(rows)} x {width}, above the "
+            f"limit of {MAX_SYSTEM_ENTRIES} entries"
+        )
     q = cover.q
     columns = {(i, j): i * q + j - 1 for i in range(width // q) for j in range(1, q + 1)}
     dense = []

@@ -8,11 +8,11 @@ coefficient, signed by the crossing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .cover import CoverStructure, _lift
+from .diagram import _Record
 from .homology import TwoChain, _chain_lift, _first_solutions
 from .rational_linalg import format_rational
 
@@ -20,11 +20,13 @@ SELF_PAIRING = "self-pairing"
 NOT_NULL_HOMOLOGOUS = "not rationally null-homologous"
 
 
-@dataclass(frozen=True)
-class UndefinedEntry:
+class UndefinedEntry(_Record):
     """Marker for a linking number the theory does not define."""
 
-    reason: str
+    __slots__ = _fields = ("reason",)
+
+    def __init__(self, reason: str):
+        object.__setattr__(self, "reason", reason)
 
     def to_json(self) -> dict:
         return {"undefined": self.reason}
@@ -93,15 +95,24 @@ def _entry(cover: CoverStructure, ai: int, ga: tuple, bi: int, gb: tuple) -> Fra
     return _linking_sum(cover, solutions[bi], gb[0] - 1, bi, gb, ai, ga)
 
 
-@dataclass(frozen=True)
-class LinkingReport:
+class LinkingReport(_Record):
     """All pairwise linking numbers between the lifts of two curves."""
 
-    curve_a: int
-    curve_b: int
-    cosets_a: tuple[tuple[int, ...], ...]
-    cosets_b: tuple[tuple[int, ...], ...]
-    entries: tuple[tuple[Fraction | UndefinedEntry, ...], ...]
+    __slots__ = _fields = ("curve_a", "curve_b", "cosets_a", "cosets_b", "entries")
+
+    def __init__(
+        self,
+        curve_a: int,
+        curve_b: int,
+        cosets_a: tuple[tuple[int, ...], ...],
+        cosets_b: tuple[tuple[int, ...], ...],
+        entries: tuple[tuple[Fraction | UndefinedEntry, ...], ...],
+    ):
+        object.__setattr__(self, "curve_a", curve_a)
+        object.__setattr__(self, "curve_b", curve_b)
+        object.__setattr__(self, "cosets_a", cosets_a)
+        object.__setattr__(self, "cosets_b", cosets_b)
+        object.__setattr__(self, "entries", entries)
 
     def entry(self, i: int, j: int) -> Fraction | UndefinedEntry:
         return self.entries[i][j]

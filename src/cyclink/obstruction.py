@@ -9,11 +9,10 @@ linking numbers are all of one strict sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cover import build_cover
-from .diagram import LinkDiagram, pairwise_linking
+from .diagram import LinkDiagram, _Record, pairwise_linking
 from .homology import minimal_bounding_multiple
 from .linking import LinkingReport, UndefinedEntry, linking_matrix
 
@@ -40,17 +39,28 @@ def is_prime_power(n: int) -> bool:
     return True  # n itself is prime
 
 
-@dataclass(frozen=True)
-class ObstructionVerdict:
+class ObstructionVerdict(_Record):
     """Outcome of the obstruction test, with everything it looked at."""
 
-    q: int
-    winding: int
-    order: int | None
-    hypotheses: dict
-    sign_profile: str
-    verdict: str
-    matrix: LinkingReport
+    __slots__ = _fields = ("q", "winding", "order", "hypotheses", "sign_profile", "verdict", "matrix")
+
+    def __init__(
+        self,
+        q: int,
+        winding: int,
+        order: int | None,
+        hypotheses: dict,
+        sign_profile: str,
+        verdict: str,
+        matrix: LinkingReport,
+    ):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "winding", winding)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "hypotheses", hypotheses)
+        object.__setattr__(self, "sign_profile", sign_profile)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "matrix", matrix)
 
     def to_dict(self) -> dict:
         return {

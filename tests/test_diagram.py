@@ -2,7 +2,6 @@
 
 import json
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -141,12 +140,9 @@ def test_validate_reports_asymmetric_linking():
     with pytest.raises(ValueError, match="invalid diagram: components 0 and 1"):
         build_cover(d, 1)
     # With the missing crossing added, both sides agree.
-    fixed = replace(
-        d,
-        components=(
-            d.components[0],
-            LinkComponent("eta", (Underpass(1, OverstrandRef(0, 0)),)),
-        ),
+    fixed = LinkDiagram(
+        (d.components[0], LinkComponent("eta", (Underpass(1, OverstrandRef(0, 0)),))),
+        d.branch,
     )
     assert validate(fixed) == []
 
@@ -249,11 +245,13 @@ def _with_first_underpass(diagram, field, value):
     comp = diagram.components[0]
     up = comp.underpasses[0]
     if field == "sign":
-        up = replace(up, sign=value)
+        up = Underpass(value, up.over)
+    elif field == "component":
+        up = Underpass(up.sign, OverstrandRef(value, up.over.arc))
     else:
-        up = replace(up, over=replace(up.over, **{field: value}))
-    comp = replace(comp, underpasses=(up,) + comp.underpasses[1:])
-    return replace(diagram, components=(comp,) + diagram.components[1:])
+        up = Underpass(up.sign, OverstrandRef(up.over.component, value))
+    comp = LinkComponent(comp.name, (up,) + comp.underpasses[1:])
+    return LinkDiagram((comp,) + diagram.components[1:], diagram.branch)
 
 
 @pytest.mark.parametrize(
@@ -274,7 +272,7 @@ def test_validate_rejects_non_integer_fields_of_built_diagrams(field, value):
     # only check before build_cover indexes with these values.
     d = hopf_diagram()
     if field == "branch":
-        bad = replace(d, branch=value)
+        bad = LinkDiagram(d.components, value)
     else:
         bad = _with_first_underpass(d, field, value)
     problems = validate(bad)

@@ -278,13 +278,24 @@ def test_off_table_multiple_against_sympy_smith_form(name, q):
     assert sympy_minimal_multiple(rows, rhs) == minimal_bounding_multiple(cover, "eta", 1) == 765
 
 
-@pytest.mark.parametrize("q", [5, 8, 11, 16, 24, 32])
+@pytest.mark.parametrize("q", [5, 8, 11, 16, 24, 32, 201])
 def test_stevedore_w0_multiple_follows_its_closed_form(q):
     # Observed on every degree checked, not proved: 2^q - 1 for odd q and
     # 3 (2^q - 1) for even q, which fits the Alexander polynomial
-    # (2t - 1)(t - 2). At q = 32 the system is 330 x 320.
+    # (2t - 1)(t - 2). At q = 32 the system is 330 x 320; at q = 201 it is
+    # 2020 x 2010, above the entry cap of the dense assemble_system.
     cover = build_cover(fixture("stevedore_w0").diagram, q)
     assert minimal_bounding_multiple(cover, "eta", 1) == (2**q - 1) * (3 if q % 2 == 0 else 1)
+
+
+def test_only_the_dense_system_is_capped_by_entries():
+    # The solvers hold sparse rows, so only their count is bounded, before
+    # any row is built; assemble_system refuses a dense matrix above its
+    # entry cap before building it.
+    with pytest.raises(ValueError, match=r"^the cover system would be 2010 x 2000, above the limit of 4000000 entries$"):
+        assemble_system(build_cover(fixture("stevedore_w0").diagram, 200), "eta", 1)
+    with pytest.raises(ValueError, match=r"^the cover system would be 20010 x 20000, above the limit of 20000 rows$"):
+        bounding_chain(build_cover(fixture("stevedore_w0").diagram, 2000), "eta", 1)
 
 
 @pytest.mark.parametrize(

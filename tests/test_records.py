@@ -1,0 +1,160 @@
+"""Value classes: immutable slotted records with dataclass-style semantics.
+
+Each row builds one record class from positional fields, a record that
+differs in one field, and the repr a frozen dataclass would print.
+"""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from conftest import fixture
+from cyclink import (
+    CoverStructure,
+    LinkComponent,
+    LinkDiagram,
+    LinkingReport,
+    ObstructionVerdict,
+    OverstrandRef,
+    TwoChain,
+    UndefinedEntry,
+    Underpass,
+    bounding_chain,
+    build_cover,
+)
+from cyclink.fixtures import Expectation, Fixture
+
+UP = Underpass(-1, OverstrandRef(1, 7))
+UP_REPR = "Underpass(sign=-1, over=OverstrandRef(component=1, arc=7))"
+UNLINK = LinkDiagram((LinkComponent("K", ()), LinkComponent("eta", ())), 0)
+UNLINK_REPR = (
+    "LinkDiagram(components=(LinkComponent(name='K', underpasses=()), "
+    "LinkComponent(name='eta', underpasses=())), branch=0)"
+)
+REPORT = LinkingReport(1, 1, ((1,),), ((1,),), ((UndefinedEntry("self-pairing"),),))
+REPORT_REPR = (
+    "LinkingReport(curve_a=1, curve_b=1, cosets_a=((1,),), cosets_b=((1,),), "
+    "entries=((UndefinedEntry(reason='self-pairing'),),))"
+)
+EXPECTATION = Expectation("lk", {"q": 3}, "1/2", "Table 1")
+EXPECTATION_REPR = "Expectation(op='lk', args={'q': 3}, value='1/2', source='Table 1')"
+
+ROWS = [
+    (OverstrandRef, (1, 7), (1, 8), "OverstrandRef(component=1, arc=7)"),
+    (Underpass, (-1, OverstrandRef(1, 7)), (1, OverstrandRef(1, 7)), UP_REPR),
+    (LinkComponent, ("eta", (UP,)), ("eta", ()), f"LinkComponent(name='eta', underpasses=({UP_REPR},))"),
+    (LinkDiagram, (UNLINK.components, 0), (UNLINK.components, 1), UNLINK_REPR),
+    (
+        CoverStructure,
+        (2, UNLINK, ((), ()), (None, 0), (None, ((1,), (2,)))),
+        (2, UNLINK, ((), ()), (None, 0), (None, ((1, 2),))),
+        f"CoverStructure(q=2, diagram={UNLINK_REPR}, sigma=((), ()), lbar=(None, 0), "
+        "components_of=(None, ((1,), (2,))))",
+    ),
+    (
+        TwoChain,
+        (1, (1, 2), ((Fraction(1, 2), 0),)),
+        (1, (1, 2), ((Fraction(1, 3), 0),)),
+        "TwoChain(curve=1, coset=(1, 2), x=((Fraction(1, 2), 0),))",
+    ),
+    (UndefinedEntry, ("self-pairing",), ("not rationally null-homologous",), "UndefinedEntry(reason='self-pairing')"),
+    (LinkingReport, (1, 1, ((1,),), ((1,),), ((UndefinedEntry("self-pairing"),),)), (1, 1, ((1,),), ((1,),), ((Fraction(0),),)), REPORT_REPR),
+    (
+        ObstructionVerdict,
+        (3, 0, None, {"prime_power": True}, "undefined", "inconclusive", REPORT),
+        (3, 0, None, {"prime_power": True}, "undefined", "obstructed", REPORT),
+        "ObstructionVerdict(q=3, winding=0, order=None, hypotheses={'prime_power': True}, "
+        f"sign_profile='undefined', verdict='inconclusive', matrix={REPORT_REPR})",
+    ),
+    (Expectation, ("lk", {"q": 3}, "1/2", "Table 1"), ("lk", {"q": 3}, "1/3", "Table 1"), EXPECTATION_REPR),
+    (
+        Fixture,
+        ("unlink", UNLINK, 0, (1, 2), (EXPECTATION,)),
+        ("unlink", UNLINK, 1, (1, 2), (EXPECTATION,)),
+        f"Fixture(name='unlink', diagram={UNLINK_REPR}, winding=0, writhe_zero_mod=(1, 2), "
+        f"expected=({EXPECTATION_REPR},))",
+    ),
+]
+ROW_IDS = [row[0].__name__ for row in ROWS]
+
+
+@pytest.fixture(params=ROWS, ids=ROW_IDS)
+def row(request):
+    return request.param
+
+
+def test_positional_and_keyword_construction_agree(row):
+    cls, args, _, _ = row
+    record = cls(*args)
+    assert record == cls(**dict(zip(cls._fields, args)))
+    assert tuple(getattr(record, name) for name in cls._fields) == args
+
+
+def test_equality_and_hash_follow_the_exact_class_and_the_fields(row):
+    cls, args, other, _ = row
+    record = cls(*args)
+    assert record == cls(*args) and not record != cls(*args)
+    assert record != cls(*other)
+    assert record != args
+    subclass = type(cls.__name__, (cls,), {"__slots__": ()})
+    assert record != subclass(*args)
+    assert record.__eq__(subclass(*args)) is NotImplemented
+    # A record with a dict field is unhashable, as its field tuple is.
+    try:
+        expected = hash(args)
+    except TypeError:
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(record)
+    else:
+        assert hash(record) == expected
+
+
+def test_repr_reads_like_the_constructor_call(row):
+    cls, args, _, text = row
+    assert repr(cls(*args)) == text
+
+
+def test_fields_cannot_be_assigned_or_deleted(row):
+    cls, args, _, _ = row
+    record = cls(*args)
+    name = cls._fields[0]
+    with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+        setattr(record, name, args[0])
+    with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+        delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert getattr(record, name) is args[0]
+
+
+def test_pickle_and_copies_rebuild_an_equal_record(row):
+    cls, args, _, _ = row
+    record = cls(*args)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(record, protocol)) == record
+    assert copy.copy(record) == record
+    deep = copy.deepcopy(record)
+    assert deep == record and type(deep) is cls
+
+
+def test_the_cover_memo_is_not_a_field():
+    cover = build_cover(fixture("stevedore_w0").diagram, 3)
+    fresh = build_cover(fixture("stevedore_w0").diagram, 3)
+    bounding_chain(cover, "eta", 1)
+    assert cover._memo and not fresh._memo
+    assert cover == fresh and hash(cover) == hash(fresh) and repr(cover) == repr(fresh)
+    assert "_memo" not in repr(cover)
+    # A copy is rebuilt from the fields, so it solves again on first use.
+    for copied in (pickle.loads(pickle.dumps(cover)), copy.deepcopy(cover)):
+        assert copied == cover and copied._memo == {}
+        assert bounding_chain(copied, "eta", 1) == bounding_chain(cover, "eta", 1)
+
+
+@pytest.mark.parametrize("entry", [0.5, True])
+def test_a_chain_built_by_keyword_freezes_its_rows_and_checks_its_entries(entry):
+    chain = TwoChain(curve=1, coset=(1,), x=[[Fraction(1, 2), 0]])
+    assert chain.x == ((Fraction(1, 2), 0),) and type(chain.x[0]) is tuple
+    with pytest.raises(ValueError, match=f"^chain entry {entry!r} is not an int or a Fraction$"):
+        TwoChain(curve=1, coset=(1,), x=[[entry, 0]])
