@@ -13,11 +13,14 @@ to sheet s + 1, and coset s of a curve is the one that starts at sheet
 s + 1. The matrix depends only on the cover, and the deck shift of the
 sheets permutes it while carrying each lift of a curve to the next, coset
 0 to coset s in s shifts. So the cover system is factored once, with one
-lift per deck orbit riding along, the first coset of each curve. Its
-chains are back-substituted from that factorization, and its integral
-multiples read its pivot rows and last pivot, with no second elimination;
-every other chain is a shift of one of these. The `cyclink` logger
-reports each factorization at DEBUG level.
+lift per deck orbit riding along, the first coset of each curve, and
+without the underpass rows its sum rows imply. Its chains are
+back-substituted from that factorization, and every other chain is a
+shift of one of these. On a rational homology sphere a curve's integral
+multiple is the lcm of its chain's denominators; on other covers it reads
+the factorization's pivot rows and last pivot, with no second
+elimination. The `cyclink` logger reports each factorization and each
+multiple at DEBUG level.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from math import lcm
 
 from .cover import CoverStructure, _lift
 from .diagram import _integer, _Record
-from .rational_linalg import _log_debug, _multiple, _rational, _rref_factor, format_rational, parse_rational
+from .rational_linalg import _free, _log_debug, _multiple, _rational, _rref_factor, format_rational, parse_rational
 
 # assemble_system hands the system out dense, so above this many entries
 # it is refused before the dense matrix is built (the corpus systems reach
@@ -181,8 +184,9 @@ def assemble_system(cover: CoverStructure, curve: int | str, coset):
 
 
 def _factorization(cover: CoverStructure) -> tuple:
-    """The cover system factored once (rational_linalg._rref_factor), with each
-    curve's first coset riding along; those curves in order; the width.
+    """The cover system, less n - 1 rows the others imply, factored once
+    (rational_linalg._rref_factor), with each curve's first coset riding
+    along; those curves in order; the width.
 
     Chains and multiples are both read off this one factorization.
     """
@@ -191,8 +195,23 @@ def _factorization(cover: CoverStructure) -> tuple:
         # components_of is None at the branch, which has no lifts to bound.
         curves = [ci for ci, cosets in enumerate(cover.components_of) if cosets]
         rows, width = _system_matrix(cover)
-        rhss = [_system_rhs(cover, ci, cover.components_of[ci][0]) for ci in curves]
-        tail, _, retired, cols, _, pivots = factors = _rref_factor(rows, rhss, width, cover.q - 1)
+        # Let S_i be arc i's sum row and R_{i,s} its underpass row on sheet
+        # s. Summed over s, R_{i,s} gives S_i - S_{i+1}: the over-arc terms
+        # are sheet shifts of one another and telescope, and so do the
+        # right-hand sides. So R_{i,q-1} = S_i - S_{i+1} - sum_{s<q-1}
+        # R_{i,s} in integers, and the rows R_{i,q-1} for i < n - 1 are
+        # dropped: they change neither the rational nor the integral
+        # solutions, so neither F, the chains nor the multiples. (Dropping
+        # sum rows instead steers the unit phase to larger tails.)
+        q = cover.q
+        n = width // q
+        implied = range(n + q - 1, n + (n - 1) * q, q)
+        rows = [row for k, row in enumerate(rows) if k not in implied]
+        rhss = [
+            [v for k, v in enumerate(_system_rhs(cover, ci, cover.components_of[ci][0])) if k not in implied]
+            for ci in curves
+        ]
+        tail, _, retired, cols, _, pivots = factors = _rref_factor(rows, rhss, width, q - 1)
         _log_debug(
             "cover system %d x %d: %d unit steps, tail %d x %d, rank %d, nullity %d",
             len(rows), width, len(retired), len(tail), len(cols), len(pivots), len(cols) - len(pivots),
@@ -255,12 +274,37 @@ def minimal_bounding_multiple(cover: CoverStructure, curve: int | str, coset) ->
 
     None when the curve does not even bound rationally. The deck shift permutes
     the system, so d is the same on every coset of the curve and solved once.
+
+    On a rational homology sphere it is the lcm of the denominators of the
+    curve's first solution x_0. Let t_i be the sheet shift at the start of
+    branch arc i and, for s = 1..q-1, g_s the integral vector that is +1 at
+    arc i on 0-based sheet (s - t_i) mod q and -1 on sheet -t_i mod q, for
+    every arc i. Each g_s is in the kernel: it sums to 0 on every arc, and
+    across an underpass the over-arc terms cancel the step of t. The g_s
+    are independent, so when the free columns F are the last q - 1 (the
+    nullity is q - 1), they span the kernel. F lies on the last arc, where
+    the g_s restrict to a sheet permutation of e_s - e_0, whose restriction
+    to F is unimodular. If A y = d b, then y - d x_0 is a rational
+    combination of the g_s that equals y on F, where x_0 is zero; for an
+    integral y the combination is integral too, and so is d x_0. So the
+    least d makes d x_0 integral. Other covers take the Hermite reduction
+    (rational_linalg._multiple).
     """
     ci, _ = _lift(cover, curve, coset)
     orders = cover._memo.setdefault("orders", {})
     if ci not in orders:
-        factors, curves, _ = _factorization(cover)
-        orders[ci] = _multiple(factors, curves.index(ci))
+        factors, curves, width = _factorization(cover)
+        _, _, _, cols, _, pivots = factors
+        if [cols[g] for g in _free(cols, pivots)] == list(range(width - cover.q + 1, width)):
+            rows = _first_solutions(cover)[ci]
+            d = None if rows is None else lcm(*(v.denominator for row in rows for v in row))
+            _log_debug(
+                "minimal multiple: lcm of the chain's denominators, %s",
+                "no chain" if d is None else f"{d.bit_length()} bits",
+            )
+        else:
+            d = _multiple(factors, curves.index(ci))
+        orders[ci] = d
     return orders[ci]
 
 

@@ -139,17 +139,22 @@ def linking_matrix(cover: CoverStructure, curve_a: int | str, curve_b: int | str
     Rows follow the lift cosets of curve_a, columns those of curve_b.
     Self-pairings (same curve, same coset) and lifts that fail to bound
     rationally produce UndefinedEntry values rather than errors.
+
+    The deck shift preserves linking numbers and carries coset i of each
+    curve to coset i + 1, so entry (i, j) is entry (0, (j - i) mod g_b) for
+    g_b cosets of curve_b: only row 0 is summed. Self-pairings and
+    undefined entries follow the same orbits.
     """
     ai, _ = _lift(cover, curve_a, 1)  # sheet 1 lies in the first coset
     bi, _ = _lift(cover, curve_b, 1)
     cosets_a = cover.components_of[ai]
     cosets_b = cover.components_of[bi]
+    first = [_entry(cover, ai, cosets_a[0], bi, gb) for gb in cosets_b]
+    g = len(cosets_b)
     return LinkingReport(
         curve_a=ai,
         curve_b=bi,
         cosets_a=cosets_a,
         cosets_b=cosets_b,
-        entries=tuple(
-            tuple(_entry(cover, ai, ga, bi, gb) for gb in cosets_b) for ga in cosets_a
-        ),
+        entries=tuple(tuple(first[(j - i) % g] for j in range(g)) for i in range(len(cosets_a))),
     )

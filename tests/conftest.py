@@ -8,6 +8,7 @@ meridian counts, mirror behaviour) rather than against its own output.
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -15,8 +16,8 @@ import sympy
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_decomp
 from sympy.polys.matrices import DomainMatrix
 
-from builders import Builder, ClosedBraid, closed_braid_diagram
-from cyclink import LinkDiagram
+from builders import Builder, ClosedBraid, closed_braid_diagram, random_diagram
+from cyclink import LinkDiagram, build_cover, normalize_writhe
 from cyclink.fixtures import Fixture, corpus_names, load_fixture
 from cyclink.rational_linalg import _eliminate_units, _sparse_rows
 
@@ -93,6 +94,13 @@ SWEEP = (
 CORPUS_AND_SWEEP = [
     (name, q) for name in corpus_names() for q in fixture(name).writhe_zero_mod
 ] + SWEEP
+
+
+def battery_covers(q: int, seeds=range(300)):
+    """Fresh degree-q covers of the random_diagram battery, one per seed,
+    each diagram first brought to a writhe q divides."""
+    for seed in seeds:
+        yield seed, build_cover(normalize_writhe(random_diagram(random.Random(seed)), q), q)
 
 
 def hopf_diagram(sign: int = 1) -> LinkDiagram:

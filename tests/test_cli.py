@@ -331,6 +331,32 @@ def test_readme_session_text_is_exact(capsys, command):
     assert run(capsys, command, path, *options) == (0, expected, "")
 
 
+STEVEDORE_Q3_MATRIX_JSON = (
+    '{"a": 0, "b": 0, "cosets_a": [[1], [2], [3]], "cosets_b": [[1], [2], [3]], "entries": '
+    '[[{"undefined": "self-pairing"}, "1/7", "1/7"], ["1/7", {"undefined": "self-pairing"}, "1/7"], '
+    '["1/7", "1/7", {"undefined": "self-pairing"}]]}'
+)
+
+
+@pytest.mark.parametrize(
+    "command, options, expected",
+    [
+        ("matrix", ("--a", "eta", "--b", "eta"), STEVEDORE_Q3_MATRIX_JSON),
+        (
+            "obstruct",
+            (),
+            '{"q": 3, "winding": 0, "order": 7, "hypotheses": {"prime_power_degree": true, '
+            '"degree_divides_winding": true, "integral_lifts": false, "odd_order_or_winding_multiple": true}, '
+            '"sign_profile": "all-nonneg-not-zero", "verdict": "obstructed", "matrix": '
+            + STEVEDORE_Q3_MATRIX_JSON + "}",
+        ),
+    ],
+)
+def test_readme_session_json_is_exact(capsys, command, options, expected):
+    path = str(fixture_diagram_path("stevedore_w0"))
+    assert run(capsys, command, path, "-q", "3", *options, "--json") == (0, expected + "\n", "")
+
+
 def test_validate_text_prints_one_violation_per_line(capsys, tmp_path):
     path = tmp_path / "two_bad_arcs.json"
     data = json.loads(fixture_diagram_path("cable_n3_k0").read_text())

@@ -8,22 +8,28 @@ from fractions import Fraction
 
 import pytest
 
-from builders import random_diagram
+from builders import ClosedBraid, random_diagram
 from conftest import (
     CORPUS_AND_SWEEP,
+    battery_covers,
     clasped_wire_diagram,
     fixture,
     hopf_diagram,
     sympy_hermite_multiple,
     sympy_minimal_multiple,
+    sympy_minimal_multiples,
     wire_with_meridian,
 )
+from cyclink import homology
+from cyclink.homology import _factorization, _first_solutions, _system_matrix, _system_rhs
+from cyclink.rational_linalg import _multiple, _rational, _rref_factor
 from cyclink import (
     TwoChain,
     assemble_system,
     bounding_chain,
     bounding_chains,
     build_cover,
+    evaluate_obstruction,
     lift_components,
     minimal_bounding_multiple,
     minimal_scalar_integer_solution,
@@ -38,7 +44,9 @@ from property_checks import (
     check_against_per_lift_solve,
     check_chains,
     chains_of,
+    curve_indices,
     fraction_boundary,
+    independent_walks,
     per_lift_chain,
     perturbed,
 )
@@ -523,6 +531,188 @@ def test_cover_factorization_logs_once_at_debug_only(caplog):
     with caplog.at_level(logging.DEBUG, logger="cyclink"):
         ask(cover_for("stevedore_w0", 3))
     assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
-        ("cyclink", logging.DEBUG, "cover system 40 x 30: 26 unit steps, tail 14 x 4, rank 2, nullity 2"),
-        ("cyclink", logging.DEBUG, "minimal multiple: 26 unit steps, tail 14 x 4, 2 rows independent, minor 6 bits"),
+        ("cyclink", logging.DEBUG, "cover system 31 x 30: 26 unit steps, tail 5 x 4, rank 2, nullity 2"),
+        ("cyclink", logging.DEBUG, "minimal multiple: lcm of the chain's denominators, 3 bits"),
     ]
+
+
+# The cover factorization drops the underpass rows that the sum rows imply,
+# and on a rational homology sphere reads the multiple off the chain. The
+# oracles below check each step on every corpus and sweep cover and on the
+# random_diagram battery (seeds 0-299, q = 2..6).
+
+
+def gauge_vectors(cover):
+    """g_s for s = 1..q-1 as flat columns i*q + sheet: +1 at arc i on 0-based
+    sheet (s - t_i) mod q and -1 on sheet -t_i mod q, t_i the sheet shift of
+    the branch's walk at the start of arc i."""
+    q, branch = cover.q, cover.diagram.branch
+    walk = independent_walks(cover.diagram)[branch]
+    n = cover.diagram.components[branch].arc_count
+    out = []
+    for s in range(1, q):
+        g = [0] * (n * q)
+        for i in range(n):
+            g[i * q + (s - walk[i]) % q] += 1
+            g[i * q + -walk[i] % q] -= 1
+        out.append(g)
+    return out
+
+
+def check_sum_row_differences_are_underpass_sums(cover):
+    # S_i - S_{i+1} = sum over s of R_{i,s}, rows and right-hand sides, on
+    # the dense system of every lift.
+    q = cover.q
+    for ci in curve_indices(cover.diagram):
+        for coset in cover.components_of[ci]:
+            A, b, _ = assemble_system(cover, ci, coset)
+            width = len(A[0])
+            n = width // q
+            for i in range(n):
+                block = range(n + i * q, min(len(A), n + (i + 1) * q))  # empty without underpasses
+                nxt = (i + 1) % n
+                underpass_sum = [sum(col) for col in zip([0] * width, *(A[k] for k in block))]
+                assert [u - v for u, v in zip(A[i], A[nxt])] == underpass_sum
+                assert b[i] - b[nxt] == sum(b[k] for k in block) == 0
+
+
+def check_the_full_system_gives_the_same_answers(cover):
+    # Factoring every row, the implied ones too, gives the same chains and
+    # multiples as the cover's factorization, which drops n - 1 of them.
+    curves = curve_indices(cover.diagram)
+    rows, width = _system_matrix(cover)
+    rhss = [_system_rhs(cover, ci, cover.components_of[ci][0]) for ci in curves]
+    full = _rref_factor(rows, rhss, width, cover.q - 1)
+    dropped = _factorization(cover)[0]
+    assert len(dropped[0]) + len(dropped[2]) == len(rows) - (width // cover.q - 1)
+    solutions = _first_solutions(cover)
+    for t, (ci, x) in enumerate(zip(curves, _rational(full, width)[0])):
+        assert (solutions[ci] and [v for row in solutions[ci] for v in row]) == x
+        assert minimal_bounding_multiple(cover, ci, 1) == _multiple(full, t)
+
+
+def check_gauge_vectors(cover):
+    # Every g_s is in the kernel, and adds to every chain without changing
+    # its boundary. When the nullity is q - 1, the g_s span the kernel and
+    # the reduced-row-echelon null basis is integral.
+    q = cover.q
+    rows, width = _system_matrix(cover)
+    gauges = gauge_vectors(cover)
+    for g in gauges:
+        assert all(sum(v * g[col] for col, v in row.items()) == 0 for row in rows)
+    for ci in curve_indices(cover.diagram):
+        for coset, chain in bounding_chains(cover, ci).items():
+            if chain is None:
+                continue
+            for g in gauges:
+                x = [[v + g[i * q + s] for s, v in enumerate(row)] for i, row in enumerate(chain.x)]
+                assert verify_boundary(cover, TwoChain(ci, coset, x))
+    factors, _, _ = _factorization(cover)
+    basis = _rational(factors, width, True)[1]
+    if len(basis) == q - 1:
+        assert all(v.denominator == 1 for z in basis for v in z)
+
+
+def hermite_calls(monkeypatch):
+    """The curve indices homology passes to _multiple from now on."""
+    calls = []
+    monkeypatch.setattr(homology, "_multiple", lambda factors, t: calls.append(t) or _multiple(factors, t))
+    return calls
+
+
+def check_the_rule_against_hermite(cover, monkeypatch):
+    # The rule takes every curve of a cover with nullity q - 1, and equals
+    # the Hermite reduction on the same factorization; other covers call it.
+    cover = build_cover(cover.diagram, cover.q)  # nothing memoized yet
+    calls = hermite_calls(monkeypatch)
+    factors, curves, _ = _factorization(cover)
+    qhs = len(factors[3]) - len(factors[5]) == cover.q - 1
+    for t, ci in enumerate(curves):
+        assert minimal_bounding_multiple(cover, ci, 1) == _multiple(factors, t)
+    assert calls == ([] if qhs else list(range(len(curves))))
+    return qhs
+
+
+@pytest.mark.parametrize("name, q", CORPUS_AND_SWEEP)
+def test_implied_rows_and_the_chain_multiple_on_the_corpus(name, q, monkeypatch):
+    cover = build_cover(fixture(name).diagram, q)
+    check_sum_row_differences_are_underpass_sums(cover)
+    check_the_full_system_gives_the_same_answers(cover)
+    check_gauge_vectors(cover)
+    assert check_the_rule_against_hermite(cover, monkeypatch)
+
+
+@pytest.mark.parametrize("q", range(2, 7))
+def test_implied_rows_and_the_chain_multiple_on_the_battery(q, monkeypatch):
+    hermite = []
+    for seed, cover in battery_covers(q):
+        check_sum_row_differences_are_underpass_sums(cover)
+        check_the_full_system_gives_the_same_answers(cover)
+        check_gauge_vectors(cover)
+        if not check_the_rule_against_hermite(cover, monkeypatch):
+            hermite.append(seed)
+    # Only four battery covers, all at q = 6, have nullity above q - 1.
+    assert len(hermite) == (4 if q == 6 else 0), hermite
+
+
+def sympy_check_multiples(cover):
+    curves = curve_indices(cover.diagram)
+    systems = [assemble_system(cover, ci, cover.components_of[ci][0]) for ci in curves]
+    if systems:
+        want = sympy_minimal_multiples(systems[0][0], [b for _, b, _ in systems])
+        assert [minimal_bounding_multiple(cover, ci, 1) for ci in curves] == want
+
+
+def system_rows(name, q):
+    diagram = fixture(name).diagram
+    return diagram.components[diagram.branch].arc_count * (q + 1)
+
+
+@pytest.mark.parametrize("name, q", [(name, q) for name, q in CORPUS_AND_SWEEP if system_rows(name, q) <= 64])
+def test_the_chain_multiple_against_sympy_smith_form_on_the_corpus(name, q):
+    # Systems up to 64 rows; sympy's Smith form takes seconds above that.
+    sympy_check_multiples(build_cover(fixture(name).diagram, q))
+
+
+@pytest.mark.parametrize("q", range(2, 7))
+def test_the_chain_multiple_against_sympy_smith_form_on_the_battery(q):
+    # A fifth of the battery: the Smith form of all 300 seeds takes about
+    # 15 s; the Hermite comparison above covers every seed.
+    for _, cover in battery_covers(q, range(60)):
+        sympy_check_multiples(cover)
+
+
+def trefoil_with_meridian():
+    cb = ClosedBraid(2)
+    eta = cb.meridian(0, 1)
+    for _ in range(3):
+        cb.step(0, 1)
+    k = cb.close()
+    return cb.builder.to_diagram(branch=k, names={k: "K", eta: "eta"})
+
+
+@pytest.mark.parametrize("make, multiple", [(trefoil_with_meridian, 1), (clasped_wire_diagram, None)])
+@pytest.mark.parametrize("q", [6, 12])
+def test_trefoil_branch_covers_take_the_hermite_route(make, multiple, q, monkeypatch):
+    # The trefoil's Alexander polynomial is the sixth cyclotomic one, so from
+    # q = 6 on the cover is no rational homology sphere (nullity q + 1).
+    calls = hermite_calls(monkeypatch)
+    cover = build_cover(normalize_writhe(make(), q), q)
+    assert minimal_bounding_multiple(cover, "eta", 1) == multiple
+    assert calls == [0]
+    A, b, _ = assemble_system(cover, "eta", 1)
+    assert minimal_scalar_integer_solution(A, b) == multiple
+
+
+@pytest.mark.parametrize("name, q", [("twobridge_m2", 48), ("stevedore_w0", 256)])
+def test_large_covers_read_the_multiple_off_the_chain(name, q, monkeypatch):
+    # The Hermite reduction would take about as long as the factorization
+    # at twobridge_m2 q=48, and 18 s at q=200.
+    calls = hermite_calls(monkeypatch)
+    order = evaluate_obstruction(fixture(name).diagram, q).order
+    assert calls == []
+    cover = build_cover(fixture(name).diagram, q)
+    factors, curves, _ = _factorization(cover)
+    assert order == _multiple(factors, curves.index(cover.diagram.component_index("eta")))
+    if name == "stevedore_w0":
+        assert order == 3 * (2**q - 1)  # the closed form at even q

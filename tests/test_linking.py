@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import clasped_wire_diagram, fixture, hopf_pair_beside_unknot
+from conftest import CORPUS_AND_SWEEP, battery_covers, clasped_wire_diagram, fixture, hopf_pair_beside_unknot
 from cyclink import (
     UndefinedEntry,
     bounding_chain,
@@ -23,8 +23,8 @@ from cyclink import (
 )
 from cyclink.fixtures import corpus_names
 from cyclink.homology import _first_solutions
-from cyclink.linking import NOT_NULL_HOMOLOGOUS, SELF_PAIRING, _linking_sum
-from property_checks import fraction_linking_sum
+from cyclink.linking import NOT_NULL_HOMOLOGOUS, SELF_PAIRING, _entry, _linking_sum
+from property_checks import curve_indices, fraction_linking_sum
 
 
 def cover_for(name, q):
@@ -213,3 +213,29 @@ def test_linking_sum_equals_the_fraction_by_fraction_sum_on_the_corpus():
                         first = _first_solutions(cover)[ci]
                         assert _linking_sum(cover, first, s, ci, gb, ci, ga) == expected, (name, q, gb, ga)
     assert pairs > 300, pairs
+
+
+def check_circulant_matrices(cover):
+    """linking_matrix, which sums row 0 only, equals the entry-by-entry table
+    for every ordered pair of curves; returns how many pairs have g_a != g_b."""
+    curves = curve_indices(cover.diagram)
+    unequal = 0
+    for a in curves:
+        for b in curves:
+            cosets_a, cosets_b = cover.components_of[a], cover.components_of[b]
+            table = tuple(tuple(_entry(cover, a, ga, b, gb) for gb in cosets_b) for ga in cosets_a)
+            assert linking_matrix(cover, a, b).entries == table, (a, b)
+            unequal += len(cosets_a) != len(cosets_b)
+    return unequal
+
+
+@pytest.mark.parametrize("name, q", CORPUS_AND_SWEEP)
+def test_circulant_matrix_equals_every_entry_on_the_corpus(name, q):
+    check_circulant_matrices(build_cover(fixture(name).diagram, q))
+
+
+@pytest.mark.parametrize("q", range(2, 7))
+def test_circulant_matrix_equals_every_entry_on_the_battery(q):
+    # Curves with different numbers of lifts give rectangular matrices whose
+    # orbits meet row 0 in gcd(g_a, g_b) ways; the battery holds hundreds.
+    assert sum(check_circulant_matrices(cover) for _, cover in battery_covers(q)) > 200
