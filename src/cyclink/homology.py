@@ -14,9 +14,13 @@ s + 1. The matrix depends only on the cover, and the deck shift of the
 sheets permutes it while carrying each lift of a curve to the next, coset
 0 to coset s in s shifts. So the cover system is factored once, with one
 lift per deck orbit riding along, the first coset of each curve, and
-without the underpass rows its sum rows imply. Its chains are
-back-substituted from that factorization, and every other chain is a
-shift of one of these. On a rational homology sphere a curve's integral
+without the underpass rows its sum rows imply. Before that, the branch
+arcs joined by underpasses of other components are merged: across such an
+underpass the wall coefficients step by a constant on every sheet, so what
+is factored is the branch knot's own system in sheet coordinates, and the
+other components only add integer constants to its right-hand sides. Its
+chains are back-substituted from that factorization, and every other chain
+is a shift of one of these. On a rational homology sphere a curve's integral
 multiple is the lcm of its chain's denominators; on other covers it reads
 the factorization's pivot rows and last pivot, with no second
 elimination. The `cyclink` logger reports each factorization and each
@@ -31,7 +35,8 @@ from math import lcm
 
 from .cover import CoverStructure, _lift
 from .diagram import _integer, _Record
-from .rational_linalg import _free, _log_debug, _multiple, _rational, _rref_factor, format_rational, parse_rational
+from .rational_linalg import _consistent, _fractions, _free, _log_debug, _multiple, _rref_factor, _scaled_solution
+from .rational_linalg import format_rational, parse_rational
 
 # assemble_system hands the system out dense, so above this many entries
 # it is refused before the dense matrix is built (the corpus systems reach
@@ -101,6 +106,16 @@ def _chain_lift(cover: CoverStructure, chain: TwoChain) -> tuple[int, tuple[int,
     return _lift(cover, chain.curve, chain.coset)
 
 
+def _refuse_rows(n: int, q: int) -> None:
+    """ValueError if the full system of n branch arcs, n(q + 1) rows, is
+    above MAX_SYSTEM_ROWS; checked before any row is built."""
+    if n + n * q > MAX_SYSTEM_ROWS:
+        raise ValueError(
+            f"the cover system would be {n + n * q} x {n * q}, above the "
+            f"limit of {MAX_SYSTEM_ROWS} rows"
+        )
+
+
 def _system_matrix(cover: CoverStructure):
     """The coefficient matrix of assemble_system as {col: int} rows, with its width.
 
@@ -112,12 +127,7 @@ def _system_matrix(cover: CoverStructure):
     q = cover.q
     comp = diagram.components[branch]
     n = comp.arc_count
-    height, width = n + n * q, n * q
-    if height > MAX_SYSTEM_ROWS:
-        raise ValueError(
-            f"the cover system would be {height} x {width}, above the "
-            f"limit of {MAX_SYSTEM_ROWS} rows"
-        )
+    _refuse_rows(n, q)
 
     # Vertical walls are built from sheet-gap cells, so the per-arc
     # coefficients must sum to zero.
@@ -138,7 +148,7 @@ def _system_matrix(cover: CoverStructure):
             # Curve walls have fixed coefficients; _system_rhs carries them.
             rows.append({col: v for col, v in row.items() if v})
 
-    return rows, width
+    return rows, n * q
 
 
 def _system_rhs(cover: CoverStructure, ci: int, group: tuple[int, ...]) -> list[int]:
@@ -183,39 +193,111 @@ def assemble_system(cover: CoverStructure, curve: int | str, coset):
     return dense, _system_rhs(cover, ci, group), columns
 
 
+def _merged_system(cover: CoverStructure, curves: list[int]):
+    """The cover system with the branch's runs merged, less the rows its
+    sum rows imply, as {col: int} rows; each curve's first-coset right-hand
+    side on them; the merged width; the merge map (block, consts).
+
+    Across an underpass i < n - 1 of the branch under another component,
+    the rows R_{i,s} read x_{i,s} - x_{i+1,s} = b_{i,s} on every sheet, so
+    x_{i,s} = x_{i+1,s} + b_{i,s} is substituted for all q sheets. Arc i
+    then joins a run represented by its highest arc; block[i] is the run's
+    column block, and consts[t][i] holds x_i - x_rep(i) per sheet for curve
+    t, c_{i,s} = c_{i+1,s} + b_{i,s}, in integers (None where it is 0). The
+    constants move to the right-hand sides of the rows that stay. Underpass
+    n - 1 never merges, so runs do not wrap and arc n - 1, which holds the
+    kept gauge columns, stays; a branch with no self-crossings keeps its
+    closing condition, sum_i b_{i,s} = 0, as rows with no entries. A merged
+    arc's sum row is its representative's, as sum_s c_{i,s} = 0
+    telescopes, and is dropped.
+    """
+    q = cover.q
+    branch = cover.diagram.branch
+    ups = cover.diagram.components[branch].underpasses
+    n = max(1, len(ups))
+    joins = [i < n - 1 and up.over.component != branch for i, up in enumerate(ups)] or [False]
+    block, m = [], 0
+    for join in joins:
+        block.append(m)
+        m += not join
+    underpass_rhs, consts = [], []
+    for ci in curves:
+        full = _system_rhs(cover, ci, cover.components_of[ci][0])
+        b = [full[k:k + q] for k in range(n, len(full), q)]
+        c = [None] * n
+        for i in range(n - 2, -1, -1):
+            if joins[i]:
+                run = [u + v for u, v in zip(b[i], c[i + 1] or [0] * q)]
+                c[i] = run if any(run) else None
+        underpass_rhs.append(b)
+        consts.append(c)
+
+    rows = [{k * q + s: 1 for s in range(q)} for k in range(m)]
+    rhss = [[0] * m for _ in curves]
+    # Let S_i be arc i's sum row and R_{i,s} its underpass row on sheet s.
+    # Summed over s, R_{i,s} gives S_i - S_{i+1}: the over-arc terms are
+    # sheet shifts of one another and telescope, and so do the right-hand
+    # sides, before the merge and after it, with S_{i+1} read as its
+    # representative's. So R_{i,q-1} = S_i - S_{i+1} - sum_{s<q-1} R_{i,s}
+    # in integers, and it is dropped at every kept underpass but the last:
+    # that changes neither the rational nor the integral solutions, so
+    # neither F, the chains nor the multiples. (Dropping sum rows instead
+    # steers the unit phase to larger tails.)
+    for i, up in enumerate(ups):
+        if joins[i]:
+            continue
+        eps, off = up.sign, cover.sigma[branch][i]
+        here, ahead = block[i] * q, block[(i + 1) % n] * q
+        over = block[up.over.arc] * q if up.over.component == branch else None
+        sheets = range(q if i == n - 1 else q - 1)
+        for s in sheets:
+            row = defaultdict(int)
+            row[here + s] += 1
+            row[ahead + s] -= 1
+            if over is not None:
+                row[over + (s + off) % q] -= eps
+                row[over + (s + 1 + off) % q] += eps
+            rows.append({col: v for col, v in row.items() if v})
+        for b, c, rhs in zip(underpass_rhs, consts, rhss):
+            cn, co = c[(i + 1) % n], None if over is None else c[up.over.arc]
+            for s in sheets:
+                v = b[i][s]
+                if cn:
+                    v += cn[s]
+                if co:
+                    v += eps * (co[(s + off) % q] - co[(s + 1 + off) % q])
+                rhs.append(v)
+    return rows, rhss, m * q, (block, consts)
+
+
 def _factorization(cover: CoverStructure) -> tuple:
-    """The cover system, less n - 1 rows the others imply, factored once
+    """The merged cover system (`_merged_system`) factored once
     (rational_linalg._rref_factor), with each curve's first coset riding
-    along; those curves in order; the width.
+    along; those curves in order; the merged width. The merge map is
+    memoized under "merge".
+
+    The answers are those of the full system. Every substitution is a +-1
+    row pivot, so rational and integral solutions of the two systems
+    correspond one to one, and with c integral the multiple is the same. A
+    kernel vector has v_{i,s} = v_{rep,s} with rep > i, so no merged column
+    is free, and the representatives keep their order: F, and with it the
+    solution that is zero on F, is the same in both systems.
 
     Chains and multiples are both read off this one factorization.
     """
     memo = cover._memo.get("factorization")
     if memo is None:
+        _refuse_rows(cover.diagram.components[cover.diagram.branch].arc_count, cover.q)
         # components_of is None at the branch, which has no lifts to bound.
         curves = [ci for ci, cosets in enumerate(cover.components_of) if cosets]
-        rows, width = _system_matrix(cover)
-        # Let S_i be arc i's sum row and R_{i,s} its underpass row on sheet
-        # s. Summed over s, R_{i,s} gives S_i - S_{i+1}: the over-arc terms
-        # are sheet shifts of one another and telescope, and so do the
-        # right-hand sides. So R_{i,q-1} = S_i - S_{i+1} - sum_{s<q-1}
-        # R_{i,s} in integers, and the rows R_{i,q-1} for i < n - 1 are
-        # dropped: they change neither the rational nor the integral
-        # solutions, so neither F, the chains nor the multiples. (Dropping
-        # sum rows instead steers the unit phase to larger tails.)
-        q = cover.q
-        n = width // q
-        implied = range(n + q - 1, n + (n - 1) * q, q)
-        rows = [row for k, row in enumerate(rows) if k not in implied]
-        rhss = [
-            [v for k, v in enumerate(_system_rhs(cover, ci, cover.components_of[ci][0])) if k not in implied]
-            for ci in curves
-        ]
-        tail, _, retired, cols, _, pivots = factors = _rref_factor(rows, rhss, width, q - 1)
+        rows, rhss, width, merge = _merged_system(cover, curves)
+        tail, _, retired, cols, _, pivots = factors = _rref_factor(rows, rhss, width, cover.q - 1)
         _log_debug(
-            "cover system %d x %d: %d unit steps, tail %d x %d, rank %d, nullity %d",
-            len(rows), width, len(retired), len(tail), len(cols), len(pivots), len(cols) - len(pivots),
+            "cover system %d x %d, %d arcs merged to %d: %d unit steps, tail %d x %d, rank %d, nullity %d",
+            len(rows), width, len(merge[0]), width // cover.q,
+            len(retired), len(tail), len(cols), len(pivots), len(cols) - len(pivots),
         )
+        cover._memo["merge"] = merge
         memo = cover._memo["factorization"] = (factors, curves, width)
     return memo
 
@@ -223,19 +305,30 @@ def _factorization(cover: CoverStructure) -> tuple:
 def _first_solutions(cover: CoverStructure) -> dict:
     """Each curve's first-coset solution, keyed by curve, or None if it has none.
 
-    Solved from the cover's factorization on the first call. Row i, entry
-    j-1 is the coefficient of the lift of branch arc i to sheet j; the
-    coset that starts at sheet 1+s is bounded by x_s[i][j] = x_0[i][(j - s) mod q].
+    Solved from the cover's factorization on the first call, and expanded
+    from the merged arcs: x_{i,s} = x_{rep,s} + c_{i,s}, in integers over
+    the last Bareiss pivot D, and an arc with c = 0 shares its
+    representative's row. Row i, entry j-1 is the coefficient of the lift
+    of branch arc i to sheet j; the coset that starts at sheet 1+s is
+    bounded by x_s[i][j] = x_0[i][(j - s) mod q].
     """
     solutions = cover._memo.get("solutions")
     if solutions is None:
         q = cover.q
-        factors, curves, n = _factorization(cover)
-        # Column i*q + (j-1) holds the lift of branch arc i to sheet j.
-        solutions = cover._memo["solutions"] = {
-            ci: None if x is None else [x[k:k + q] for k in range(0, n, q)]
-            for ci, x in zip(curves, _rational(factors, n)[0])
-        }
+        factors, curves, width = _factorization(cover)
+        block, consts = cover._memo["merge"]
+        solutions = {}
+        for t, (ci, c) in enumerate(zip(curves, consts)):
+            if not _consistent(factors, t):
+                solutions[ci] = None
+                continue
+            x, D = _scaled_solution(factors, width, t)
+            runs = [_fractions(x[k:k + q], D) for k in range(0, width, q)]
+            solutions[ci] = [
+                runs[k] if ck is None else _fractions([v + D * u for v, u in zip(x[k * q:k * q + q], ck)], D)
+                for k, ck in zip(block, c)
+            ]
+        cover._memo["solutions"] = solutions
     return solutions
 
 
@@ -287,8 +380,11 @@ def minimal_bounding_multiple(cover: CoverStructure, curve: int | str, coset) ->
     to F is unimodular. If A y = d b, then y - d x_0 is a rational
     combination of the g_s that equals y on F, where x_0 is zero; for an
     integral y the combination is integral too, and so is d x_0. So the
-    least d makes d x_0 integral. Other covers take the Hermite reduction
-    (rational_linalg._multiple).
+    least d makes d x_0 integral. The argument holds on the merged system
+    that is factored, whose last q - 1 columns are the same F: its
+    solution differs from x_0 on the merged arcs by the integral constants
+    c, so both have the same denominators. Other covers take the Hermite
+    reduction (rational_linalg._multiple).
     """
     ci, _ = _lift(cover, curve, coset)
     orders = cover._memo.setdefault("orders", {})

@@ -197,28 +197,34 @@ def _eliminate_units(rows, rhs, limit=inf):
         row_r = rows[r]
         if row_r is None or len(row_r) != length:
             continue
-        units = [j for j, v in row_r.items() if (v == 1 or v == -1) and j < limit]
-        if not units:
+        col = None
+        for j, v in row_r.items():
+            if (v == 1 or v == -1) and j < limit:
+                k = len(where[j])
+                if col is None or k < fewest or k == fewest and j < col:
+                    col, fewest = j, k
+        if col is None:
             continue  # queued again if a later pivot changes the row
-        col = min(units, key=lambda j: (len(where[j]), j))
         rows[r] = None
         for j in row_r:
             where[j].remove(r)
         u = row_r.pop(col)
+        items = list(row_r.items())
         b_r = [b[r] for b in rhs]
         for i in where.pop(col):
             row_i = rows[i]
             k = row_i.pop(col) * u  # row_i -= k * row_r clears col, as u * u == 1
-            for j, v in row_r.items():
+            for j, v in items:
+                v *= k
                 old = row_i.get(j)
                 if old is None:
-                    row_i[j] = -k * v
+                    row_i[j] = -v
                     where[j].add(i)
-                elif old == k * v:
+                elif old == v:
                     del row_i[j]
                     where[j].remove(i)
                 else:
-                    row_i[j] = old - k * v
+                    row_i[j] = old - v
             for b, v in zip(rhs, b_r):
                 b[i] -= k * v
             heappush(queue, (len(row_i), i))
@@ -283,38 +289,42 @@ def _consistent(factors, t: int) -> bool:
     return not any(row[len(cols) + t] for row in echelon[len(pivots):])
 
 
-def _rational(factors, n: int, with_basis: bool = False):
-    """The solution of each b that is zero on F, or None where b is not
-    `_consistent`, and the basis.
+def _scaled_solution(factors, n: int, t, g=None):
+    """D and D times the solution for b_t (None: zero) that is 1 at tail
+    column g (None: at none) and 0 on the rest of G, in integers, for D
+    the last Bareiss pivot.
 
     The factors come from `_rref_factor`, so the tail's free columns G are
-    F. solve(t, g) is the solution for b_t (None: zero) that is 1 at tail
-    column g (None: at none) and 0 on the rest of G. It is found in
-    integers, D times the answer for D the last Bareiss pivot, by
-    back-substitution through the tail, then through the retired rows,
-    last first.
+    F. It is back-substituted through the tail, then through the retired
+    rows, last first.
     """
-    _, rhs, retired, cols, echelon, pivots = factors
+    _, _, retired, cols, echelon, pivots = factors
     w = len(cols)
     D = echelon[pivots[-1][0]][pivots[-1][1]] if pivots else 1
+    y = [0] * w
+    if g is not None:
+        y[g] = D
+    _back_substitute(echelon, pivots, w, y, D, None if t is None else w + t)
+    x = [0] * n
+    for j, v in zip(cols, y):
+        x[j] = v
+    for col, u, rest, b in reversed(retired):
+        acc = 0 if t is None else D * b[t]
+        for j, v in rest.items():
+            acc -= v * x[j]
+        x[col] = u * acc
+    return x, D
 
-    def solve(t, g):
-        y = [0] * w
-        if g is not None:
-            y[g] = D
-        _back_substitute(echelon, pivots, w, y, D, None if t is None else w + t)
-        x = [0] * n
-        for j, v in zip(cols, y):
-            x[j] = v
-        for col, u, rest, b in reversed(retired):
-            acc = 0 if t is None else D * b[t]
-            for j, v in rest.items():
-                acc -= v * x[j]
-            x[col] = u * acc
-        return _fractions(x, D)
 
-    sols = [solve(t, None) if _consistent(factors, t) else None for t in range(len(rhs))]
-    return sols, [solve(None, g) for g in _free(cols, pivots)] if with_basis else []
+def _rational(factors, n: int, with_basis: bool = False):
+    """The solution of each b that is zero on F, or None where b is not
+    `_consistent`, and the basis (`_scaled_solution`)."""
+
+    def solve(t, g=None):
+        return _fractions(*_scaled_solution(factors, n, t, g))
+
+    sols = [solve(t) if _consistent(factors, t) else None for t in range(len(factors[1]))]
+    return sols, [solve(None, g) for g in _free(factors[3], factors[5])] if with_basis else []
 
 
 def _multiple(factors, t: int) -> int | None:

@@ -61,10 +61,13 @@ def sympy_hermite_multiple(rows, rhs):
     rank r, and d is the order of c' modulo the column lattice L of T':
     the index of L in Z^r over the index of L + Z c', each the product of
     a Hermite diagonal. sympy reduces modulo D, the determinant of r
-    independent columns of T', which is a multiple of both indices.
+    independent columns of T', which is a multiple of both indices. A tail
+    of rank 0 has no entries: d is 1 when c vanishes on it, None otherwise.
     """
     T, c, _ = _eliminate_units(*_sparse_rows(rows, [rhs]))
     c = c[0]
+    if not any(T):
+        return None if any(c) else 1
     cols = sorted(set().union(*T))
     T = sympy.Matrix([[row.get(j, 0) for j in cols] for row in T])
     Tc = T.row_join(sympy.Matrix(c))

@@ -1,5 +1,6 @@
 """Command line interface: subcommands, exit codes, output formats."""
 
+import hashlib
 import json
 import os
 import resource
@@ -355,6 +356,33 @@ STEVEDORE_Q3_MATRIX_JSON = (
 def test_readme_session_json_is_exact(capsys, command, options, expected):
     path = str(fixture_diagram_path("stevedore_w0"))
     assert run(capsys, command, path, "-q", "3", *options, "--json") == (0, expected + "\n", "")
+
+
+# The covers whose factorization merges the most branch arcs (stevedore_w20
+# q=5 from 30 arcs to 8, cable_n7_k6 q=7 from 26 to 19): the sha256 and
+# length of each --json output, taken before the merge.
+MERGED_COVER_JSON = [
+    ("stevedore_w20", "chain", ("-q", "5", "--curve", "eta", "--coset", "1"), 1333,
+     "0a0401e56c6b69e1391f923d79ee78041f6694957ba077fb1724a3584fb3943c"),
+    ("stevedore_w20", "matrix", ("-q", "5", "--a", "eta", "--b", "eta"), 493,
+     "3a2dd4644554561aead4a7daa1a478240c04e033079a2652389ddd9f731ca89a"),
+    ("stevedore_w20", "obstruct", ("-q", "5"), 745,
+     "4ab25d9de7d2eba8361b99b36c90cf791f0e20e24ec1f020c80cdccb8ebece62"),
+    ("cable_n7_k6", "chain", ("-q", "7", "--curve", "eta", "--coset", "1"), 1029,
+     "4fcb7a23d9c2b82625f788c32da9539d36ec45f040ed7a727b725b9897893bb6"),
+    ("cable_n7_k6", "matrix", ("-q", "7", "--a", "eta", "--b", "eta"), 611,
+     "03f081f3f93f5c155cc67b4fb6a09f3d625ac0a7e80469f1ff571a8e1d3e516b"),
+    ("cable_n7_k6", "obstruct", ("-q", "7"), 860,
+     "a4efe79e50913621c5dd03838e342f75ce144121d5d20b958ccd3086d022c328"),
+]
+
+
+@pytest.mark.parametrize("name, command, options, size, digest", MERGED_COVER_JSON)
+def test_json_bytes_on_the_most_merged_covers(capsys, name, command, options, size, digest):
+    code, out, err = run(capsys, command, str(fixture_diagram_path(name)), *options, "--json")
+    assert (code, err) == (0, "")
+    data = out.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 
 def test_validate_text_prints_one_violation_per_line(capsys, tmp_path):

@@ -15,6 +15,7 @@ from conftest import (
     clasped_wire_diagram,
     fixture,
     hopf_diagram,
+    hopf_pair_beside_unknot,
     sympy_hermite_multiple,
     sympy_minimal_multiple,
     sympy_minimal_multiples,
@@ -22,7 +23,7 @@ from conftest import (
 )
 from cyclink import homology
 from cyclink.homology import _factorization, _first_solutions, _system_matrix, _system_rhs
-from cyclink.rational_linalg import _multiple, _rational, _rref_factor
+from cyclink.rational_linalg import _eliminate_units, _multiple, _rational, _rref_factor, _sparse_rows
 from cyclink import (
     TwoChain,
     assemble_system,
@@ -344,6 +345,22 @@ def test_large_degree_multiple_against_sympy_hermite_form(name, q, multiple):
     assert sympy_hermite_multiple(rows, rhs) == minimal_bounding_multiple(cover, "eta", 1) == multiple
 
 
+@pytest.mark.parametrize("name, q", [(name, q) for name, q in CORPUS_PAIRS if name.startswith("cable")])
+def test_the_hermite_oracle_on_rank_zero_tails(name, q):
+    # Every cable row leaves a tail of rank 0, both after the unit phase on
+    # the full system and in the cover's merged factorization.
+    cover = build_cover(fixture(name).diagram, q)
+    assert _factorization(cover)[0][5] == []
+    for ci in curve_indices(cover.diagram):
+        rows, rhs, _ = assemble_system(cover, ci, cover.components_of[ci][0])
+        tail, _, _ = _eliminate_units(*_sparse_rows(rows, [rhs]))
+        assert tail and not any(tail)
+        assert sympy_hermite_multiple(rows, rhs) == minimal_bounding_multiple(cover, ci, 1)
+    # A rank-0 tail with a nonzero right-hand side: x + y = 1 and 2.
+    assert sympy_hermite_multiple([[1, 1], [1, 1]], [1, 2]) is None
+    assert minimal_scalar_integer_solution([[1, 1], [1, 1]], [1, 2]) is None
+
+
 def test_unbounded_lift_reports_none():
     d = normalize_writhe(clasped_wire_diagram(), 6)
     cover = build_cover(d, 6)
@@ -531,7 +548,11 @@ def test_cover_factorization_logs_once_at_debug_only(caplog):
     with caplog.at_level(logging.DEBUG, logger="cyclink"):
         ask(cover_for("stevedore_w0", 3))
     assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
-        ("cyclink", logging.DEBUG, "cover system 31 x 30: 26 unit steps, tail 5 x 4, rank 2, nullity 2"),
+        (
+            "cyclink",
+            logging.DEBUG,
+            "cover system 25 x 24, 10 arcs merged to 8: 20 unit steps, tail 5 x 4, rank 2, nullity 2",
+        ),
         ("cyclink", logging.DEBUG, "minimal multiple: lcm of the chain's denominators, 3 bits"),
     ]
 
@@ -583,8 +604,9 @@ def check_the_full_system_gives_the_same_answers(cover):
     rows, width = _system_matrix(cover)
     rhss = [_system_rhs(cover, ci, cover.components_of[ci][0]) for ci in curves]
     full = _rref_factor(rows, rhss, width, cover.q - 1)
-    dropped = _factorization(cover)[0]
-    assert len(dropped[0]) + len(dropped[2]) == len(rows) - (width // cover.q - 1)
+    dropped, _, merged = _factorization(cover)
+    n, m = width // cover.q, merged // cover.q
+    assert len(dropped[0]) + len(dropped[2]) == len(rows) - (n - m) * (cover.q + 1) - (m - 1)
     solutions = _first_solutions(cover)
     for t, (ci, x) in enumerate(zip(curves, _rational(full, width)[0])):
         assert (solutions[ci] and [v for row in solutions[ci] for v in row]) == x
@@ -607,10 +629,34 @@ def check_gauge_vectors(cover):
             for g in gauges:
                 x = [[v + g[i * q + s] for s, v in enumerate(row)] for i, row in enumerate(chain.x)]
                 assert verify_boundary(cover, TwoChain(ci, coset, x))
-    factors, _, _ = _factorization(cover)
-    basis = _rational(factors, width, True)[1]
+    factors, _, merged = _factorization(cover)
+    basis = _rational(factors, merged, True)[1]
     if len(basis) == q - 1:
         assert all(v.denominator == 1 for z in basis for v in z)
+
+
+def check_the_merge(cover):
+    # Arc i < n - 1 joins arc i + 1 exactly when the branch passes under
+    # another component there. On every merged arc the constants sum to 0
+    # over the sheets and are x_i - x_rep(i) on the first solution.
+    branch = cover.diagram.branch
+    ups = cover.diagram.components[branch].underpasses
+    _, curves, merged = _factorization(cover)
+    block, consts = cover._memo["merge"]
+    n = len(block)
+    assert [block[i] == block[i + 1] for i in range(n - 1)] == [up.over.component != branch for up in ups[:n - 1]]
+    assert merged == (block[-1] + 1) * cover.q
+    rep = {k: i for i, k in enumerate(block)}  # each run's highest arc
+    solutions = _first_solutions(cover)
+    for ci, c in zip(curves, consts):
+        for i, step in enumerate(c):
+            if step is None:
+                step = [0] * cover.q
+            else:
+                assert rep[block[i]] != i and sum(step) == 0
+            if solutions[ci]:
+                x, y = solutions[ci][i], solutions[ci][rep[block[i]]]
+                assert [u - v for u, v in zip(x, y)] == step
 
 
 def hermite_calls(monkeypatch):
@@ -639,6 +685,7 @@ def test_implied_rows_and_the_chain_multiple_on_the_corpus(name, q, monkeypatch)
     check_sum_row_differences_are_underpass_sums(cover)
     check_the_full_system_gives_the_same_answers(cover)
     check_gauge_vectors(cover)
+    check_the_merge(cover)
     assert check_the_rule_against_hermite(cover, monkeypatch)
 
 
@@ -649,6 +696,7 @@ def test_implied_rows_and_the_chain_multiple_on_the_battery(q, monkeypatch):
         check_sum_row_differences_are_underpass_sums(cover)
         check_the_full_system_gives_the_same_answers(cover)
         check_gauge_vectors(cover)
+        check_the_merge(cover)
         if not check_the_rule_against_hermite(cover, monkeypatch):
             hermite.append(seed)
     # Only four battery covers, all at q = 6, have nullity above q - 1.
@@ -682,13 +730,65 @@ def test_the_chain_multiple_against_sympy_smith_form_on_the_battery(q):
         sympy_check_multiples(cover)
 
 
-def trefoil_with_meridian():
+def trefoil_with_meridian(before=0, span=1):
+    """The trefoil as a closed 2-braid, with eta around `span` strands
+    after `before` of its three crossings."""
     cb = ClosedBraid(2)
-    eta = cb.meridian(0, 1)
-    for _ in range(3):
+    for _ in range(before):
+        cb.step(0, 1)
+    eta = cb.meridian(0, span)
+    for _ in range(3 - before):
         cb.step(0, 1)
     k = cb.close()
     return cb.builder.to_diagram(branch=k, names={k: "K", eta: "eta"})
+
+
+def torus_link_2_4():
+    """T(2, 4): the branch passes under eta twice and never under itself."""
+    cb = ClosedBraid(2)
+    for _ in range(4):
+        cb.step(0, 1)
+    first, second = cb.builder.death(1), cb.builder.death(0)
+    return cb.builder.to_diagram(branch=first, names={first: "K", second: "eta"})
+
+
+def branch_underpasses(diagram):
+    """B where the branch passes under itself, o under another component."""
+    underpasses = diagram.components[diagram.branch].underpasses
+    return "".join("B" if up.over.component == diagram.branch else "o" for up in underpasses)
+
+
+@pytest.mark.parametrize(
+    "make, q, pattern",
+    [
+        # no underpasses: one arc and only its sum row
+        (hopf_pair_beside_unknot, 2, ""),
+        (hopf_pair_beside_unknot, 5, ""),
+        # no self-crossings: one run, which keeps the closing condition
+        # sum_i b_{i,s} = 0 as rows with no entries
+        (hopf_diagram, 3, "o"),
+        (wire_with_meridian, 4, "o"),
+        (torus_link_2_4, 3, "oo"),
+        # the last underpass is under eta, and never merges
+        (lambda: trefoil_with_meridian(3, 2), 3, "BoBBo"),
+        # a run that ends at arc n - 1
+        (lambda: trefoil_with_meridian(2), 3, "BBoB"),
+        (torus_link_2_4, 4, "oo"),
+        # normalize_writhe kinks, which are self-crossings
+        (trefoil_with_meridian, 2, "BoBBB"),
+        (lambda: trefoil_with_meridian(2), 4, "BBoBB"),
+        (clasped_wire_diagram, 6, "oBoBBBBB"),
+    ],
+)
+def test_the_merge_against_the_full_system_on_its_edge_cases(make, q, pattern):
+    cover = build_cover(normalize_writhe(make(), q), q)
+    assert branch_underpasses(cover.diagram) == pattern
+    check_the_merge(cover)
+    check_the_full_system_gives_the_same_answers(cover)
+    check_gauge_vectors(cover)
+    for ci in curve_indices(cover.diagram):
+        for chain in bounding_chains(cover, ci).values():
+            assert chain is None or verify_boundary(cover, chain)
 
 
 @pytest.mark.parametrize("make, multiple", [(trefoil_with_meridian, 1), (clasped_wire_diagram, None)])
