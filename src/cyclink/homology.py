@@ -14,13 +14,16 @@ s + 1. The matrix depends only on the cover, and the deck shift of the
 sheets permutes it while carrying each lift of a curve to the next, coset
 0 to coset s in s shifts. So the cover system is factored once, with one
 lift per deck orbit riding along, the first coset of each curve, and
-without the underpass rows its sum rows imply. Before that, the branch
-arcs joined by underpasses of other components are merged: across such an
-underpass the wall coefficients step by a constant on every sheet, so what
-is factored is the branch knot's own system in sheet coordinates, and the
-other components only add integer constants to its right-hand sides. Its
-chains are back-substituted from that factorization, and every other chain
-is a shift of one of these. On a rational homology sphere a curve's integral
+without the underpass rows its sum rows imply. A chain is defined up to
+the deck-group gauge, which changes no linking number; it is fixed by
+leaving out the branch's last arc, where every chain is 0. Before that,
+the branch arcs joined by underpasses of other components are merged:
+across such an underpass the wall coefficients step by a constant on every
+sheet, so what is factored is the branch knot's own system in sheet
+coordinates, and the other components only add integer constants to its
+right-hand sides. Its chains are back-substituted from that factorization,
+and every other chain is a shift of one of these. On a rational homology
+sphere what is factored has full column rank, and a curve's integral
 multiple is the lcm of its chain's denominators; on other covers it reads
 the factorization's pivot rows and last pivot, with no second
 elimination. The `cyclink` logger reports each factorization and each
@@ -35,7 +38,7 @@ from math import lcm
 
 from .cover import CoverStructure, _lift
 from .diagram import _integer, _Record
-from .rational_linalg import _consistent, _fractions, _free, _log_debug, _multiple, _rref_factor, _scaled_solution
+from .rational_linalg import _consistent, _fractions, _log_debug, _multiple, _rref_factor, _scaled_solution
 from .rational_linalg import format_rational, parse_rational
 
 # assemble_system hands the system out dense, so above this many entries
@@ -46,7 +49,8 @@ MAX_SYSTEM_ENTRIES = 4_000_000
 # The solvers hold the system as sparse rows, n(q + 1) of them for n branch
 # arcs, and factor it with a dense tail that grows with q; above this many
 # rows the system is refused before any row is built. stevedore_w0 at
-# q=2000 (20,010 rows) factors in about 30 s with a 530 MB peak.
+# q=1999 (20,000 rows) factors in about 0.5 s with a 44 MB peak (CPU time,
+# one core of a 2-vCPU host), and its chain and multiple take another 0.9 s.
 MAX_SYSTEM_ROWS = 20_000
 
 
@@ -194,9 +198,10 @@ def assemble_system(cover: CoverStructure, curve: int | str, coset):
 
 
 def _merged_system(cover: CoverStructure, curves: list[int]):
-    """The cover system with the branch's runs merged, less the rows its
-    sum rows imply, as {col: int} rows; each curve's first-coset right-hand
-    side on them; the merged width; the merge map (block, consts).
+    """The cover system with the branch's runs merged and its last arc fixed
+    at 0, less the rows that others imply, as {col: int} rows; each curve's
+    first-coset right-hand side on them; the factored width; the merge map
+    (block, consts).
 
     Across an underpass i < n - 1 of the branch under another component,
     the rows R_{i,s} read x_{i,s} - x_{i+1,s} = b_{i,s} on every sheet, so
@@ -205,11 +210,12 @@ def _merged_system(cover: CoverStructure, curves: list[int]):
     column block, and consts[t][i] holds x_i - x_rep(i) per sheet for curve
     t, c_{i,s} = c_{i+1,s} + b_{i,s}, in integers (None where it is 0). The
     constants move to the right-hand sides of the rows that stay. Underpass
-    n - 1 never merges, so runs do not wrap and arc n - 1, which holds the
-    kept gauge columns, stays; a branch with no self-crossings keeps its
-    closing condition, sum_i b_{i,s} = 0, as rows with no entries. A merged
-    arc's sum row is its representative's, as sum_s c_{i,s} = 0
-    telescopes, and is dropped.
+    n - 1 never merges, so runs do not wrap and arc n - 1 is the last
+    block's representative; that block's columns and sum row are left out
+    (`_factorization`). A branch with no self-crossings keeps its closing
+    condition, sum_i b_{i,s} = 0, as rows with no entries. A merged arc's
+    sum row is its representative's, as sum_s c_{i,s} = 0 telescopes, and
+    is dropped.
     """
     q = cover.q
     branch = cover.diagram.branch
@@ -220,6 +226,7 @@ def _merged_system(cover: CoverStructure, curves: list[int]):
     for join in joins:
         block.append(m)
         m += not join
+    width = (m - 1) * q  # the last block is left out: it is 0
     underpass_rhs, consts = [], []
     for ci in curves:
         full = _system_rhs(cover, ci, cover.components_of[ci][0])
@@ -232,56 +239,78 @@ def _merged_system(cover: CoverStructure, curves: list[int]):
         underpass_rhs.append(b)
         consts.append(c)
 
-    rows = [{k * q + s: 1 for s in range(q)} for k in range(m)]
-    rhss = [[0] * m for _ in curves]
+    rows = [{k * q + s: 1 for s in range(q)} for k in range(m - 1)]
+    rhss = [[0] * (m - 1) for _ in curves]
     # Let S_i be arc i's sum row and R_{i,s} its underpass row on sheet s.
     # Summed over s, R_{i,s} gives S_i - S_{i+1}: the over-arc terms are
     # sheet shifts of one another and telescope, and so do the right-hand
     # sides, before the merge and after it, with S_{i+1} read as its
-    # representative's. So R_{i,q-1} = S_i - S_{i+1} - sum_{s<q-1} R_{i,s}
-    # in integers, and it is dropped at every kept underpass but the last:
-    # that changes neither the rational nor the integral solutions, so
-    # neither F, the chains nor the multiples. (Dropping sum rows instead
-    # steers the unit phase to larger tails.)
+    # representative's (0 = 0 for the last arc). So R_{i,q-1} = S_i -
+    # S_{i+1} - sum_{s<q-1} R_{i,s} in integers, and it is dropped at every
+    # kept underpass: that changes neither the rational nor the integral
+    # solutions, so neither F, the chains nor the multiples. (Dropping sum
+    # rows instead steers the unit phase to larger tails.)
     for i, up in enumerate(ups):
         if joins[i]:
             continue
         eps, off = up.sign, cover.sigma[branch][i]
         here, ahead = block[i] * q, block[(i + 1) % n] * q
         over = block[up.over.arc] * q if up.over.component == branch else None
-        sheets = range(q if i == n - 1 else q - 1)
-        for s in sheets:
+        for s in range(q - 1):
             row = defaultdict(int)
             row[here + s] += 1
             row[ahead + s] -= 1
             if over is not None:
                 row[over + (s + off) % q] -= eps
                 row[over + (s + 1 + off) % q] += eps
-            rows.append({col: v for col, v in row.items() if v})
+            rows.append({col: v for col, v in row.items() if v and col < width})
         for b, c, rhs in zip(underpass_rhs, consts, rhss):
             cn, co = c[(i + 1) % n], None if over is None else c[up.over.arc]
-            for s in sheets:
+            for s in range(q - 1):
                 v = b[i][s]
                 if cn:
                     v += cn[s]
                 if co:
                     v += eps * (co[(s + off) % q] - co[(s + 1 + off) % q])
                 rhs.append(v)
-    return rows, rhss, m * q, (block, consts)
+    return rows, rhss, width, (block, consts)
 
 
 def _factorization(cover: CoverStructure) -> tuple:
     """The merged cover system (`_merged_system`) factored once
     (rational_linalg._rref_factor), with each curve's first coset riding
-    along; those curves in order; the merged width. The merge map is
+    along; those curves in order; the factored width. The merge map is
     memoized under "merge".
 
-    The answers are those of the full system. Every substitution is a +-1
-    row pivot, so rational and integral solutions of the two systems
-    correspond one to one, and with c integral the multiple is the same. A
-    kernel vector has v_{i,s} = v_{rep,s} with rep > i, so no merged column
-    is free, and the representatives keep their order: F, and with it the
-    solution that is zero on F, is the same in both systems.
+    The answers are those of the full system. A chain is defined up to the
+    deck-group gauge, and the gauge is fixed by leaving out the last arc:
+    - Let t_i be the sheet shift at the start of branch arc i and, for
+      s = 1..q-1, g_s the integral vector that is +1 at arc i on 0-based
+      sheet (s - t_i) mod q and -1 on sheet -t_i mod q, for every arc i.
+      Each g_s is in the kernel: it sums to 0 on every arc, and across an
+      underpass the over-arc terms cancel the step of t. On the last arc
+      the g_s are a sheet permutation of e_s - e_0, so their integral
+      combinations are its zero-sum integral vectors.
+    - Each sheet s >= 1 of the last arc is free, as a gauge combination is
+      e_s - e_0 there and has its last nonzero in that column. So the
+      solution that is zero on F is 0 on those sheets, the sum row makes
+      sheet 0 zero too, and on the other arcs, whose F is unchanged, it is
+      the solution of the system without the last arc.
+    - The columns left out lie in the span of the others, so consistency
+      is unchanged, and the sum row left out reads 0 = 0. An integral y
+      with A y = d b, less an integral gauge combination, is integral and
+      0 on the last arc, so the multiple is unchanged too.
+    - The nullity drops by q - 1: a cover is a rational homology sphere,
+      nullity q - 1, exactly when what is factored has full column rank.
+    A one-arc branch leaves no column; consistency is then read off the
+    right-hand sides of empty rows.
+
+    Every substitution of the merge is a +-1 row pivot, so rational and
+    integral solutions of the merged and the unmerged system correspond one
+    to one, and with c integral the multiple is the same. A kernel vector
+    has v_{i,s} = v_{rep,s} with rep > i, so no merged column is free, and
+    the representatives keep their order: F, and with it the solution that
+    is zero on F, is the same in both systems.
 
     Chains and multiples are both read off this one factorization.
     """
@@ -291,10 +320,10 @@ def _factorization(cover: CoverStructure) -> tuple:
         # components_of is None at the branch, which has no lifts to bound.
         curves = [ci for ci, cosets in enumerate(cover.components_of) if cosets]
         rows, rhss, width, merge = _merged_system(cover, curves)
-        tail, _, retired, cols, _, pivots = factors = _rref_factor(rows, rhss, width, cover.q - 1)
+        tail, _, retired, cols, _, pivots = factors = _rref_factor(rows, rhss, width)
         _log_debug(
-            "cover system %d x %d, %d arcs merged to %d: %d unit steps, tail %d x %d, rank %d, nullity %d",
-            len(rows), width, len(merge[0]), width // cover.q,
+            "cover system %d x %d, %d arcs merged to %d, the last fixed at 0: %d unit steps, tail %d x %d, rank %d, nullity %d",
+            len(rows), width, len(merge[0]), width // cover.q + 1,
             len(retired), len(tail), len(cols), len(pivots), len(cols) - len(pivots),
         )
         cover._memo["merge"] = merge
@@ -305,12 +334,12 @@ def _factorization(cover: CoverStructure) -> tuple:
 def _first_solutions(cover: CoverStructure) -> dict:
     """Each curve's first-coset solution, keyed by curve, or None if it has none.
 
-    Solved from the cover's factorization on the first call, and expanded
-    from the merged arcs: x_{i,s} = x_{rep,s} + c_{i,s}, in integers over
-    the last Bareiss pivot D, and an arc with c = 0 shares its
-    representative's row. Row i, entry j-1 is the coefficient of the lift
-    of branch arc i to sheet j; the coset that starts at sheet 1+s is
-    bounded by x_s[i][j] = x_0[i][(j - s) mod q].
+    Solved from the cover's factorization on the first call, with the last
+    arc's q zeros padded back, and expanded from the merged arcs: x_{i,s} =
+    x_{rep,s} + c_{i,s}, in integers over the last Bareiss pivot D, and an
+    arc with c = 0 shares its representative's row. Row i, entry j-1 is the
+    coefficient of the lift of branch arc i to sheet j; the coset that
+    starts at sheet 1+s is bounded by x_s[i][j] = x_0[i][(j - s) mod q].
     """
     solutions = cover._memo.get("solutions")
     if solutions is None:
@@ -322,8 +351,8 @@ def _first_solutions(cover: CoverStructure) -> dict:
             if not _consistent(factors, t):
                 solutions[ci] = None
                 continue
-            x, D = _scaled_solution(factors, width, t)
-            runs = [_fractions(x[k:k + q], D) for k in range(0, width, q)]
+            x, D = _scaled_solution(factors, width + q, t)  # the last block is 0
+            runs = [_fractions(x[k:k + q], D) for k in range(0, len(x), q)]
             solutions[ci] = [
                 runs[k] if ck is None else _fractions([v + D * u for v, u in zip(x[k * q:k * q + q], ck)], D)
                 for k, ck in zip(block, c)
@@ -369,29 +398,18 @@ def minimal_bounding_multiple(cover: CoverStructure, curve: int | str, coset) ->
     the system, so d is the same on every coset of the curve and solved once.
 
     On a rational homology sphere it is the lcm of the denominators of the
-    curve's first solution x_0. Let t_i be the sheet shift at the start of
-    branch arc i and, for s = 1..q-1, g_s the integral vector that is +1 at
-    arc i on 0-based sheet (s - t_i) mod q and -1 on sheet -t_i mod q, for
-    every arc i. Each g_s is in the kernel: it sums to 0 on every arc, and
-    across an underpass the over-arc terms cancel the step of t. The g_s
-    are independent, so when the free columns F are the last q - 1 (the
-    nullity is q - 1), they span the kernel. F lies on the last arc, where
-    the g_s restrict to a sheet permutation of e_s - e_0, whose restriction
-    to F is unimodular. If A y = d b, then y - d x_0 is a rational
-    combination of the g_s that equals y on F, where x_0 is zero; for an
-    integral y the combination is integral too, and so is d x_0. So the
-    least d makes d x_0 integral. The argument holds on the merged system
-    that is factored, whose last q - 1 columns are the same F: its
-    solution differs from x_0 on the merged arcs by the integral constants
-    c, so both have the same denominators. Other covers take the Hermite
+    curve's first solution x_0. There the system `_factorization` factors,
+    whose multiple is the cover's, has full column rank, so x_0 on the
+    runs' representatives is its only solution: an integral solution of
+    A y = d b is d times it, and the least such d makes d x_0 integral, as
+    the merged arcs add integral constants. Other covers take the Hermite
     reduction (rational_linalg._multiple).
     """
     ci, _ = _lift(cover, curve, coset)
     orders = cover._memo.setdefault("orders", {})
     if ci not in orders:
-        factors, curves, width = _factorization(cover)
-        _, _, _, cols, _, pivots = factors
-        if [cols[g] for g in _free(cols, pivots)] == list(range(width - cover.q + 1, width)):
+        factors, curves, _ = _factorization(cover)
+        if len(factors[3]) == len(factors[5]):  # full column rank
             rows = _first_solutions(cover)[ci]
             d = None if rows is None else lcm(*(v.denominator for row in rows for v in row))
             _log_debug(

@@ -17,16 +17,15 @@ per f in F, 1 at f and 0 on the rest of F. Both are read off in integers,
 over one denominator per vector: back-substitution through the tail, then
 through the retired rows, last first, whose +-1 pivots need no division.
 That gives the convention for the tail's own free columns G, so the
-factorization is made with G = F (`_rref_factor`). The last `keep`
-columns take no +-1 pivot and reach the tail, where Bareiss visits them
-last. If G then lies inside that kept suffix, or is itself a suffix of the
-columns, the pivot columns start with an independent prefix and G = F;
-otherwise the rows are factored again with a wider suffix. A cover's F is
-its last q - 1 columns, the deck-group gauge, whenever the cover is a
-rational homology sphere, so one pass is the rule there.
+factorization is made with G = F (`_rref_factor`). The first pass keeps
+no column; while G is not F, the rows are factored again with a suffix
+of the columns kept from the +-1 pivots, for Bareiss to visit last. A
+cover fixes its deck-group gauge before it factors (homology), so on a
+rational homology sphere it has no free column, and one pass is the rule
+there.
 
-The least d for which A x = d b has an integer solution reads the same
-factorization, on any kept suffix: a +-1 pivot adds nothing to d, Bareiss's
+The least d for which A x = d b has an integer solution reads any such
+factorization: a +-1 pivot adds nothing to d, Bareiss's
 pivot rows are a maximal independent set of tail rows, and its last pivot
 is a nonzero minor of them, modulo which the tail is reduced. The `cyclink`
 logger reports each multiple's tail at DEBUG level.
@@ -261,17 +260,19 @@ def _free(cols, pivots) -> list[int]:
     return [g for g in range(len(cols)) if g not in used]
 
 
-def _rref_factor(rows, rhs, n: int, keep: int):
+def _rref_factor(rows, rhs, n: int):
     """`_factor` of the rows, which are left as they are, with G = F.
 
-    Let s be the larger of keep and |G|. When G lies in the last s columns,
-    every column before them pivots, so they are independent and the
-    leftmost basis takes them all. In the last s columns G is either all
-    of them, or lies in the kept ones, which no unit pivot touched and
-    Bareiss takes in order, each where it is independent of the columns
-    before it: the leftmost basis again. Otherwise the rows are factored
-    again keeping max(|G|, 2 keep) columns; keep = n is plain Bareiss.
+    The first pass keeps no column. Let s be the larger of keep and |G|.
+    When G lies in the last s columns, every column before them pivots, so
+    they are independent and the leftmost basis takes them all. In the
+    last s columns G is either all of them, or lies in the kept ones, which
+    no unit pivot touched and Bareiss takes in order, each where it is
+    independent of the columns before it: the leftmost basis again.
+    Otherwise the rows are factored again keeping max(|G|, 2 keep) columns;
+    keep = n is plain Bareiss.
     """
+    keep = 0
     while True:
         factors = _factor([dict(row) for row in rows], [list(b) for b in rhs], n, keep)
         G = [factors[3][g] for g in _free(factors[3], factors[5])]
@@ -375,14 +376,14 @@ def _multiple(factors, t: int) -> int | None:
     return d
 
 
-def _factor_system(matrix, rhss, factor=_rref_factor):
-    """factor(A and each b as `_sparse_rows`, keeping no column), and A's
-    width, once every b is checked to have one entry per row of A."""
+def _factor_system(matrix, rhss):
+    """`_rref_factor` of A and each b as `_sparse_rows`, and A's width,
+    once every b is checked to have one entry per row of A."""
     for rhs in rhss:
         if len(rhs) != len(matrix):
             raise ValueError("right-hand side length does not match row count")
     n = len(matrix[0]) if matrix else 0
-    return factor(*_sparse_rows(matrix, rhss), n, 0), n
+    return _rref_factor(*_sparse_rows(matrix, rhss), n), n
 
 
 def solve_particular(matrix, rhs) -> list[Fraction] | None:
@@ -414,4 +415,4 @@ def minimal_scalar_integer_solution(matrix, rhs) -> int | None:
     Returns None when A x = b is not even rationally solvable. It is read
     off one factorization of [A | b] (`_multiple`).
     """
-    return _multiple(_factor_system(matrix, [rhs], _factor)[0], 0)
+    return _multiple(_factor_system(matrix, [rhs])[0], 0)

@@ -22,8 +22,8 @@ from conftest import (
     wire_with_meridian,
 )
 from cyclink import homology
-from cyclink.homology import _factorization, _first_solutions, _system_matrix, _system_rhs
-from cyclink.rational_linalg import _eliminate_units, _multiple, _rational, _rref_factor, _sparse_rows
+from cyclink.homology import _factorization, _first_solutions, _merged_system, _system_matrix, _system_rhs
+from cyclink.rational_linalg import _consistent, _eliminate_units, _free, _multiple, _rational, _rref_factor, _sparse_rows
 from cyclink import (
     TwoChain,
     assemble_system,
@@ -551,7 +551,7 @@ def test_cover_factorization_logs_once_at_debug_only(caplog):
         (
             "cyclink",
             logging.DEBUG,
-            "cover system 25 x 24, 10 arcs merged to 8: 20 unit steps, tail 5 x 4, rank 2, nullity 2",
+            "cover system 23 x 21, 10 arcs merged to 8, the last fixed at 0: 19 unit steps, tail 4 x 2, rank 2, nullity 0",
         ),
         ("cyclink", logging.DEBUG, "minimal multiple: lcm of the chain's denominators, 3 bits"),
     ]
@@ -598,15 +598,16 @@ def check_sum_row_differences_are_underpass_sums(cover):
 
 
 def check_the_full_system_gives_the_same_answers(cover):
-    # Factoring every row, the implied ones too, gives the same chains and
-    # multiples as the cover's factorization, which drops n - 1 of them.
+    # Factoring every row and column, the implied rows and the last arc
+    # too, gives the same chains and multiples as the cover's factorization.
     curves = curve_indices(cover.diagram)
     rows, width = _system_matrix(cover)
     rhss = [_system_rhs(cover, ci, cover.components_of[ci][0]) for ci in curves]
-    full = _rref_factor(rows, rhss, width, cover.q - 1)
+    full = _rref_factor(rows, rhss, width)
     dropped, _, merged = _factorization(cover)
-    n, m = width // cover.q, merged // cover.q
-    assert len(dropped[0]) + len(dropped[2]) == len(rows) - (n - m) * (cover.q + 1) - (m - 1)
+    n, m = width // cover.q, merged // cover.q + 1
+    ups = cover.diagram.components[cover.diagram.branch].underpasses
+    assert len(dropped[0]) + len(dropped[2]) == len(rows) - (n - m) * (cover.q + 1) - (m + 1 if ups else 1)
     solutions = _first_solutions(cover)
     for t, (ci, x) in enumerate(zip(curves, _rational(full, width)[0])):
         assert (solutions[ci] and [v for row in solutions[ci] for v in row]) == x
@@ -616,7 +617,8 @@ def check_the_full_system_gives_the_same_answers(cover):
 def check_gauge_vectors(cover):
     # Every g_s is in the kernel, and adds to every chain without changing
     # its boundary. When the nullity is q - 1, the g_s span the kernel and
-    # the reduced-row-echelon null basis is integral.
+    # the reduced-row-echelon null basis of the full system is integral (the
+    # cover's factorization leaves the gauge out, and has no basis there).
     q = cover.q
     rows, width = _system_matrix(cover)
     gauges = gauge_vectors(cover)
@@ -629,10 +631,22 @@ def check_gauge_vectors(cover):
             for g in gauges:
                 x = [[v + g[i * q + s] for s, v in enumerate(row)] for i, row in enumerate(chain.x)]
                 assert verify_boundary(cover, TwoChain(ci, coset, x))
-    factors, _, merged = _factorization(cover)
-    basis = _rational(factors, merged, True)[1]
+    basis = _rational(_rref_factor(rows, [], width), width, True)[1]
     if len(basis) == q - 1:
         assert all(v.denominator == 1 for z in basis for v in z)
+
+
+def check_the_last_arc_is_zero(cover):
+    # The cover factors its system without the branch's last arc. Every
+    # chain of every coset is 0 there, and the full system's reduced row
+    # echelon form has sheets 1..q-1 of that arc among its free columns.
+    q = cover.q
+    rows, width = _system_matrix(cover)
+    _, _, _, cols, _, pivots = _rref_factor(rows, [], width)
+    assert set(range(width - q + 1, width)) <= {cols[g] for g in _free(cols, pivots)}
+    for ci in curve_indices(cover.diagram):
+        for chain in bounding_chains(cover, ci).values():
+            assert chain is None or not any(chain.x[-1])
 
 
 def check_the_merge(cover):
@@ -645,7 +659,7 @@ def check_the_merge(cover):
     block, consts = cover._memo["merge"]
     n = len(block)
     assert [block[i] == block[i + 1] for i in range(n - 1)] == [up.over.component != branch for up in ups[:n - 1]]
-    assert merged == (block[-1] + 1) * cover.q
+    assert merged == block[-1] * cover.q
     rep = {k: i for i, k in enumerate(block)}  # each run's highest arc
     solutions = _first_solutions(cover)
     for ci, c in zip(curves, consts):
@@ -672,7 +686,7 @@ def check_the_rule_against_hermite(cover, monkeypatch):
     cover = build_cover(cover.diagram, cover.q)  # nothing memoized yet
     calls = hermite_calls(monkeypatch)
     factors, curves, _ = _factorization(cover)
-    qhs = len(factors[3]) - len(factors[5]) == cover.q - 1
+    qhs = len(factors[3]) == len(factors[5])
     for t, ci in enumerate(curves):
         assert minimal_bounding_multiple(cover, ci, 1) == _multiple(factors, t)
     assert calls == ([] if qhs else list(range(len(curves))))
@@ -685,6 +699,7 @@ def test_implied_rows_and_the_chain_multiple_on_the_corpus(name, q, monkeypatch)
     check_sum_row_differences_are_underpass_sums(cover)
     check_the_full_system_gives_the_same_answers(cover)
     check_gauge_vectors(cover)
+    check_the_last_arc_is_zero(cover)
     check_the_merge(cover)
     assert check_the_rule_against_hermite(cover, monkeypatch)
 
@@ -696,6 +711,7 @@ def test_implied_rows_and_the_chain_multiple_on_the_battery(q, monkeypatch):
         check_sum_row_differences_are_underpass_sums(cover)
         check_the_full_system_gives_the_same_answers(cover)
         check_gauge_vectors(cover)
+        check_the_last_arc_is_zero(cover)
         check_the_merge(cover)
         if not check_the_rule_against_hermite(cover, monkeypatch):
             hermite.append(seed)
@@ -786,6 +802,7 @@ def test_the_merge_against_the_full_system_on_its_edge_cases(make, q, pattern):
     check_the_merge(cover)
     check_the_full_system_gives_the_same_answers(cover)
     check_gauge_vectors(cover)
+    check_the_last_arc_is_zero(cover)
     for ci in curve_indices(cover.diagram):
         for chain in bounding_chains(cover, ci).values():
             assert chain is None or verify_boundary(cover, chain)
@@ -816,3 +833,39 @@ def test_large_covers_read_the_multiple_off_the_chain(name, q, monkeypatch):
     assert order == _multiple(factors, curves.index(cover.diagram.component_index("eta")))
     if name == "stevedore_w0":
         assert order == 3 * (2**q - 1)  # the closed form at even q
+
+
+@pytest.mark.parametrize("make", [trefoil_with_meridian, clasped_wire_diagram])
+@pytest.mark.parametrize("q", [2, 3, 5, 6, 12])
+def test_trefoil_branch_chains_are_zero_on_the_last_arc(make, q):
+    # From q = 6 on these covers are no rational homology spheres; the
+    # gauge is fixed on the last arc all the same.
+    cover = build_cover(normalize_writhe(make(), q), q)
+    check_the_last_arc_is_zero(cover)
+    check_the_full_system_gives_the_same_answers(cover)
+
+
+@pytest.mark.parametrize("make", [hopf_pair_beside_unknot, hopf_diagram])
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_a_one_arc_branch_factors_with_no_columns(make, q):
+    # The branch's only arc is its last, so no column is left. Beside the
+    # Hopf pair it passes under nothing and no row is left either; under the
+    # Hopf link's eta it keeps q - 1 rows with no entries, the closing
+    # condition, and consistency is read off their right-hand sides.
+    cover = build_cover(make(), q)
+    factors, curves, width = _factorization(cover)
+    rows, _, _, _ = _merged_system(cover, curves)
+    assert width == 0 and factors[3] == [] and factors[5] == []
+    assert rows == ([] if make is hopf_pair_beside_unknot else [{}] * (q - 1))
+    for ci in curves:
+        for chain in bounding_chains(cover, ci).values():
+            assert chain is not None and verify_boundary(cover, chain) and not any(map(any, chain.x))
+        assert minimal_bounding_multiple(cover, ci, 1) == 1
+    if rows:
+        # Eta's path lift over sheet 1 alone does not close up, and its
+        # right-hand side is nonzero on an empty row.
+        eta = cover.diagram.component_index("eta")
+        loose = _system_rhs(cover, eta, (1,))[1:q]
+        factors = _rref_factor(rows, [[0] * (q - 1), loose], 0)
+        assert [_consistent(factors, t) for t in (0, 1)] == [True, False]
+        assert [_multiple(factors, t) for t in (0, 1)] == [1, None]

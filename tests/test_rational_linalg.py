@@ -300,7 +300,7 @@ def test_kernel_matches_dense_bareiss_on_cover_systems(name, q):
     _, echelon, pivots = assert_kernel_matches_dense(rows, n)
     oracle = [fraction_back_substitution(echelon, pivots, n, n + t) for t in range(len(rhss))]
     assert solve_many(matrix, rhss) == oracle
-    # The cover path keeps the gauge columns out of the unit phase and
+    # The cover path leaves out the last arc, which fixes the gauge, and
     # solves each curve's first coset; it must land on the same solution.
     for ci, x in _first_solutions(cover).items():
         want = oracle[lifts.index((ci, cover.components_of[ci][0]))]
@@ -320,8 +320,9 @@ LARGE_COVERS = [("stevedore_w0", 96), ("stevedore_w0", 160), ("twobridge_m2", 64
 
 @pytest.mark.parametrize("name, q", CORPUS_AND_SWEEP + LARGE_COVERS)
 def test_cover_factorization_takes_one_pass(name, q, monkeypatch):
-    # These covers are rational homology spheres, so their free columns
-    # are the last q - 1 and the first guess that keeps them is accepted.
+    # These covers are rational homology spheres, so with the gauge fixed
+    # they have no free column and the first guess, keeping none, is
+    # accepted.
     calls = []
 
     def counted(rows, rhs, n, keep=0):
@@ -331,7 +332,7 @@ def test_cover_factorization_takes_one_pass(name, q, monkeypatch):
     monkeypatch.setattr(rational_linalg, "_factor", counted)
     cover = build_cover(fixture(name).diagram, q)
     _factorization(cover)
-    assert calls == [q - 1]
+    assert calls == [0]
     if (name, q) not in LARGE_COVERS:
         return
     for ci, cosets in enumerate(cover.components_of):
@@ -343,8 +344,8 @@ def test_cover_factorization_takes_one_pass(name, q, monkeypatch):
         if (name, q) == ("stevedore_w0", 96):
             # The Fraction-by-Fraction boundary agrees on a large cover too.
             assert all(fraction_boundary(cover, chain) for chain in chains.values())
-            # The public path starts with no column kept, so it pivots
-            # differently on its way to the same solution.
+            # The public path factors the whole system, gauge and all, so
+            # it pivots differently on its way to the same solution.
             A, b, columns = assemble_system(cover, ci, cosets[0])
             x = solve_particular(A, b)
             assert all(x[col] == chains[cosets[0]].coefficient(*arc_sheet) for arc_sheet, col in columns.items())
@@ -364,10 +365,11 @@ def test_the_multiple_eliminates_nothing_after_the_cover_factorization(name, q, 
     calls.clear()
     d = minimal_bounding_multiple(cover, "eta", 1)
     assert calls == []
-    # The public solver factors [A | b] once, keeping no column.
+    # The public solver factors [A | b] as the other solvers do; keeping no
+    # column is refused on these covers, so it takes two passes.
     A, b, _ = assemble_system(cover, "eta", 1)
     assert minimal_scalar_integer_solution(A, b) == d
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("name, q", CORPUS_AND_SWEEP)
@@ -384,12 +386,15 @@ def test_the_multiple_reads_independent_rows_and_a_minor_off_the_factorization(n
     assert abs(rows.extract(range(r), [col for _, col in pivots]).det()) == D
 
 
-@pytest.mark.parametrize("q, nullity, widened", [(2, 1, []), (3, 2, []), (5, 4, []), (6, 7, [5, 10]), (12, 13, [11, 22])])
+@pytest.mark.parametrize(
+    "q, nullity, widened", [(2, 1, []), (3, 2, []), (5, 4, []), (6, 7, [0, 2, 4, 8]), (12, 13, [0, 2, 4, 8, 16])]
+)
 def test_cover_factorization_widens_its_kept_suffix_on_a_trefoil_branch(q, nullity, widened, caplog):
     # The trefoil's Alexander polynomial is t^2 - t + 1, the sixth
     # cyclotomic polynomial. From q = 6 on the cover is no rational homology
-    # sphere: it has more free columns than the last q - 1, so the first
-    # guess is refused and the kept suffix doubles until it holds them.
+    # sphere: with the gauge fixed it still has free columns, so the first
+    # guess, keeping none, is refused and the kept suffix widens until it
+    # holds them.
     cover = build_cover(normalize_writhe(trefoil_diagram(), q), q)
     with caplog.at_level(logging.DEBUG, logger="cyclink"):
         factors, _, n = _factorization(cover)
@@ -397,10 +402,13 @@ def test_cover_factorization_widens_its_kept_suffix_on_a_trefoil_branch(q, nulli
     assert [int(message.split()[2]) for message in refused] == widened
     assert len(caplog.records) == len(widened) + 1
     basis = _rational(factors, n, True)[1]
-    assert len(basis) == nullity
+    assert len(basis) == nullity - (q - 1)
     rows, width = _system_matrix(cover)
-    dense = sympy.Matrix([[row.get(j, 0) for j in range(width)] for row in rows])
-    assert [[sympy.Rational(v) for v in z] for z in basis] == [list(z) for z in dense.nullspace()]
+    dense = sympy.Matrix([[row.get(j, 0) for j in range(width)] for row in rows]).nullspace()
+    assert len(dense) == nullity
+    # The free columns of the last arc come last; the other vectors are 0
+    # there, the factored basis with the last arc's q zeros padded back.
+    assert [[sympy.Rational(v) for v in z] + [0] * q for z in basis] == [list(z) for z in dense[:len(basis)]]
 
 
 def test_kernel_matches_dense_bareiss_on_sparse_random_matrices():
