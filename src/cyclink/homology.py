@@ -10,24 +10,17 @@ over the lcm of the chain's denominators.
 
 Sheets are 0-based throughout: column i*q + s is the lift of branch arc i
 to sheet s + 1, and coset s of a curve is the one that starts at sheet
-s + 1. The matrix depends only on the cover, and the deck shift of the
-sheets permutes it while carrying each lift of a curve to the next, coset
-0 to coset s in s shifts. So the cover system is factored once, with one
-lift per deck orbit riding along, the first coset of each curve, and
-without the underpass rows its sum rows imply. A chain is defined up to
-the deck-group gauge, which changes no linking number; it is fixed by
-leaving out the branch's last arc, where every chain is 0. Before that,
-the branch arcs joined by underpasses of other components are merged:
-across such an underpass the wall coefficients step by a constant on every
-sheet, so what is factored is the branch knot's own system in sheet
-coordinates, and the other components only add integer constants to its
-right-hand sides. Its chains are back-substituted from that factorization,
-and every other chain is a shift of one of these. On a rational homology
-sphere what is factored has full column rank, and a curve's integral
-multiple is the lcm of its chain's denominators; on other covers it reads
-the factorization's pivot rows and last pivot, with no second
-elimination. The `cyclink` logger reports each factorization and each
-multiple at DEBUG level.
+s + 1. The deck shift of the sheets permutes the cover system while
+carrying each lift of a curve to the next, so the system is factored once
+(`_factorization`), with the first coset of each curve riding along: the
+branch arcs joined by underpasses of other components merged
+(`_merged_system`), the rows that others imply dropped, and the deck-group
+gauge, which changes no linking number, fixed by leaving out the branch's
+last arc. Every other chain is a shift of one read off that factorization.
+On a rational homology sphere what is factored has full column rank, and a
+curve's integral multiple is the lcm of its chain's denominators; on other
+covers it reads the same factorization. The `cyclink` logger reports each
+factorization and each multiple at DEBUG level.
 """
 
 from __future__ import annotations
@@ -38,7 +31,7 @@ from math import lcm
 
 from .cover import CoverStructure, _lift
 from .diagram import _integer, _Record
-from .rational_linalg import _consistent, _fractions, _log_debug, _multiple, _rref_factor, _scaled_solution
+from .rational_linalg import _consistent, _factor, _fractions, _log_debug, _multiple, _null_basis, _solution
 from .rational_linalg import format_rational, parse_rational
 
 # assemble_system hands the system out dense, so above this many entries
@@ -78,6 +71,9 @@ class TwoChain(_Record):
         object.__setattr__(self, "x", x)
 
     def coefficient(self, arc: int, sheet: int) -> Fraction:
+        # Exact type tests, as in _lift: True would read arc 1, and -1 wraps.
+        if type(arc) is not int or type(sheet) is not int or not (0 <= arc < len(self.x) and 0 < sheet <= len(self.x[arc])):
+            raise ValueError(f"no coefficient at arc {arc!r}, sheet {sheet!r}")
         return self.x[arc][sheet - 1]
 
     def to_dict(self) -> dict:
@@ -278,7 +274,7 @@ def _merged_system(cover: CoverStructure, curves: list[int]):
 
 def _factorization(cover: CoverStructure) -> tuple:
     """The merged cover system (`_merged_system`) factored once
-    (rational_linalg._rref_factor), with each curve's first coset riding
+    (rational_linalg._factor), with each curve's first coset riding
     along; those curves in order; the factored width. The merge map is
     memoized under "merge".
 
@@ -311,8 +307,6 @@ def _factorization(cover: CoverStructure) -> tuple:
     has v_{i,s} = v_{rep,s} with rep > i, so no merged column is free, and
     the representatives keep their order: F, and with it the solution that
     is zero on F, is the same in both systems.
-
-    Chains and multiples are both read off this one factorization.
     """
     memo = cover._memo.get("factorization")
     if memo is None:
@@ -320,7 +314,7 @@ def _factorization(cover: CoverStructure) -> tuple:
         # components_of is None at the branch, which has no lifts to bound.
         curves = [ci for ci, cosets in enumerate(cover.components_of) if cosets]
         rows, rhss, width, merge = _merged_system(cover, curves)
-        tail, _, retired, cols, _, pivots = factors = _rref_factor(rows, rhss, width)
+        tail, _, retired, cols, _, pivots = factors = _factor(rows, rhss, width)
         _log_debug(
             "cover system %d x %d, %d arcs merged to %d, the last fixed at 0: %d unit steps, tail %d x %d, rank %d, nullity %d",
             len(rows), width, len(merge[0]), width // cover.q + 1,
@@ -334,24 +328,25 @@ def _factorization(cover: CoverStructure) -> tuple:
 def _first_solutions(cover: CoverStructure) -> dict:
     """Each curve's first-coset solution, keyed by curve, or None if it has none.
 
-    Solved from the cover's factorization on the first call, with the last
-    arc's q zeros padded back, and expanded from the merged arcs: x_{i,s} =
-    x_{rep,s} + c_{i,s}, in integers over the last Bareiss pivot D, and an
-    arc with c = 0 shares its representative's row. Row i, entry j-1 is the
-    coefficient of the lift of branch arc i to sheet j; the coset that
-    starts at sheet 1+s is bounded by x_s[i][j] = x_0[i][(j - s) mod q].
+    Solved from the cover's factorization on the first call, made zero on F
+    (rational_linalg._solution: nothing to do at full column rank), with
+    the last arc's q zeros padded back, and expanded from the merged arcs:
+    x_{i,s} = x_{rep,s} + c_{i,s}, in integers over the last Bareiss pivot
+    D, and an arc with c = 0 shares its representative's row. Row i, entry
+    j-1 is the coefficient of the lift of branch arc i to sheet j; the coset
+    that starts at sheet 1+s is bounded by x_s[i][j] = x_0[i][(j - s) mod q].
     """
     solutions = cover._memo.get("solutions")
     if solutions is None:
         q = cover.q
         factors, curves, width = _factorization(cover)
         block, consts = cover._memo["merge"]
-        solutions = {}
+        basis, solutions = _null_basis(factors), {}  # none at full column rank
         for t, (ci, c) in enumerate(zip(curves, consts)):
             if not _consistent(factors, t):
                 solutions[ci] = None
                 continue
-            x, D = _scaled_solution(factors, width + q, t)  # the last block is 0
+            x, D = _solution(factors, width + q, t, basis)  # the last block is 0
             runs = [_fractions(x[k:k + q], D) for k in range(0, len(x), q)]
             solutions[ci] = [
                 runs[k] if ck is None else _fractions([v + D * u for v, u in zip(x[k * q:k * q + q], ck)], D)

@@ -1,34 +1,25 @@
 """Exact linear algebra over the rationals and the integers.
 
 All arithmetic is on Python ints and `fractions.Fraction`s. Every solver
-factors [A | b_1..b_k] once (`_factor`): the rows become {col: int}
-dicts, a row holding a rational scaled by the lcm of its denominators; a
-unit phase (`_eliminate_units`) pivots on +-1 entries with row operations
-only and keeps each retired row; fraction-free Bareiss elimination
-(`_eliminate`) brings what is left, the tail, to echelon form with the
-right-hand sides riding along. A cover system has at most four nonzeros
-per row apart from the per-arc sum rows, nearly all +-1, so its tail has a
-few dozen rows.
+factors [A | b_1..b_k] once (`_factor`): the rows become {col: int} dicts,
+a rational row scaled by the lcm of its denominators; a unit phase
+(`_eliminate_units`) pivots on +-1 entries with row operations only and
+keeps each retired row; fraction-free Bareiss (`_eliminate`) brings the
+rest, the tail, to echelon form with the right-hand sides riding along.
 
 Rational answers follow reduced row echelon form. The free columns F are
 the columns that are combinations of the columns to their left. A
-particular solution is zero on F, and the nullspace basis has one vector
-per f in F, 1 at f and 0 on the rest of F. Both are read off in integers,
-over one denominator per vector: back-substitution through the tail, then
-through the retired rows, last first, whose +-1 pivots need no division.
-That gives the convention for the tail's own free columns G, so the
-factorization is made with G = F (`_rref_factor`). The first pass keeps
-no column; while G is not F, the rows are factored again with a suffix
-of the columns kept from the +-1 pivots, for Bareiss to visit last. A
-cover fixes its deck-group gauge before it factors (homology), so on a
-rational homology sphere it has no free column, and one pass is the rule
-there.
-
-The least d for which A x = d b has an integer solution reads any such
-factorization: a +-1 pivot adds nothing to d, Bareiss's
-pivot rows are a maximal independent set of tail rows, and its last pivot
-is a nonzero minor of them, modulo which the tail is reduced. The `cyclink`
-logger reports each multiple's tail at DEBUG level.
+particular solution is zero on F, and the null basis has one vector per f
+in F, 1 at f and 0 on the rest of F. Back-substitution through the tail,
+then through the retired rows, reads answers off in integers over one
+denominator per vector, but for the tail's own free columns G. So the
+kernel vectors for G (`_kernel`) are reduced right to left to the basis
+for F (`_null_basis`), and each solution is made zero on F. A cover fixes
+its deck-group gauge before it factors (homology), so on a rational
+homology sphere it has no free column and nothing to reduce. The least d
+for which A x = d b has an integer solution reads the same factorization
+(`_multiple`). The `cyclink` logger reports each reduction and each
+multiple's tail at DEBUG level.
 """
 
 from __future__ import annotations
@@ -38,7 +29,7 @@ from collections import defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress
-from math import gcd, inf, lcm
+from math import gcd, lcm
 
 _ZERO = Fraction(0)
 
@@ -149,35 +140,17 @@ def _eliminate(rows, m, n, width):
     return pivots
 
 
-def _back_substitute(rows, pivots, width, x, scale, b_col=None):
-    """Fill x at the pivot columns of echelon rows, in integers, in place.
-
-    x holds scale times the free columns' values and ends as scale times the
-    solution for right-hand side column b_col (zero when None). The
-    divisions are exact if the last Bareiss pivot, a nonzero minor of the
-    pivot rows, divides scale (Cramer's rule).
-    """
-    for r, col in reversed(pivots):
-        row = rows[r]
-        acc = 0 if b_col is None else scale * row[b_col]
-        for j in compress(range(col + 1, width), row[col + 1:width]):
-            acc -= row[j] * x[j]
-        x[col] = acc // row[col]
-    return x
-
-
-def _eliminate_units(rows, rhs, limit=inf):
+def _eliminate_units(rows, rhs):
     """Row-only elimination with +-1 pivots on {col: int} rows, in place.
 
-    rhs[t][i] is row i's entry of right-hand side t; only columns below
-    limit may pivot. While a live row holds a unit there, the shortest such
-    row pivots at its unit column with the fewest live rows (ties to the
-    lowest index; `where` maps columns to live rows), which keeps fill-in
-    and the loss of units low. The column is cleared from the other live
-    rows, right-hand sides included, and the row retires as
-    (col, u, rest, b): u x_col + rest . x = b, u = +-1, where rest holds only
-    columns still live. The column operations that would clear rest touch no
-    other row, so the pair is a Smith entry 1 and adds nothing to a multiple.
+    rhs[t][i] is row i's entry of right-hand side t. While a live row holds
+    a unit, the shortest such row pivots at its unit column with the fewest
+    live rows (ties to the lowest index; `where` maps columns to live rows),
+    which keeps fill-in and the loss of units low. The column is cleared
+    from the other live rows, right-hand sides included, and the row retires
+    as (col, u, rest, b): u x_col + rest . x = b, u = +-1, rest on columns
+    still live. The column operations that would clear rest touch no other
+    row, so the pair is a Smith entry 1 and adds nothing to a multiple.
 
     Returns the live rows, each right-hand side on them, and the retired
     rows in pivot order.
@@ -198,7 +171,7 @@ def _eliminate_units(rows, rhs, limit=inf):
             continue
         col = None
         for j, v in row_r.items():
-            if (v == 1 or v == -1) and j < limit:
+            if v == 1 or v == -1:
                 k = len(where[j])
                 if col is None or k < fewest or k == fewest and j < col:
                     col, fewest = j, k
@@ -232,18 +205,17 @@ def _eliminate_units(rows, rhs, limit=inf):
     return [rows[i] for i in live], [[b[i] for i in live] for b in rhs], retired
 
 
-def _factor(rows, rhs, n: int, keep: int = 0):
+def _factor(rows, rhs, n: int):
     """[A | b_1..b_k], as {col: int} rows and a list per b, factored once.
 
-    The unit phase retires most rows, pivoting on none of the last keep
-    columns; Bareiss brings the rest, the tail over the columns that never
-    pivoted (cols, ascending), to echelon form with the right-hand sides
-    riding along. Returns (tail, each b on the tail, retired, cols,
-    echelon, pivots). The tail and each b are left as the unit phase left
-    them, but in the order Bareiss left the echelon rows, so their first
-    rank rows are the pivot rows.
+    The unit phase retires most rows; Bareiss brings the rest, the tail
+    over the columns that never pivoted (cols, ascending), to echelon form
+    with the right-hand sides riding along. Returns (tail, each b on the
+    tail, retired, cols, echelon, pivots). The tail and each b are left as
+    the unit phase left them, but in the order Bareiss left the echelon
+    rows, so their first rank rows are the pivot rows.
     """
-    tail, rhs, retired = _eliminate_units(rows, rhs, n - keep)
+    tail, rhs, retired = _eliminate_units(rows, rhs)
     pivoted = {col for col, *_ in retired}
     cols = [j for j in range(n) if j not in pivoted]
     echelon = [[row.get(j, 0) for j in cols] + [b[i] for b in rhs] for i, row in enumerate(tail)]
@@ -254,35 +226,6 @@ def _factor(rows, rhs, n: int, keep: int = 0):
     return [tail[i] for i in moved], [[b[i] for i in moved] for b in rhs], retired, cols, echelon, pivots
 
 
-def _free(cols, pivots) -> list[int]:
-    """G as positions in cols: the tail columns without a Bareiss pivot."""
-    used = {col for _, col in pivots}
-    return [g for g in range(len(cols)) if g not in used]
-
-
-def _rref_factor(rows, rhs, n: int):
-    """`_factor` of the rows, which are left as they are, with G = F.
-
-    The first pass keeps no column. Let s be the larger of keep and |G|.
-    When G lies in the last s columns, every column before them pivots, so
-    they are independent and the leftmost basis takes them all. In the
-    last s columns G is either all of them, or lies in the kept ones, which
-    no unit pivot touched and Bareiss takes in order, each where it is
-    independent of the columns before it: the leftmost basis again.
-    Otherwise the rows are factored again keeping max(|G|, 2 keep) columns;
-    keep = n is plain Bareiss.
-    """
-    keep = 0
-    while True:
-        factors = _factor([dict(row) for row in rows], [list(b) for b in rhs], n, keep)
-        G = [factors[3][g] for g in _free(factors[3], factors[5])]
-        if not G or G[0] >= n - max(keep, len(G)):
-            return factors
-        wider = min(n, max(len(G), 2 * keep))
-        _log_debug("factorization keeping %d of %d columns: %d free from %d; keeping %d", keep, n, len(G), G[0], wider)
-        keep = wider
-
-
 def _consistent(factors, t: int) -> bool:
     """Whether b_t is in the rational span of A's columns: it is zero on
     every echelon row below the rank."""
@@ -290,42 +233,104 @@ def _consistent(factors, t: int) -> bool:
     return not any(row[len(cols) + t] for row in echelon[len(pivots):])
 
 
-def _scaled_solution(factors, n: int, t, g=None):
-    """D and D times the solution for b_t (None: zero) that is 1 at tail
-    column g (None: at none) and 0 on the rest of G, in integers, for D
-    the last Bareiss pivot.
-
-    The factors come from `_rref_factor`, so the tail's free columns G are
-    F. It is back-substituted through the tail, then through the retired
-    rows, last first.
-    """
+def _steps(factors):
+    """Back-substitution as (col, p, rest, b), p x_col + rest . x = b with
+    rest on columns solved before col or in G: the tail's pivot rows, then
+    the retired rows, each last first."""
     _, _, retired, cols, echelon, pivots = factors
     w = len(cols)
-    D = echelon[pivots[-1][0]][pivots[-1][1]] if pivots else 1
-    y = [0] * w
-    if g is not None:
-        y[g] = D
-    _back_substitute(echelon, pivots, w, y, D, None if t is None else w + t)
-    x = [0] * n
-    for j, v in zip(cols, y):
-        x[j] = v
+    for r, c in reversed(pivots):
+        row = echelon[r]
+        yield cols[c], row[c], [(cols[j], row[j]) for j in compress(range(c + 1, w), row[c + 1:w])], row[w:]
     for col, u, rest, b in reversed(retired):
-        acc = 0 if t is None else D * b[t]
-        for j, v in rest.items():
+        yield col, u, rest.items(), b
+
+
+def _kernel(factors) -> dict:
+    """For each g in G, the tail's free columns, D times the kernel vector
+    that is 1 at g and 0 on the rest of G, as {col: int}: `_steps` with
+    b = 0 for every g at once over {col: {g: int}}, as each vector has a
+    few dozen nonzeros on a cover system."""
+    _, _, _, cols, echelon, pivots = factors
+    D = echelon[pivots[-1][0]][pivots[-1][1]] if pivots else 1
+    used = {cols[c] for _, c in pivots}
+    vectors = {g: {} for g in cols if g not in used}
+    X = defaultdict(dict, {g: {g: D} for g in vectors})
+    for col, p, rest, _ in _steps(factors) if vectors else ():
+        acc = defaultdict(int)
+        for j, v in rest:
+            for g, y in X[j].items():
+                acc[g] -= v * y
+        X[col] = {g: y // p for g, y in acc.items() if y}
+    for j, ys in X.items():
+        for g, y in ys.items():
+            vectors[g][j] = y
+    return vectors
+
+
+def _primitive(w: dict) -> dict:
+    """w over the gcd of its entries, its last nonzero made positive."""
+    k = gcd(*w.values()) if w[max(w)] > 0 else -gcd(*w.values())
+    return {j: v // k for j, v in w.items()}
+
+
+def _clear(u, w, p):
+    """u[p] w - w[p] u, zero at p, `_primitive` ({col: int})."""
+    a, c = u[p], w[p]
+    out = {j: a * w.get(j, 0) - c * u.get(j, 0) for j in w.keys() | u.keys()}
+    return _primitive({j: v for j, v in out.items() if v})
+
+
+def _null_basis(factors) -> list:
+    """The reduced-row-echelon null basis as (f, w), f in F ascending and w
+    an integer {col: int} vector: the vector for f is w / w[f].
+
+    A kernel vector's last nonzero is a free column, and the vector for f is
+    the only one that ends at f with 1 and is 0 on the rest of F. So each of
+    `_kernel`'s vectors, one per g in G, is cleared at the ends of those
+    before it, and they at its end. F is their ends; G = F when each ends at
+    its g, and then none is cleared.
+    """
+    ends, kernel = {}, _kernel(factors)
+    for w in map(_primitive, kernel.values()):
+        for e in [e for e in w if e in ends]:
+            w = _clear(ends[e], w, e)
+        f = max(w)
+        for e in [e for e, u in ends.items() if f in u]:
+            ends[e] = _clear(w, ends[e], f)
+        ends[f] = w
+    if kernel:
+        _log_debug("null basis: nullity %d, |F| %d, G = F: %s", len(kernel), len(ends), list(ends) == list(kernel))
+    return sorted(ends.items())
+
+
+def _solution(factors, n: int, t: int, basis):
+    """D and D times the solution for b_t that is zero on F, in integers:
+    the one that is 0 on G (`_steps`, exact as D, the last Bareiss pivot, is
+    a nonzero minor of the pivot rows), less x[f] times f's vector w / w[f]."""
+    _, _, _, _, echelon, pivots = factors
+    D = echelon[pivots[-1][0]][pivots[-1][1]] if pivots else 1
+    x = [0] * n
+    for col, p, rest, b in _steps(factors):
+        acc = D * b[t]
+        for j, v in rest:
             acc -= v * x[j]
-        x[col] = u * acc
+        x[col] = acc // p
+    for f, w in basis:
+        if c := x[f]:
+            if (a := w[f]) != 1:
+                x, D = [a * v for v in x], a * D
+            for j, v in w.items():
+                x[j] -= c * v
     return x, D
 
 
 def _rational(factors, n: int, with_basis: bool = False):
     """The solution of each b that is zero on F, or None where b is not
-    `_consistent`, and the basis (`_scaled_solution`)."""
-
-    def solve(t, g=None):
-        return _fractions(*_scaled_solution(factors, n, t, g))
-
-    sols = [solve(t) if _consistent(factors, t) else None for t in range(len(factors[1]))]
-    return sols, [solve(None, g) for g in _free(factors[3], factors[5])] if with_basis else []
+    `_consistent`, and the basis (`_null_basis`), in Fractions."""
+    basis = _null_basis(factors)
+    sols = [_fractions(*_solution(factors, n, t, basis)) if _consistent(factors, t) else None for t in range(len(factors[1]))]
+    return sols, [_fractions([w.get(j, 0) for j in range(n)], w[f]) for f, w in basis] if with_basis else []
 
 
 def _multiple(factors, t: int) -> int | None:
@@ -377,13 +382,13 @@ def _multiple(factors, t: int) -> int | None:
 
 
 def _factor_system(matrix, rhss):
-    """`_rref_factor` of A and each b as `_sparse_rows`, and A's width,
+    """`_factor` of A and each b as `_sparse_rows`, and A's width,
     once every b is checked to have one entry per row of A."""
     for rhs in rhss:
         if len(rhs) != len(matrix):
             raise ValueError("right-hand side length does not match row count")
     n = len(matrix[0]) if matrix else 0
-    return _rref_factor(*_sparse_rows(matrix, rhss), n), n
+    return _factor(*_sparse_rows(matrix, rhss), n), n
 
 
 def solve_particular(matrix, rhs) -> list[Fraction] | None:

@@ -23,7 +23,7 @@ from conftest import (
 )
 from cyclink import homology
 from cyclink.homology import _factorization, _first_solutions, _merged_system, _system_matrix, _system_rhs
-from cyclink.rational_linalg import _consistent, _eliminate_units, _free, _multiple, _rational, _rref_factor, _sparse_rows
+from cyclink.rational_linalg import _consistent, _eliminate_units, _factor, _multiple, _null_basis, _rational, _sparse_rows
 from cyclink import (
     TwoChain,
     assemble_system,
@@ -389,6 +389,16 @@ def test_two_chain_dict_round_trip():
     assert again.coefficient(0, 1) == chain.x[0][0]
 
 
+@pytest.mark.parametrize("arc, sheet", [(0, 0), (-1, 1), (True, 1), (0, 4), (10, 1), (0, True), (0.0, 1), (0, "1")])
+def test_a_chain_coefficient_refuses_an_arc_or_sheet_it_does_not_have(arc, sheet):
+    # Arcs are 0..9 and sheets 1..3. Indexed as they were, sheet 0 read
+    # sheet 3, arc -1 the last arc, True arc 1, and sheet 4 an IndexError.
+    chain = bounding_chain(cover_for("stevedore_w0", 3), "eta", 1)
+    assert chain.coefficient(9, 3) == chain.x[9][2]
+    with pytest.raises(ValueError, match="^no coefficient at arc"):
+        chain.coefficient(arc, sheet)
+
+
 @pytest.mark.parametrize(
     "data",
     [
@@ -603,7 +613,7 @@ def check_the_full_system_gives_the_same_answers(cover):
     curves = curve_indices(cover.diagram)
     rows, width = _system_matrix(cover)
     rhss = [_system_rhs(cover, ci, cover.components_of[ci][0]) for ci in curves]
-    full = _rref_factor(rows, rhss, width)
+    full = _factor(rows, rhss, width)
     dropped, _, merged = _factorization(cover)
     n, m = width // cover.q, merged // cover.q + 1
     ups = cover.diagram.components[cover.diagram.branch].underpasses
@@ -631,7 +641,7 @@ def check_gauge_vectors(cover):
             for g in gauges:
                 x = [[v + g[i * q + s] for s, v in enumerate(row)] for i, row in enumerate(chain.x)]
                 assert verify_boundary(cover, TwoChain(ci, coset, x))
-    basis = _rational(_rref_factor(rows, [], width), width, True)[1]
+    basis = _rational(_factor(rows, [], width), width, True)[1]
     if len(basis) == q - 1:
         assert all(v.denominator == 1 for z in basis for v in z)
 
@@ -642,8 +652,8 @@ def check_the_last_arc_is_zero(cover):
     # echelon form has sheets 1..q-1 of that arc among its free columns.
     q = cover.q
     rows, width = _system_matrix(cover)
-    _, _, _, cols, _, pivots = _rref_factor(rows, [], width)
-    assert set(range(width - q + 1, width)) <= {cols[g] for g in _free(cols, pivots)}
+    F = {f for f, _ in _null_basis(_factor(rows, [], width))}
+    assert set(range(width - q + 1, width)) <= F
     for ci in curve_indices(cover.diagram):
         for chain in bounding_chains(cover, ci).values():
             assert chain is None or not any(chain.x[-1])
@@ -866,6 +876,6 @@ def test_a_one_arc_branch_factors_with_no_columns(make, q):
         # right-hand side is nonzero on an empty row.
         eta = cover.diagram.component_index("eta")
         loose = _system_rhs(cover, eta, (1,))[1:q]
-        factors = _rref_factor(rows, [[0] * (q - 1), loose], 0)
+        factors = _factor(rows, [[0] * (q - 1), loose], 0)
         assert [_consistent(factors, t) for t in (0, 1)] == [True, False]
         assert [_multiple(factors, t) for t in (0, 1)] == [1, None]

@@ -13,7 +13,7 @@ import pytest
 import sympy
 
 from conftest import CORPUS_AND_SWEEP, fixture, sympy_minimal_multiple, sympy_minimal_multiples, trefoil_diagram
-from cyclink import rational_linalg
+from cyclink import homology, rational_linalg
 from cyclink.homology import _factorization, _first_solutions, _system_matrix, _system_rhs
 from cyclink.rational_linalg import _eliminate, _eliminate_units, _factor, _rational, _sparse_rows
 from cyclink import (
@@ -199,6 +199,15 @@ def sympy_particular(A, b):
 RATIONAL_POOL = [Fraction(p, q) for p in range(-3, 4) for q in (1, 1, 1, 2, 3)]
 
 
+def first_pass_moves_F(A):
+    """Whether the tail's free columns G, from the one factorization, are
+    not F, the non-pivot columns of sympy's rref."""
+    _, _, _, cols, _, pivots = _factor(*_sparse_rows(A, []), len(A[0]))
+    used = {col for _, col in pivots}
+    rref_pivots = sympy.Matrix(A).rref()[1]
+    return [j for k, j in enumerate(cols) if k not in used] != [j for j in range(len(A[0])) if j not in rref_pivots]
+
+
 def assert_solutions_match_sympy(A, rhss):
     """solve_many against sympy's Gauss-Jordan solution; returns whether the
     tail's own free columns were not F, so the convention had to move it."""
@@ -206,12 +215,7 @@ def assert_solutions_match_sympy(A, rhss):
     assert [x and [sympy.Rational(v) for v in x] for x in ours] == [
         sympy_particular(A, b) for b in rhss
     ], (A, rhss)
-    # G, the tail's own free columns, against F, the non-pivots of the rref
-    _, _, _, cols, _, pivots = _factor(*_sparse_rows(A, rhss), len(A[0]))
-    used = {col for _, col in pivots}
-    rref_pivots = sympy.Matrix(A).rref()[1]
-    F = [j for j in range(len(A[0])) if j not in rref_pivots]
-    return [cols[g] for g in range(len(cols)) if g not in used] != F
+    return first_pass_moves_F(A)
 
 
 def test_solve_many_is_sympy_gauss_jordan_with_free_parameters_zero():
@@ -318,21 +322,28 @@ def test_cover_nullity_is_q_minus_one(name, q):
 LARGE_COVERS = [("stevedore_w0", 96), ("stevedore_w0", 160), ("twobridge_m2", 64)]
 
 
+def count_factor_calls(monkeypatch):
+    """The list that each `_factor` call, by homology or rational_linalg,
+    appends its width to."""
+    calls = []
+
+    def counted(rows, rhs, n):
+        calls.append(n)
+        return _factor(rows, rhs, n)
+
+    monkeypatch.setattr(rational_linalg, "_factor", counted)
+    monkeypatch.setattr(homology, "_factor", counted)
+    return calls
+
+
 @pytest.mark.parametrize("name, q", CORPUS_AND_SWEEP + LARGE_COVERS)
 def test_cover_factorization_takes_one_pass(name, q, monkeypatch):
     # These covers are rational homology spheres, so with the gauge fixed
-    # they have no free column and the first guess, keeping none, is
-    # accepted.
-    calls = []
-
-    def counted(rows, rhs, n, keep=0):
-        calls.append(keep)
-        return _factor(rows, rhs, n, keep)
-
-    monkeypatch.setattr(rational_linalg, "_factor", counted)
+    # they have no free column, and nothing is left to canonicalize.
+    calls = count_factor_calls(monkeypatch)
     cover = build_cover(fixture(name).diagram, q)
     _factorization(cover)
-    assert calls == [0]
+    assert len(calls) == 1
     if (name, q) not in LARGE_COVERS:
         return
     for ci, cosets in enumerate(cover.components_of):
@@ -365,11 +376,10 @@ def test_the_multiple_eliminates_nothing_after_the_cover_factorization(name, q, 
     calls.clear()
     d = minimal_bounding_multiple(cover, "eta", 1)
     assert calls == []
-    # The public solver factors [A | b] as the other solvers do; keeping no
-    # column is refused on these covers, so it takes two passes.
+    # The public solver factors [A | b], gauge and all, in one pass.
     A, b, _ = assemble_system(cover, "eta", 1)
     assert minimal_scalar_integer_solution(A, b) == d
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name, q", CORPUS_AND_SWEEP)
@@ -386,23 +396,22 @@ def test_the_multiple_reads_independent_rows_and_a_minor_off_the_factorization(n
     assert abs(rows.extract(range(r), [col for _, col in pivots]).det()) == D
 
 
-@pytest.mark.parametrize(
-    "q, nullity, widened", [(2, 1, []), (3, 2, []), (5, 4, []), (6, 7, [0, 2, 4, 8]), (12, 13, [0, 2, 4, 8, 16])]
-)
-def test_cover_factorization_widens_its_kept_suffix_on_a_trefoil_branch(q, nullity, widened, caplog):
+@pytest.mark.parametrize("q, nullity", [(2, 1), (3, 2), (5, 4), (6, 7), (12, 13)])
+def test_cover_factorization_takes_one_pass_on_a_trefoil_branch(q, nullity, caplog, monkeypatch):
     # The trefoil's Alexander polynomial is t^2 - t + 1, the sixth
     # cyclotomic polynomial. From q = 6 on the cover is no rational homology
-    # sphere: with the gauge fixed it still has free columns, so the first
-    # guess, keeping none, is refused and the kept suffix widens until it
-    # holds them.
+    # sphere: with the gauge fixed it still has free columns, and the one
+    # pass's basis is brought to the reduced-row-echelon one afterwards.
+    calls = count_factor_calls(monkeypatch)
     cover = build_cover(normalize_writhe(trefoil_diagram(), q), q)
     with caplog.at_level(logging.DEBUG, logger="cyclink"):
         factors, _, n = _factorization(cover)
-    refused = [r.getMessage() for r in caplog.records if r.getMessage().startswith("factorization keeping")]
-    assert [int(message.split()[2]) for message in refused] == widened
-    assert len(caplog.records) == len(widened) + 1
-    basis = _rational(factors, n, True)[1]
-    assert len(basis) == nullity - (q - 1)
+        basis = _rational(factors, n, True)[1]
+    assert len(calls) == 1
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("null basis")]
+    free = nullity - (q - 1)
+    assert lines == ([f"null basis: nullity {free}, |F| {free}, G = F: False"] if free else [])
+    assert len(basis) == free
     rows, width = _system_matrix(cover)
     dense = sympy.Matrix([[row.get(j, 0) for j in range(width)] for row in rows]).nullspace()
     assert len(dense) == nullity
@@ -489,6 +498,68 @@ def test_nullspace_basis_is_sympy_nullspace_vector_for_vector():
             A, _ = rank_deficient_system(rng, pool)
             ours = [[sympy.Rational(v) for v in vec] for vec in nullspace_basis(A)]
             assert ours == [list(v) for v in sympy.Matrix(A).nullspace()], A
+
+
+def sympy_rref_solution(A, b):
+    """The solution read off sympy's rref of [A | b], zero at every free
+    column, or None when b's column holds a pivot."""
+    n = len(A[0])
+    R, pivots = sympy.Matrix(A).row_join(sympy.Matrix(b)).rref()
+    if n in pivots:
+        return None
+    x = [sympy.Integer(0)] * n
+    for i, p in enumerate(pivots):
+        x[p] = R[i, n]
+    return x
+
+
+def test_nullspace_and_solutions_are_sympy_rref_where_the_first_pass_moves_F():
+    # Unit-heavy products B C of nullity at least 2, kept only where the
+    # one factorization leaves other free columns than F, so every answer
+    # comes through the reduction of its kernel vectors.
+    rng = random.Random(19)
+    found = 0
+    for _ in range(4000):
+        m, n = rng.randint(2, 8), rng.randint(3, 9)
+        inner = rng.randint(1, n - 2)
+        B = [[rng.choice((-1, 1, -1, 1, 0, 2)) for _ in range(inner)] for _ in range(m)]
+        C = [[rng.choice((-2, -1, 0, 1, 1, 2)) for _ in range(n)] for _ in range(inner)]
+        A = [[sum(B[i][t] * C[t][j] for t in range(inner)) for j in range(n)] for i in range(m)]
+        if not first_pass_moves_F(A):
+            continue
+        theirs = sympy.Matrix(A).nullspace()
+        assert len(theirs) >= 2
+        assert [[sympy.Rational(v) for v in vec] for vec in nullspace_basis(A)] == [list(v) for v in theirs], A
+        x0 = [rng.randint(-2, 2) for _ in range(n)]
+        rhss = [[sum(a * x for a, x in zip(row, x0)) for row in A], [rng.randint(-2, 2) for _ in range(m)]]
+        assert [x and [sympy.Rational(v) for v in x] for x in solve_many(A, rhss)] == [
+            sympy_rref_solution(A, b) for b in rhss
+        ], (A, rhss)
+        found += 1
+        if found == 60:
+            break
+    assert found == 60
+
+
+@pytest.mark.parametrize("name, q, same", [("twobridge_m1", 4, False), ("stevedore_w5", 5, False), ("twobridge_m0", 5, True)])
+def test_each_public_solver_factors_once_and_logs_its_reduction(name, q, same, monkeypatch, caplog):
+    # The full cover system keeps the deck-group gauge, nullity q - 1. On
+    # the first two the one factorization leaves other free columns than F.
+    calls = count_factor_calls(monkeypatch)
+    A, b, _ = assemble_system(build_cover(fixture(name).diagram, q), "eta", 1)
+    line = f"null basis: nullity {q - 1}, |F| {q - 1}, G = F: {same}"
+    for solve, lines in [
+        (lambda: solve_particular(A, b), [line]),
+        (lambda: solve_many(A, [b, b]), [line]),
+        (lambda: nullspace_basis(A), [line]),
+        (lambda: minimal_scalar_integer_solution(A, b), []),
+    ]:
+        calls.clear()
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="cyclink"):
+            solve()
+        assert len(calls) == 1
+        assert [r.getMessage() for r in caplog.records if r.getMessage().startswith("null basis")] == lines
 
 
 def test_nullspace_of_invertible_matrix_is_empty():
