@@ -46,26 +46,15 @@ class CoverStructure(_Record):
 
     _memo keeps what cyclink.homology solves on this cover: one
     factorization and its merge map, one solution and one multiple per
-    curve, and the chains asked for; it fills on the first query, not here. It is not a field:
-    equality, hashing and repr ignore it, and a copy starts empty.
+    curve, and the chains asked for. It starts empty and is not a field:
+    equality, hashing and repr ignore it, and a copy starts empty too.
     """
 
     _fields = ("q", "diagram", "sigma", "lbar", "components_of")
     __slots__ = (*_fields, "_memo")
 
-    def __init__(
-        self,
-        q: int,
-        diagram: LinkDiagram,
-        sigma: tuple[tuple[int, ...], ...],
-        lbar: tuple[int | None, ...],
-        components_of: tuple[tuple[tuple[int, ...], ...] | None, ...],
-    ):
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "diagram", diagram)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "lbar", lbar)
-        object.__setattr__(self, "components_of", components_of)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         object.__setattr__(self, "_memo", {})
 
 
@@ -75,7 +64,8 @@ def build_cover(diagram: LinkDiagram, q: int) -> CoverStructure:
     The branch component must have writhe divisible by q; otherwise the
     sheets fail to close up and a ValueError points at normalize_writhe.
     """
-    if q < 1:
+    # An exact type test, as in _lift: True would build a cover with q True.
+    if type(q) is not int or q < 1:
         raise ValueError("cover degree q must be a positive integer")
     if q > MAX_COVER_DEGREE:
         raise ValueError(
@@ -127,13 +117,7 @@ def build_cover(diagram: LinkDiagram, q: int) -> CoverStructure:
         )
         components_of.append(cosets)
 
-    return CoverStructure(
-        q=q,
-        diagram=diagram,
-        sigma=tuple(sigma),
-        lbar=tuple(lbar),
-        components_of=tuple(components_of),
-    )
+    return CoverStructure(q, diagram, tuple(sigma), tuple(lbar), tuple(components_of))
 
 
 def _lift(cover: CoverStructure, curve: int | str, coset) -> tuple[int, tuple[int, ...]]:

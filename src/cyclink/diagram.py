@@ -23,14 +23,37 @@ FORMAT = "cyclink-diagram-1"
 class _Record:
     """An immutable record: the fields named in _fields, each in a slot.
 
-    Two records are equal when they are of the same class with equal
-    fields, and hash as the tuple of their fields; repr reads like the
-    constructor call. Pickle and copy rebuild a record through its
-    __init__, so subclasses take their fields in _fields order.
+    The fields are taken by position, in _fields order, or by keyword, as
+    a dataclass takes them; a missing, extra or unknown argument raises
+    TypeError. Two records are equal when they are of the same class with
+    equal fields, and hash as the tuple of their fields; repr reads like
+    the constructor call. Pickle and copy rebuild a record from its fields
+    by position.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # Each field's slot setter, which stores past the refusing
+        # __setattr__ faster than object.__setattr__ finds it by name.
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            # Bound as a dataclass binds them: by position, then by keyword.
+            values = dict(zip(fields, args))
+            for name in kwargs:
+                if name not in fields or name in values:
+                    raise TypeError(f"{type(self).__name__}() got an unexpected or repeated argument {name!r}")
+            values.update(kwargs)
+            if len(args) > len(fields) or len(values) < len(fields):
+                raise TypeError(f"{type(self).__name__}() takes {len(fields)} fields, {', '.join(fields)}, not {len(args) + len(kwargs)}")
+            args = [values[name] for name in fields]
+        for setter, value in zip(self._setters, args):
+            setter(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -62,27 +85,15 @@ class OverstrandRef(_Record):
 
     __slots__ = _fields = ("component", "arc")
 
-    def __init__(self, component: int, arc: int):
-        object.__setattr__(self, "component", component)
-        object.__setattr__(self, "arc", arc)
-
 
 class Underpass(_Record):
     """One undercrossing along a walk: crossing sign and the overstrand arc."""
 
     __slots__ = _fields = ("sign", "over")
 
-    def __init__(self, sign: int, over: OverstrandRef):
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "over", over)
-
 
 class LinkComponent(_Record):
     __slots__ = _fields = ("name", "underpasses")
-
-    def __init__(self, name: str, underpasses: tuple[Underpass, ...]):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "underpasses", underpasses)
 
     @property
     def arc_count(self) -> int:
@@ -92,10 +103,6 @@ class LinkComponent(_Record):
 
 class LinkDiagram(_Record):
     __slots__ = _fields = ("components", "branch")
-
-    def __init__(self, components: tuple[LinkComponent, ...], branch: int):
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "branch", branch)
 
     def component_index(self, key: int | str) -> int:
         """Resolve a component given by index or by name."""
@@ -194,7 +201,8 @@ def normalize_writhe(diagram: LinkDiagram, q: int) -> LinkDiagram:
     to positive kinks. Each kink is one extra arc whose underpass records the
     kink arc itself as overstrand.
     """
-    if q < 1:
+    # An exact type test, as in build_cover: True would pass as q = 1.
+    if type(q) is not int or q < 1:
         raise ValueError("q must be a positive integer")
     w = writhe(diagram, diagram.branch)
     r_pos = (-w) % q
@@ -268,11 +276,11 @@ def diagram_from_dict(data: dict) -> LinkDiagram:
             # str() would turn null into "None" and ["e"] into "['e']".
             if not isinstance(name, str):
                 raise ValueError(f"component {ci} name must be a string, not {name!r}")
-            comps.append(LinkComponent(name=name, underpasses=tuple(ups)))
+            comps.append(LinkComponent(name, tuple(ups)))
         branch = _integer(data["branch"], "branch")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed diagram JSON: {exc}") from exc
-    return LinkDiagram(components=tuple(comps), branch=branch)
+    return LinkDiagram(tuple(comps), branch)
 
 
 def load_diagram(path) -> LinkDiagram:

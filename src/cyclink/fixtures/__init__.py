@@ -15,7 +15,7 @@ import json
 import re
 from pathlib import Path
 
-from ..diagram import LinkDiagram, _Record, load_diagram, pairwise_linking, validate, writhe
+from ..diagram import _Record, load_diagram, pairwise_linking, validate, writhe
 from ..rational_linalg import parse_rational
 
 _DATA = Path(__file__).parent / "data"
@@ -30,29 +30,9 @@ class Expectation(_Record):
 
     __slots__ = _fields = ("op", "args", "value", "source")
 
-    def __init__(self, op: str, args: dict, value: object, source: str):
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "source", source)
-
 
 class Fixture(_Record):
     __slots__ = _fields = ("name", "diagram", "winding", "writhe_zero_mod", "expected")
-
-    def __init__(
-        self,
-        name: str,
-        diagram: LinkDiagram,
-        winding: int,
-        writhe_zero_mod: tuple[int, ...],
-        expected: tuple[Expectation, ...],
-    ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "diagram", diagram)
-        object.__setattr__(self, "winding", winding)
-        object.__setattr__(self, "writhe_zero_mod", writhe_zero_mod)
-        object.__setattr__(self, "expected", expected)
 
     @property
     def eta(self) -> int:

@@ -16,8 +16,10 @@ carrying each lift of a curve to the next, so the system is factored once
 branch arcs joined by underpasses of other components merged
 (`_merged_system`), the rows that others imply dropped, and the deck-group
 gauge, which changes no linking number, fixed by leaving out the branch's
-last arc. Every other chain is a shift of one read off that factorization.
-On a rational homology sphere what is factored has full column rank, and a
+last arc. One generator writes the underpass rows R_{i,s} of both the full
+and the merged system (`_underpass_rows`). Every other chain is a shift of
+one read off that factorization (rational_linalg._solutions). On a
+rational homology sphere what is factored has full column rank, and a
 curve's integral multiple is the lcm of its chain's denominators; on other
 covers it reads the same factorization. The `cyclink` logger reports each
 factorization and each multiple at DEBUG level.
@@ -31,7 +33,7 @@ from math import lcm
 
 from .cover import CoverStructure, _lift
 from .diagram import _integer, _Record
-from .rational_linalg import _consistent, _factor, _fractions, _log_debug, _multiple, _null_basis, _solution
+from .rational_linalg import _factor, _fractions, _log_debug, _multiple, _solutions
 from .rational_linalg import format_rational, parse_rational
 
 # assemble_system hands the system out dense, so above this many entries
@@ -58,16 +60,15 @@ class TwoChain(_Record):
 
     __slots__ = _fields = ("curve", "coset", "x")
 
-    def __init__(self, curve: int, coset: tuple[int, ...], x: tuple[tuple[Fraction, ...], ...]):
-        # Rows are frozen first, so the check holds for the chain's life; a
-        # float would be summed inexactly, and True is not a coefficient.
-        x = tuple(map(tuple, x))
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Rows are frozen before the check, so it holds for the chain's life;
+        # a float would be summed inexactly, and True is not a coefficient.
+        x = tuple(map(tuple, self.x))
         for row in x:
             for v in row:
                 if type(v) is not int and type(v) is not Fraction:
                     raise ValueError(f"chain entry {v!r} is not an int or a Fraction")
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "coset", coset)
         object.__setattr__(self, "x", x)
 
     def coefficient(self, arc: int, sheet: int) -> Fraction:
@@ -116,38 +117,41 @@ def _refuse_rows(n: int, q: int) -> None:
         )
 
 
-def _system_matrix(cover: CoverStructure):
-    """The coefficient matrix of assemble_system as {col: int} rows, with its width.
-
-    Column i*q + s holds the lift of branch arc i to sheet s + 1, so the
-    rows are written in 0-based sheets, reduced mod q.
-    """
-    diagram = cover.diagram
-    branch = diagram.branch
-    q = cover.q
-    comp = diagram.components[branch]
-    n = comp.arc_count
-    _refuse_rows(n, q)
-
-    # Vertical walls are built from sheet-gap cells, so the per-arc
-    # coefficients must sum to zero.
-    rows = [{i * q + s: 1 for s in range(q)} for i in range(n)]
-
-    for i, up in enumerate(comp.underpasses):
-        oc, over = up.over.component, up.over.arc * q
-        eps = up.sign
-        off = cover.sigma[branch][i]
-        here, ahead = i * q, (i + 1) % n * q
-        for s in range(q):
+def _underpass_rows(cover: CoverStructure, block, kept, sheets: int, width: int):
+    """R_{i,s} for each branch underpass i in kept and sheet s < sheets, as
+    {col: int} rows: branch arc k's q columns start at block[k] * q, sheets
+    are 0-based and reduced mod q, and entries at or past width are left out."""
+    q, branch = cover.q, cover.diagram.branch
+    ups = cover.diagram.components[branch].underpasses
+    for i in kept:
+        up, off = ups[i], cover.sigma[branch][i]
+        here, ahead = block[i] * q, block[(i + 1) % len(block)] * q
+        over = block[up.over.arc] * q if up.over.component == branch else None
+        for s in range(sheets):
             row = defaultdict(int)
             row[here + s] += 1
             row[ahead + s] -= 1
-            if oc == branch:
-                row[over + (s + off) % q] -= eps
-                row[over + (s + 1 + off) % q] += eps
+            if over is not None:
+                row[over + (s + off) % q] -= up.sign
+                row[over + (s + 1 + off) % q] += up.sign
             # Curve walls have fixed coefficients; _system_rhs carries them.
-            rows.append({col: v for col, v in row.items() if v})
+            yield {col: v for col, v in row.items() if v and col < width}
 
+
+def _system_matrix(cover: CoverStructure):
+    """The coefficient matrix of assemble_system as {col: int} rows, with its width.
+
+    Column i*q + s holds the lift of branch arc i to sheet s + 1: the sum
+    rows, then R_{i,s} for every underpass i and sheet s.
+    """
+    q = cover.q
+    comp = cover.diagram.components[cover.diagram.branch]
+    n = comp.arc_count
+    _refuse_rows(n, q)
+    # Vertical walls are built from sheet-gap cells, so the per-arc
+    # coefficients must sum to zero.
+    rows = [{i * q + s: 1 for s in range(q)} for i in range(n)]
+    rows += _underpass_rows(cover, range(n), range(len(comp.underpasses)), q, n * q)
     return rows, n * q
 
 
@@ -235,8 +239,7 @@ def _merged_system(cover: CoverStructure, curves: list[int]):
         underpass_rhs.append(b)
         consts.append(c)
 
-    rows = [{k * q + s: 1 for s in range(q)} for k in range(m - 1)]
-    rhss = [[0] * (m - 1) for _ in curves]
+    kept = [i for i in range(len(ups)) if not joins[i]]
     # Let S_i be arc i's sum row and R_{i,s} its underpass row on sheet s.
     # Summed over s, R_{i,s} gives S_i - S_{i+1}: the over-arc terms are
     # sheet shifts of one another and telescope, and so do the right-hand
@@ -246,28 +249,20 @@ def _merged_system(cover: CoverStructure, curves: list[int]):
     # kept underpass: that changes neither the rational nor the integral
     # solutions, so neither F, the chains nor the multiples. (Dropping sum
     # rows instead steers the unit phase to larger tails.)
-    for i, up in enumerate(ups):
-        if joins[i]:
-            continue
-        eps, off = up.sign, cover.sigma[branch][i]
-        here, ahead = block[i] * q, block[(i + 1) % n] * q
-        over = block[up.over.arc] * q if up.over.component == branch else None
-        for s in range(q - 1):
-            row = defaultdict(int)
-            row[here + s] += 1
-            row[ahead + s] -= 1
-            if over is not None:
-                row[over + (s + off) % q] -= eps
-                row[over + (s + 1 + off) % q] += eps
-            rows.append({col: v for col, v in row.items() if v and col < width})
+    rows = [{k * q + s: 1 for s in range(q)} for k in range(m - 1)]
+    rows += _underpass_rows(cover, block, kept, q - 1, width)
+    rhss = [[0] * (m - 1) for _ in curves]
+    for i in kept:
+        up, off = ups[i], cover.sigma[branch][i]
+        over = up.over.arc if up.over.component == branch else None
         for b, c, rhs in zip(underpass_rhs, consts, rhss):
-            cn, co = c[(i + 1) % n], None if over is None else c[up.over.arc]
+            cn, co = c[(i + 1) % n], None if over is None else c[over]
             for s in range(q - 1):
                 v = b[i][s]
                 if cn:
                     v += cn[s]
                 if co:
-                    v += eps * (co[(s + off) % q] - co[(s + 1 + off) % q])
+                    v += up.sign * (co[(s + off) % q] - co[(s + 1 + off) % q])
                 rhs.append(v)
     return rows, rhss, width, (block, consts)
 
@@ -275,8 +270,7 @@ def _merged_system(cover: CoverStructure, curves: list[int]):
 def _factorization(cover: CoverStructure) -> tuple:
     """The merged cover system (`_merged_system`) factored once
     (rational_linalg._factor), with each curve's first coset riding
-    along; those curves in order; the factored width. The merge map is
-    memoized under "merge".
+    along; those curves in order; the factored width; the merge map.
 
     The answers are those of the full system. A chain is defined up to the
     deck-group gauge, and the gauge is fixed by leaving out the last arc:
@@ -314,14 +308,13 @@ def _factorization(cover: CoverStructure) -> tuple:
         # components_of is None at the branch, which has no lifts to bound.
         curves = [ci for ci, cosets in enumerate(cover.components_of) if cosets]
         rows, rhss, width, merge = _merged_system(cover, curves)
-        tail, _, retired, cols, _, pivots = factors = _factor(rows, rhss, width)
+        factors = _factor(rows, rhss, width)
         _log_debug(
             "cover system %d x %d, %d arcs merged to %d, the last fixed at 0: %d unit steps, tail %d x %d, rank %d, nullity %d",
-            len(rows), width, len(merge[0]), width // cover.q + 1,
-            len(retired), len(tail), len(cols), len(pivots), len(cols) - len(pivots),
+            len(rows), width, len(merge[0]), width // cover.q + 1, len(factors.retired),
+            len(factors.tail), len(factors.cols), len(factors.pivots), len(factors.free),
         )
-        cover._memo["merge"] = merge
-        memo = cover._memo["factorization"] = (factors, curves, width)
+        memo = cover._memo["factorization"] = (factors, curves, width, merge)
     return memo
 
 
@@ -329,7 +322,7 @@ def _first_solutions(cover: CoverStructure) -> dict:
     """Each curve's first-coset solution, keyed by curve, or None if it has none.
 
     Solved from the cover's factorization on the first call, made zero on F
-    (rational_linalg._solution: nothing to do at full column rank), with
+    (rational_linalg._solutions: nothing to do at full column rank), with
     the last arc's q zeros padded back, and expanded from the merged arcs:
     x_{i,s} = x_{rep,s} + c_{i,s}, in integers over the last Bareiss pivot
     D, and an arc with c = 0 shares its representative's row. Row i, entry
@@ -339,14 +332,13 @@ def _first_solutions(cover: CoverStructure) -> dict:
     solutions = cover._memo.get("solutions")
     if solutions is None:
         q = cover.q
-        factors, curves, width = _factorization(cover)
-        block, consts = cover._memo["merge"]
-        basis, solutions = _null_basis(factors), {}  # none at full column rank
-        for t, (ci, c) in enumerate(zip(curves, consts)):
-            if not _consistent(factors, t):
+        factors, curves, width, (block, consts) = _factorization(cover)
+        solutions = {}
+        for ci, c, solution in zip(curves, consts, _solutions(factors, width + q)):  # the last block is 0
+            if solution is None:
                 solutions[ci] = None
                 continue
-            x, D = _solution(factors, width + q, t, basis)  # the last block is 0
+            x, D = solution
             runs = [_fractions(x[k:k + q], D) for k in range(0, len(x), q)]
             solutions[ci] = [
                 runs[k] if ck is None else _fractions([v + D * u for v, u in zip(x[k * q:k * q + q], ck)], D)
@@ -403,8 +395,8 @@ def minimal_bounding_multiple(cover: CoverStructure, curve: int | str, coset) ->
     ci, _ = _lift(cover, curve, coset)
     orders = cover._memo.setdefault("orders", {})
     if ci not in orders:
-        factors, curves, _ = _factorization(cover)
-        if len(factors[3]) == len(factors[5]):  # full column rank
+        factors, curves, _, _ = _factorization(cover)
+        if not factors.free:  # full column rank
             rows = _first_solutions(cover)[ci]
             d = None if rows is None else lcm(*(v.denominator for row in rows for v in row))
             _log_debug(

@@ -25,9 +25,6 @@ class UndefinedEntry(_Record):
 
     __slots__ = _fields = ("reason",)
 
-    def __init__(self, reason: str):
-        object.__setattr__(self, "reason", reason)
-
     def to_json(self) -> dict:
         return {"undefined": self.reason}
 
@@ -100,20 +97,6 @@ class LinkingReport(_Record):
 
     __slots__ = _fields = ("curve_a", "curve_b", "cosets_a", "cosets_b", "entries")
 
-    def __init__(
-        self,
-        curve_a: int,
-        curve_b: int,
-        cosets_a: tuple[tuple[int, ...], ...],
-        cosets_b: tuple[tuple[int, ...], ...],
-        entries: tuple[tuple[Fraction | UndefinedEntry, ...], ...],
-    ):
-        object.__setattr__(self, "curve_a", curve_a)
-        object.__setattr__(self, "curve_b", curve_b)
-        object.__setattr__(self, "cosets_a", cosets_a)
-        object.__setattr__(self, "cosets_b", cosets_b)
-        object.__setattr__(self, "entries", entries)
-
     def entry(self, i: int, j: int) -> Fraction | UndefinedEntry:
         return self.entries[i][j]
 
@@ -151,10 +134,5 @@ def linking_matrix(cover: CoverStructure, curve_a: int | str, curve_b: int | str
     cosets_b = cover.components_of[bi]
     first = [_entry(cover, ai, cosets_a[0], bi, gb) for gb in cosets_b]
     g = len(cosets_b)
-    return LinkingReport(
-        curve_a=ai,
-        curve_b=bi,
-        cosets_a=cosets_a,
-        cosets_b=cosets_b,
-        entries=tuple(tuple(first[(j - i) % g] for j in range(g)) for i in range(len(cosets_a))),
-    )
+    entries = tuple(tuple(first[(j - i) % g] for j in range(g)) for i in range(len(cosets_a)))
+    return LinkingReport(ai, bi, cosets_a, cosets_b, entries)

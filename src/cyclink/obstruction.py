@@ -44,24 +44,6 @@ class ObstructionVerdict(_Record):
 
     __slots__ = _fields = ("q", "winding", "order", "hypotheses", "sign_profile", "verdict", "matrix")
 
-    def __init__(
-        self,
-        q: int,
-        winding: int,
-        order: int | None,
-        hypotheses: dict,
-        sign_profile: str,
-        verdict: str,
-        matrix: LinkingReport,
-    ):
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "winding", winding)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "hypotheses", hypotheses)
-        object.__setattr__(self, "sign_profile", sign_profile)
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "matrix", matrix)
-
     def to_dict(self) -> dict:
         return {
             "q": self.q,
@@ -132,12 +114,4 @@ def evaluate_obstruction(diagram: LinkDiagram, q: int) -> ObstructionVerdict:
         if applicable and profile in (ALL_NONNEG, ALL_NONPOS)
         else INCONCLUSIVE
     )
-    return ObstructionVerdict(
-        q=q,
-        winding=winding,
-        order=order,
-        hypotheses=hypotheses,
-        sign_profile=profile,
-        verdict=verdict,
-        matrix=report,
-    )
+    return ObstructionVerdict(q, winding, order, hypotheses, profile, verdict, report)

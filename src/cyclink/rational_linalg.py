@@ -6,6 +6,8 @@ a rational row scaled by the lcm of its denominators; a unit phase
 (`_eliminate_units`) pivots on +-1 entries with row operations only and
 keeps each retired row; fraction-free Bareiss (`_eliminate`) brings the
 rest, the tail, to echelon form with the right-hand sides riding along.
+The factorization's parts are named (`_Factors`), D, the last Bareiss
+pivot, among them.
 
 Rational answers follow reduced row echelon form. The free columns F are
 the columns that are combinations of the columns to their left. A
@@ -14,10 +16,11 @@ in F, 1 at f and 0 on the rest of F. Back-substitution through the tail,
 then through the retired rows, reads answers off in integers over one
 denominator per vector, but for the tail's own free columns G. So the
 kernel vectors for G (`_kernel`) are reduced right to left to the basis
-for F (`_null_basis`), and each solution is made zero on F. A cover fixes
-its deck-group gauge before it factors (homology), so on a rational
-homology sphere it has no free column and nothing to reduce. The least d
-for which A x = d b has an integer solution reads the same factorization
+for F (`_null_basis`), and each solution is made zero on F (`_solutions`,
+which `solve_many` and a cover's chains both read). A cover fixes its
+deck-group gauge before it factors (homology), so on a rational homology
+sphere it has no free column and nothing to reduce. The least d for which
+A x = d b has an integer solution reads the same factorization
 (`_multiple`). The `cyclink` logger reports each reduction and each
 multiple's tail at DEBUG level.
 """
@@ -25,7 +28,7 @@ multiple's tail at DEBUG level.
 from __future__ import annotations
 
 import sys
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress
@@ -92,8 +95,8 @@ def _eliminate(rows, m, n, width):
     """In-place Bareiss forward elimination on integer rows of length width.
 
     Pivots are chosen among the first n columns only; any trailing columns
-    ride along. Returns the pivot (row, col) list; after return, rows below
-    the last pivot are zero in all n pivot-eligible columns.
+    ride along. Returns the pivot columns, pivot k in row k; after return,
+    rows below the last pivot are zero in all n pivot-eligible columns.
 
     Each dense step sets row_i[j] = (piv * row_i[j] - factor * row_r[j]) // prev
     for every target row i and column j >= col. With a zero factor that is a
@@ -104,7 +107,7 @@ def _eliminate(rows, m, n, width):
     that can change: rows from r on are zero before col, and where row_r[j]
     is zero it is a rescale. Every entry ends as the dense algorithm's integer.
     """
-    pivots: list[tuple[int, int]] = []
+    pivots: list[int] = []
     seen = [1] * m
     prev = 1
     r = 0
@@ -132,7 +135,7 @@ def _eliminate(rows, m, n, width):
             for j, v in support:
                 row_i[j] = (piv * row_i[j] - factor * v) // prev
             seen[i] = piv
-        pivots.append((r, col))
+        pivots.append(col)
         prev = piv
         r += 1
     for i in range(r, m):
@@ -205,15 +208,20 @@ def _eliminate_units(rows, rhs):
     return [rows[i] for i in live], [[b[i] for i in live] for b in rhs], retired
 
 
-def _factor(rows, rhs, n: int):
+# What `_factor` leaves: the tail and each b on it, the retired rows, the
+# tail's columns (ascending), its echelon rows with the right-hand sides
+# riding along, the echelon column of each pivot (pivot k in row k), the
+# tail's free columns G, and D, the last pivot (1 without a pivot).
+_Factors = namedtuple("_Factors", "tail rhs retired cols echelon pivots free D")
+
+
+def _factor(rows, rhs, n: int) -> _Factors:
     """[A | b_1..b_k], as {col: int} rows and a list per b, factored once.
 
     The unit phase retires most rows; Bareiss brings the rest, the tail
-    over the columns that never pivoted (cols, ascending), to echelon form
-    with the right-hand sides riding along. Returns (tail, each b on the
-    tail, retired, cols, echelon, pivots). The tail and each b are left as
-    the unit phase left them, but in the order Bareiss left the echelon
-    rows, so their first rank rows are the pivot rows.
+    over the columns that never pivoted, to echelon form. The tail and each
+    b are left as the unit phase left them, but in the order Bareiss left
+    the echelon rows, so their first rank rows are the pivot rows.
     """
     tail, rhs, retired = _eliminate_units(rows, rhs)
     pivoted = {col for col, *_ in retired}
@@ -223,39 +231,37 @@ def _factor(rows, rhs, n: int):
     slot = {id(row): i for i, row in enumerate(echelon)}
     pivots = _eliminate(echelon, len(tail), len(cols), len(cols) + len(rhs))
     moved = [slot[id(row)] for row in echelon]
-    return [tail[i] for i in moved], [[b[i] for i in moved] for b in rhs], retired, cols, echelon, pivots
+    used = set(pivots)
+    free = [j for k, j in enumerate(cols) if k not in used]
+    D = echelon[len(pivots) - 1][pivots[-1]] if pivots else 1
+    return _Factors([tail[i] for i in moved], [[b[i] for i in moved] for b in rhs], retired, cols, echelon, pivots, free, D)
 
 
 def _consistent(factors, t: int) -> bool:
     """Whether b_t is in the rational span of A's columns: it is zero on
     every echelon row below the rank."""
-    _, _, _, cols, echelon, pivots = factors
-    return not any(row[len(cols) + t] for row in echelon[len(pivots):])
+    w = len(factors.cols)
+    return not any(row[w + t] for row in factors.echelon[len(factors.pivots):])
 
 
 def _steps(factors):
     """Back-substitution as (col, p, rest, b), p x_col + rest . x = b with
     rest on columns solved before col or in G: the tail's pivot rows, then
     the retired rows, each last first."""
-    _, _, retired, cols, echelon, pivots = factors
-    w = len(cols)
-    for r, c in reversed(pivots):
-        row = echelon[r]
+    cols, w = factors.cols, len(factors.cols)
+    for row, c in reversed(list(zip(factors.echelon, factors.pivots))):
         yield cols[c], row[c], [(cols[j], row[j]) for j in compress(range(c + 1, w), row[c + 1:w])], row[w:]
-    for col, u, rest, b in reversed(retired):
+    for col, u, rest, b in reversed(factors.retired):
         yield col, u, rest.items(), b
 
 
 def _kernel(factors) -> dict:
-    """For each g in G, the tail's free columns, D times the kernel vector
-    that is 1 at g and 0 on the rest of G, as {col: int}: `_steps` with
-    b = 0 for every g at once over {col: {g: int}}, as each vector has a
-    few dozen nonzeros on a cover system."""
-    _, _, _, cols, echelon, pivots = factors
-    D = echelon[pivots[-1][0]][pivots[-1][1]] if pivots else 1
-    used = {cols[c] for _, c in pivots}
-    vectors = {g: {} for g in cols if g not in used}
-    X = defaultdict(dict, {g: {g: D} for g in vectors})
+    """For each g in G, D times the kernel vector that is 1 at g and 0 on
+    the rest of G, as {col: int}: `_steps` with b = 0 for every g at once
+    over {col: {g: int}}, as each vector has a few dozen nonzeros on a
+    cover system."""
+    vectors = {g: {} for g in factors.free}
+    X = defaultdict(dict, {g: {g: factors.D} for g in vectors})
     for col, p, rest, _ in _steps(factors) if vectors else ():
         acc = defaultdict(int)
         for j, v in rest:
@@ -305,11 +311,10 @@ def _null_basis(factors) -> list:
 
 
 def _solution(factors, n: int, t: int, basis):
-    """D and D times the solution for b_t that is zero on F, in integers:
+    """D times the solution for b_t that is zero on F, in integers, and D:
     the one that is 0 on G (`_steps`, exact as D, the last Bareiss pivot, is
     a nonzero minor of the pivot rows), less x[f] times f's vector w / w[f]."""
-    _, _, _, _, echelon, pivots = factors
-    D = echelon[pivots[-1][0]][pivots[-1][1]] if pivots else 1
+    D = factors.D
     x = [0] * n
     for col, p, rest, b in _steps(factors):
         acc = D * b[t]
@@ -325,12 +330,11 @@ def _solution(factors, n: int, t: int, basis):
     return x, D
 
 
-def _rational(factors, n: int, with_basis: bool = False):
-    """The solution of each b that is zero on F, or None where b is not
-    `_consistent`, and the basis (`_null_basis`), in Fractions."""
+def _solutions(factors, n: int) -> list:
+    """Each b's solution that is zero on F, as `_solution`'s (x, D) over n
+    columns, or None where b is not `_consistent`."""
     basis = _null_basis(factors)
-    sols = [_fractions(*_solution(factors, n, t, basis)) if _consistent(factors, t) else None for t in range(len(factors[1]))]
-    return sols, [_fractions([w.get(j, 0) for j in range(n)], w[f]) for f, w in basis] if with_basis else []
+    return [_solution(factors, n, t, basis) if _consistent(factors, t) else None for t in range(len(factors.rhs))]
 
 
 def _multiple(factors, t: int) -> int | None:
@@ -351,17 +355,15 @@ def _multiple(factors, t: int) -> int | None:
     c's entry a multiple of h_i[i], and clears it with h_i. Every entry is
     kept modulo D, which changes neither L nor the order.
     """
-    tail, rhs, retired, cols, echelon, pivots = factors
-    r, consistent = len(pivots), _consistent(factors, t)
-    D = abs(echelon[pivots[-1][0]][pivots[-1][1]]) if pivots else 1
+    tail, r, D, consistent = factors.tail, len(factors.pivots), abs(factors.D), _consistent(factors, t)
     _log_debug(
         "minimal multiple: %d unit steps, tail %d x %d, %d rows independent, minor %d bits",
-        len(retired), len(tail), len(set().union(*tail)), r + (not consistent), D.bit_length(),
+        len(factors.retired), len(tail), len(set().union(*tail)), r + (not consistent), D.bit_length(),
     )
     if not consistent:
         return None
-    gens = [g for j in cols if any(g := [row.get(j, 0) % D for row in tail[:r]])]
-    v = [x % D for x in rhs[t][:r]]
+    gens = [g for j in factors.cols if any(g := [row.get(j, 0) % D for row in tail[:r]])]
+    v = [x % D for x in factors.rhs[t][:r]]
     d = 1
     for i in range(r):
         h = [0] * r
@@ -402,7 +404,7 @@ def solve_particular(matrix, rhs) -> list[Fraction] | None:
 
 def solve_many(matrix, rhss) -> list[list[Fraction] | None]:
     """[solve_particular(A, b) for b in rhss], from one factorization of A."""
-    return _rational(*_factor_system(matrix, rhss))[0]
+    return [s and _fractions(*s) for s in _solutions(*_factor_system(matrix, rhss))]
 
 
 def nullspace_basis(matrix) -> list[list[Fraction]]:
@@ -411,7 +413,8 @@ def nullspace_basis(matrix) -> list[list[Fraction]]:
     The vector for free column f is 1 at f and 0 at the other free columns:
     the basis read off the reduced row echelon form.
     """
-    return _rational(*_factor_system(matrix, []), True)[1]
+    factors, n = _factor_system(matrix, [])
+    return [_fractions([w.get(j, 0) for j in range(n)], w[f]) for f, w in _null_basis(factors)]
 
 
 def minimal_scalar_integer_solution(matrix, rhs) -> int | None:

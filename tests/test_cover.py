@@ -12,6 +12,7 @@ from cyclink import (
     bounding_chain,
     bounding_chains,
     build_cover,
+    evaluate_obstruction,
     lift_components,
     linking_matrix,
     linking_number,
@@ -51,6 +52,18 @@ def test_build_cover_rejects_bad_degree_and_invalid_diagrams():
 
     with pytest.raises(ValueError, match="invalid diagram"):
         build_cover(LinkDiagram((LinkComponent("K", ()),), 5), 2)
+
+
+@pytest.mark.parametrize("q", [True, 2.0, 2.5, "3"])
+def test_a_degree_that_is_not_exactly_an_int_is_refused(q):
+    # Never coerced: True would pass as q = 1 and 2.0 as q = 2, and on a
+    # writhe-0 diagram normalize_writhe would have nothing else to refuse.
+    d = fixture("stevedore_w0").diagram
+    for call in (build_cover, evaluate_obstruction):
+        with pytest.raises(ValueError, match="^cover degree q must be a positive integer$"):
+            call(d, q)
+    with pytest.raises(ValueError, match="^q must be a positive integer$"):
+        normalize_writhe(d, q)
 
 
 def test_build_cover_refuses_a_degree_above_the_limit():

@@ -23,7 +23,7 @@ from conftest import (
 )
 from cyclink import homology
 from cyclink.homology import _factorization, _first_solutions, _merged_system, _system_matrix, _system_rhs
-from cyclink.rational_linalg import _consistent, _eliminate_units, _factor, _multiple, _null_basis, _rational, _sparse_rows
+from cyclink.rational_linalg import _consistent, _eliminate_units, _factor, _fractions, _multiple, _null_basis, _solutions, _sparse_rows
 from cyclink import (
     TwoChain,
     assemble_system,
@@ -350,7 +350,7 @@ def test_the_hermite_oracle_on_rank_zero_tails(name, q):
     # Every cable row leaves a tail of rank 0, both after the unit phase on
     # the full system and in the cover's merged factorization.
     cover = build_cover(fixture(name).diagram, q)
-    assert _factorization(cover)[0][5] == []
+    assert _factorization(cover)[0].pivots == []
     for ci in curve_indices(cover.diagram):
         rows, rhs, _ = assemble_system(cover, ci, cover.components_of[ci][0])
         tail, _, _ = _eliminate_units(*_sparse_rows(rows, [rhs]))
@@ -614,12 +614,12 @@ def check_the_full_system_gives_the_same_answers(cover):
     rows, width = _system_matrix(cover)
     rhss = [_system_rhs(cover, ci, cover.components_of[ci][0]) for ci in curves]
     full = _factor(rows, rhss, width)
-    dropped, _, merged = _factorization(cover)
+    dropped, _, merged, _ = _factorization(cover)
     n, m = width // cover.q, merged // cover.q + 1
     ups = cover.diagram.components[cover.diagram.branch].underpasses
-    assert len(dropped[0]) + len(dropped[2]) == len(rows) - (n - m) * (cover.q + 1) - (m + 1 if ups else 1)
+    assert len(dropped.tail) + len(dropped.retired) == len(rows) - (n - m) * (cover.q + 1) - (m + 1 if ups else 1)
     solutions = _first_solutions(cover)
-    for t, (ci, x) in enumerate(zip(curves, _rational(full, width)[0])):
+    for t, (ci, x) in enumerate(zip(curves, [s and _fractions(*s) for s in _solutions(full, width)])):
         assert (solutions[ci] and [v for row in solutions[ci] for v in row]) == x
         assert minimal_bounding_multiple(cover, ci, 1) == _multiple(full, t)
 
@@ -641,7 +641,7 @@ def check_gauge_vectors(cover):
             for g in gauges:
                 x = [[v + g[i * q + s] for s, v in enumerate(row)] for i, row in enumerate(chain.x)]
                 assert verify_boundary(cover, TwoChain(ci, coset, x))
-    basis = _rational(_factor(rows, [], width), width, True)[1]
+    basis = nullspace_basis([[row.get(j, 0) for j in range(width)] for row in rows])
     if len(basis) == q - 1:
         assert all(v.denominator == 1 for z in basis for v in z)
 
@@ -665,8 +665,7 @@ def check_the_merge(cover):
     # over the sheets and are x_i - x_rep(i) on the first solution.
     branch = cover.diagram.branch
     ups = cover.diagram.components[branch].underpasses
-    _, curves, merged = _factorization(cover)
-    block, consts = cover._memo["merge"]
+    _, curves, merged, (block, consts) = _factorization(cover)
     n = len(block)
     assert [block[i] == block[i + 1] for i in range(n - 1)] == [up.over.component != branch for up in ups[:n - 1]]
     assert merged == block[-1] * cover.q
@@ -695,8 +694,9 @@ def check_the_rule_against_hermite(cover, monkeypatch):
     # the Hermite reduction on the same factorization; other covers call it.
     cover = build_cover(cover.diagram, cover.q)  # nothing memoized yet
     calls = hermite_calls(monkeypatch)
-    factors, curves, _ = _factorization(cover)
-    qhs = len(factors[3]) == len(factors[5])
+    factors, curves, _, _ = _factorization(cover)
+    qhs = len(factors.cols) == len(factors.pivots)
+    assert qhs == (not factors.free)
     for t, ci in enumerate(curves):
         assert minimal_bounding_multiple(cover, ci, 1) == _multiple(factors, t)
     assert calls == ([] if qhs else list(range(len(curves))))
@@ -839,7 +839,7 @@ def test_large_covers_read_the_multiple_off_the_chain(name, q, monkeypatch):
     order = evaluate_obstruction(fixture(name).diagram, q).order
     assert calls == []
     cover = build_cover(fixture(name).diagram, q)
-    factors, curves, _ = _factorization(cover)
+    factors, curves, _, _ = _factorization(cover)
     assert order == _multiple(factors, curves.index(cover.diagram.component_index("eta")))
     if name == "stevedore_w0":
         assert order == 3 * (2**q - 1)  # the closed form at even q
@@ -863,9 +863,9 @@ def test_a_one_arc_branch_factors_with_no_columns(make, q):
     # Hopf link's eta it keeps q - 1 rows with no entries, the closing
     # condition, and consistency is read off their right-hand sides.
     cover = build_cover(make(), q)
-    factors, curves, width = _factorization(cover)
+    factors, curves, width, _ = _factorization(cover)
     rows, _, _, _ = _merged_system(cover, curves)
-    assert width == 0 and factors[3] == [] and factors[5] == []
+    assert width == 0 and factors.cols == [] and factors.pivots == []
     assert rows == ([] if make is hopf_pair_beside_unknot else [{}] * (q - 1))
     for ci in curves:
         for chain in bounding_chains(cover, ci).values():

@@ -15,7 +15,7 @@ import sympy
 from conftest import CORPUS_AND_SWEEP, fixture, sympy_minimal_multiple, sympy_minimal_multiples, trefoil_diagram
 from cyclink import homology, rational_linalg
 from cyclink.homology import _factorization, _first_solutions, _system_matrix, _system_rhs
-from cyclink.rational_linalg import _eliminate, _eliminate_units, _factor, _rational, _sparse_rows
+from cyclink.rational_linalg import _eliminate, _eliminate_units, _factor, _null_basis, _sparse_rows
 from cyclink import (
     assemble_system,
     bounding_chains,
@@ -202,10 +202,10 @@ RATIONAL_POOL = [Fraction(p, q) for p in range(-3, 4) for q in (1, 1, 1, 2, 3)]
 def first_pass_moves_F(A):
     """Whether the tail's free columns G, from the one factorization, are
     not F, the non-pivot columns of sympy's rref."""
-    _, _, _, cols, _, pivots = _factor(*_sparse_rows(A, []), len(A[0]))
-    used = {col for _, col in pivots}
+    factors = _factor(*_sparse_rows(A, []), len(A[0]))
+    used = set(factors.pivots)
     rref_pivots = sympy.Matrix(A).rref()[1]
-    return [j for k, j in enumerate(cols) if k not in used] != [j for j in range(len(A[0])) if j not in rref_pivots]
+    return [j for k, j in enumerate(factors.cols) if k not in used] != [j for j in range(len(A[0])) if j not in rref_pivots]
 
 
 def assert_solutions_match_sympy(A, rhss):
@@ -265,14 +265,15 @@ def dense_bareiss(rows, m, n):
 
 
 def assert_kernel_matches_dense(rows, n):
-    """_eliminate leaves the same rows and pivots as the oracle.
+    """_eliminate leaves the same rows and pivot columns as the oracle,
+    whose pivot k is in row k.
 
     Returns the oracle's rescales, its echelon rows and its pivots.
     """
     ours, theirs = [list(row) for row in rows], [list(row) for row in rows]
     m = len(rows)
     pivots, rescales = dense_bareiss(theirs, m, n)
-    assert _eliminate(ours, m, n, len(rows[0])) == pivots
+    assert _eliminate(ours, m, n, len(rows[0])) == [col for _, col in pivots]
     assert ours == theirs
     return rescales, theirs, pivots
 
@@ -387,13 +388,15 @@ def test_the_multiple_reads_independent_rows_and_a_minor_off_the_factorization(n
     # The first rank tail rows are Bareiss's pivot rows, and D, the last
     # pivot's absolute value, is the absolute determinant of those rows on
     # the pivot columns; sympy shares no code with either.
-    tail, _, _, cols, echelon, pivots = _factorization(build_cover(fixture(name).diagram, q))[0]
+    factors = _factorization(build_cover(fixture(name).diagram, q))[0]
+    tail, cols, echelon, pivots = factors.tail, factors.cols, factors.echelon, factors.pivots
     r = len(pivots)
-    assert [slot for slot, _ in pivots] == list(range(r))
+    # Pivot k leads echelon row k, and the rows below the rank are zero.
+    assert [next((j for j, v in enumerate(row[:len(cols)]) if v), None) for row in echelon] == pivots + [None] * (len(echelon) - r)
     rows = sympy.Matrix(r, len(cols), lambda i, j: tail[i].get(cols[j], 0))
     assert rows.rank() == r
-    D = abs(echelon[pivots[-1][0]][pivots[-1][1]]) if pivots else 1
-    assert abs(rows.extract(range(r), [col for _, col in pivots]).det()) == D
+    assert factors.D == (echelon[r - 1][pivots[-1]] if pivots else 1)
+    assert abs(rows.extract(range(r), pivots).det()) == abs(factors.D)
 
 
 @pytest.mark.parametrize("q, nullity", [(2, 1), (3, 2), (5, 4), (6, 7), (12, 13)])
@@ -405,8 +408,8 @@ def test_cover_factorization_takes_one_pass_on_a_trefoil_branch(q, nullity, capl
     calls = count_factor_calls(monkeypatch)
     cover = build_cover(normalize_writhe(trefoil_diagram(), q), q)
     with caplog.at_level(logging.DEBUG, logger="cyclink"):
-        factors, _, n = _factorization(cover)
-        basis = _rational(factors, n, True)[1]
+        factors, _, n, _ = _factorization(cover)
+        basis = [[Fraction(w.get(j, 0), w[f]) for j in range(n)] for f, w in _null_basis(factors)]
     assert len(calls) == 1
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("null basis")]
     free = nullity - (q - 1)

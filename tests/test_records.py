@@ -1,7 +1,8 @@
 """Value classes: immutable slotted records with dataclass-style semantics.
 
 Each row builds one record class from positional fields, a record that
-differs in one field, and the repr a frozen dataclass would print.
+differs in one field, and the repr a frozen dataclass would print. The
+last test pins the names the package exports.
 """
 
 import copy
@@ -10,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+import cyclink
 from conftest import fixture
 from cyclink import (
     CoverStructure,
@@ -89,6 +91,8 @@ def test_positional_and_keyword_construction_agree(row):
     cls, args, _, _ = row
     record = cls(*args)
     assert record == cls(**dict(zip(cls._fields, args)))
+    assert record == cls(**dict(reversed(list(zip(cls._fields, args)))))
+    assert record == cls(args[0], **dict(zip(cls._fields[1:], args[1:])))
     assert tuple(getattr(record, name) for name in cls._fields) == args
 
 
@@ -109,6 +113,21 @@ def test_equality_and_hash_follow_the_exact_class_and_the_fields(row):
             hash(record)
     else:
         assert hash(record) == expected
+
+
+def test_a_wrong_argument_list_raises_type_error(row):
+    cls, args, _, _ = row
+    first, call = cls._fields[0], f"^{cls.__name__}\\(\\) "
+    wrong = [
+        lambda: cls(*args, args[0]),  # one positional argument too many
+        lambda: cls(*args[:-1]),  # the last field missing
+        lambda: cls(**dict(zip(cls._fields[1:], args[1:]))),  # the first missing
+        lambda: cls(*args, extra=1),  # an unknown keyword
+        lambda: cls(*args, **{first: args[0]}),  # the first field twice
+    ]
+    for make in wrong:
+        with pytest.raises(TypeError, match=call):
+            make()
 
 
 def test_repr_reads_like_the_constructor_call(row):
@@ -146,6 +165,9 @@ def test_the_cover_memo_is_not_a_field():
     assert cover._memo and not fresh._memo
     assert cover == fresh and hash(cover) == hash(fresh) and repr(cover) == repr(fresh)
     assert "_memo" not in repr(cover)
+    # Built by keyword, a cover starts with an empty memo of its own too.
+    by_keyword = CoverStructure(**{name: getattr(cover, name) for name in CoverStructure._fields})
+    assert by_keyword == cover and by_keyword._memo == {} and by_keyword._memo is not fresh._memo
     # A copy is rebuilt from the fields, so it solves again on first use.
     for copied in (pickle.loads(pickle.dumps(cover)), copy.deepcopy(cover)):
         assert copied == cover and copied._memo == {}
@@ -158,3 +180,21 @@ def test_a_chain_built_by_keyword_freezes_its_rows_and_checks_its_entries(entry)
     assert chain.x == ((Fraction(1, 2), 0),) and type(chain.x[0]) is tuple
     with pytest.raises(ValueError, match=f"^chain entry {entry!r} is not an int or a Fraction$"):
         TwoChain(curve=1, coset=(1,), x=[[entry, 0]])
+
+
+PUBLIC = [
+    "CoverStructure", "FORMAT", "LinkComponent", "LinkDiagram", "LinkingReport",
+    "ObstructionVerdict", "OverstrandRef", "TwoChain", "UndefinedEntry", "Underpass",
+    "__version__", "assemble_system", "bounding_chain", "bounding_chains", "build_cover",
+    "diagram_from_dict", "diagram_to_dict", "evaluate_obstruction", "format_rational",
+    "is_prime_power", "lift_components", "linking_matrix", "linking_number", "load_diagram",
+    "minimal_bounding_multiple", "minimal_scalar_integer_solution", "mirror", "normalize_writhe",
+    "nullspace_basis", "pairwise_linking", "parse_rational", "resolve_coset", "save_diagram",
+    "solve_many", "solve_particular", "validate", "verify_boundary", "wrap_sheet", "writhe",
+]
+
+
+def test_the_public_names_are_pinned_and_resolve():
+    assert sorted(cyclink.__all__) == PUBLIC and len(PUBLIC) == 39
+    for name in PUBLIC:
+        getattr(cyclink, name)
