@@ -44,10 +44,11 @@ class CoverStructure(_Record):
     s + 1, s + 1 + g, ... up to q, so sheet j lies in coset (j - 1) % g
     and the deck group carries coset 0 to coset s in s sheet shifts.
 
-    _memo keeps what cyclink.homology solves on this cover: one
-    factorization and its merge map, one solution and one multiple per
-    curve, and the chains asked for. It starts empty and is not a field:
-    equality, hashing and repr ignore it, and a copy starts empty too.
+    _memo keeps what cyclink.homology solves on this cover: one solve, on
+    the Alexander matrix or off the sparse factorization and its merge map,
+    one solution and one multiple per curve, and the chains asked for. It
+    starts empty and is not a field: equality, hashing and repr ignore it,
+    and a copy starts empty too.
     """
 
     _fields = ("q", "diagram", "sigma", "lbar", "components_of")
@@ -56,6 +57,33 @@ class CoverStructure(_Record):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         object.__setattr__(self, "_memo", {})
+
+
+def _walk(diagram: LinkDiagram) -> tuple[list[list[int]], list[list[int]]]:
+    """The sheet shifts of each component's walk and its wall offsets, before
+    any reduction mod q.
+
+    shifts[c][i] is the sheet shift accumulated walking component c from
+    its basepoint to the start of arc i; shifts[c][-1] closes the walk.
+    offsets[c][i] is sigma[c][i] before `% q` (see CoverStructure).
+    """
+    branch = diagram.branch
+    shifts = []
+    for comp in diagram.components:
+        t = [0]
+        for up in comp.underpasses:
+            t.append(t[-1] + (up.sign if up.over.component == branch else 0))
+        shifts.append(t)
+    offsets = []
+    for ci, comp in enumerate(diagram.components):
+        offs = []
+        for i, up in enumerate(comp.underpasses):
+            oc = up.over.component
+            # Walls of the branch hang below a negative crossing one lift lower.
+            adjust = 1 if oc == branch and up.sign < 0 else 0
+            offs.append(shifts[ci][i] - shifts[oc][up.over.arc] - adjust)
+        offsets.append(offs)
+    return shifts, offsets
 
 
 def build_cover(diagram: LinkDiagram, q: int) -> CoverStructure:
@@ -81,27 +109,10 @@ def build_cover(diagram: LinkDiagram, q: int) -> CoverStructure:
             "apply normalize_writhe to the diagram first"
         )
 
+    shifts, offsets = _walk(diagram)
+    sigma = tuple(tuple(off % q for off in comp) for comp in offsets)
+
     branch = diagram.branch
-    # shifts[c][i] is the sheet shift accumulated walking component c from
-    # its basepoint to the start of arc i; shifts[c][-1] closes the walk.
-    shifts: list[list[int]] = []
-    for comp in diagram.components:
-        t = [0]
-        for up in comp.underpasses:
-            step = up.sign if up.over.component == branch else 0
-            t.append(t[-1] + step)
-        shifts.append(t)
-
-    sigma = []
-    for ci, comp in enumerate(diagram.components):
-        offsets = []
-        for i, up in enumerate(comp.underpasses):
-            oc, oa = up.over.component, up.over.arc
-            # Walls of the branch hang below a negative crossing one lift lower.
-            adjust = 1 if oc == branch and up.sign < 0 else 0
-            offsets.append((shifts[ci][i] - shifts[oc][oa] - adjust) % q)
-        sigma.append(tuple(offsets))
-
     lbar: list[int | None] = []
     components_of: list[tuple[tuple[int, ...], ...] | None] = []
     for ci, comp in enumerate(diagram.components):
@@ -117,7 +128,7 @@ def build_cover(diagram: LinkDiagram, q: int) -> CoverStructure:
         )
         components_of.append(cosets)
 
-    return CoverStructure(q, diagram, tuple(sigma), tuple(lbar), tuple(components_of))
+    return CoverStructure(q, diagram, sigma, tuple(lbar), tuple(components_of))
 
 
 def _lift(cover: CoverStructure, curve: int | str, coset) -> tuple[int, tuple[int, ...]]:

@@ -11,25 +11,32 @@ over the lcm of the chain's denominators.
 Sheets are 0-based throughout: column i*q + s is the lift of branch arc i
 to sheet s + 1, and coset s of a curve is the one that starts at sheet
 s + 1. The deck shift of the sheets permutes the cover system while
-carrying each lift of a curve to the next, so the system is factored once
-(`_factorization`), with the first coset of each curve riding along: the
-branch arcs joined by underpasses of other components merged
-(`_merged_system`), the rows that others imply dropped, and the deck-group
-gauge, which changes no linking number, fixed by leaving out the branch's
-last arc. One generator writes the underpass rows R_{i,s} of both the full
-and the merged system (`_underpass_rows`). Every other chain is a shift of
-one read off that factorization (rational_linalg._solutions). On a
-rational homology sphere what is factored has full column rank, and a
-curve's integral multiple is the lcm of its chain's denominators; on other
-covers it reads the same factorization. The `cyclink` logger reports each
-factorization and each multiple at DEBUG level.
+carrying each lift of a curve to the next, so each curve's first coset is
+solved once per cover (`_first_solutions`), and every other chain is a
+shift of it. The deck-group gauge, which changes no linking number, is
+fixed by leaving out the branch's last arc. Two routes solve it:
+- On a rational homology sphere, read as the last Bareiss pivot D of the
+  branch's Alexander matrix M(t) being a unit mod t^q - 1, the chains are
+  solved on M(t), n Laurent rows (cyclink.alexander, `_alexander`). Every
+  corpus cover is one; the module is imported only once a cover is solved.
+- Other covers, such as a trefoil branch at q = 6, take the sparse route:
+  the sheet system is factored once (`_factorization`), with the first
+  coset of each curve riding along, the branch arcs joined by underpasses
+  of other components merged (`_merged_system`) and the rows that others
+  imply dropped, and each chain is read off that factorization
+  (rational_linalg._solutions). One generator writes the underpass rows
+  R_{i,s} of both the full and the merged system (`_underpass_rows`).
+On a rational homology sphere the solution is unique, and a curve's
+integral multiple is the lcm of its chain's denominators; on other covers
+it reads the sparse factorization. The `cyclink` logger reports each
+route's solve and each multiple at DEBUG level.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .cover import CoverStructure, _lift
 from .diagram import _integer, _Record
@@ -41,11 +48,13 @@ from .rational_linalg import format_rational, parse_rational
 # about 4 * 10**4).
 MAX_SYSTEM_ENTRIES = 4_000_000
 
-# The solvers hold the system as sparse rows, n(q + 1) of them for n branch
-# arcs, and factor it with a dense tail that grows with q; above this many
-# rows the system is refused before any row is built. stevedore_w0 at
-# q=1999 (20,000 rows) factors in about 0.5 s with a 44 MB peak (CPU time,
-# one core of a 2-vCPU host), and its chain and multiple take another 0.9 s.
+# The full system has n(q + 1) rows for n branch arcs; above this many the
+# cover is refused before either route builds a row. The cap bounds the
+# chain too, n q coefficients, which grow with q. stevedore_w0 at q=1999
+# (20,000 rows) has its chains in 0.42 s on M(t), against 1.6 s on the
+# sheet system, whose tail Bareiss grows with q, and twobridge_m2 at its cap
+# q=768 in 1.3 s (44 MB peak) against 20 s (92 MB); CPU time, one core of
+# a 2-vCPU host. Its linking sums take another 0.7 s at stevedore_w0.
 MAX_SYSTEM_ROWS = 20_000
 
 
@@ -267,6 +276,11 @@ def _merged_system(cover: CoverStructure, curves: list[int]):
     return rows, rhss, width, (block, consts)
 
 
+def _curves(cover: CoverStructure) -> list[int]:
+    # components_of is None at the branch, which has no lifts to bound.
+    return [ci for ci, cosets in enumerate(cover.components_of) if cosets]
+
+
 def _factorization(cover: CoverStructure) -> tuple:
     """The merged cover system (`_merged_system`) factored once
     (rational_linalg._factor), with each curve's first coset riding
@@ -305,46 +319,86 @@ def _factorization(cover: CoverStructure) -> tuple:
     memo = cover._memo.get("factorization")
     if memo is None:
         _refuse_rows(cover.diagram.components[cover.diagram.branch].arc_count, cover.q)
-        # components_of is None at the branch, which has no lifts to bound.
-        curves = [ci for ci, cosets in enumerate(cover.components_of) if cosets]
+        curves = _curves(cover)
         rows, rhss, width, merge = _merged_system(cover, curves)
         factors = _factor(rows, rhss, width)
         _log_debug(
-            "cover system %d x %d, %d arcs merged to %d, the last fixed at 0: %d unit steps, tail %d x %d, rank %d, nullity %d",
+            "sparse route: cover system %d x %d, %d arcs merged to %d, the last fixed at 0: %d unit steps, tail %d x %d, rank %d, nullity %d, D %d bits",
             len(rows), width, len(merge[0]), width // cover.q + 1, len(factors.retired),
-            len(factors.tail), len(factors.cols), len(factors.pivots), len(factors.free),
+            len(factors.tail), len(factors.cols), len(factors.pivots), len(factors.free), abs(factors.D).bit_length(),
         )
         memo = cover._memo["factorization"] = (factors, curves, width, merge)
     return memo
 
 
+def _alexander(cover: CoverStructure):
+    """The cover's first solutions off M(t) (alexander._solve), as
+    `_first_solutions` gives them, tried once; None for a cover that is no
+    rational homology sphere, which the sparse route (`_factorization`)
+    takes."""
+    memo = cover._memo
+    if "alexander" not in memo:
+        _refuse_rows(cover.diagram.components[cover.diagram.branch].arc_count, cover.q)
+        # Imported here, so that validate and info never compile it.
+        from .alexander import _solve
+
+        found = _solve(cover, _curves(cover))
+        memo["alexander"] = found if found is None else {
+            ci: s and _fraction_rows(*_reduced(*s), cover.q) for ci, s in found.items()
+        }
+    return memo["alexander"]
+
+
+def _reduced(x: list, D: int) -> tuple:
+    """x and D over gcd(D, *x), after which |D| is the lcm of the
+    denominators of x / D."""
+    g = gcd(D, *x)
+    return ([v // g for v in x], D // g) if g > 1 else (x, D)
+
+
+def _fraction_rows(x: list, D: int, q: int) -> list:
+    return [_fractions(x[k:k + q], D) for k in range(0, len(x), q)]
+
+
 def _first_solutions(cover: CoverStructure) -> dict:
     """Each curve's first-coset solution, keyed by curve, or None if it has none.
 
-    Solved from the cover's factorization on the first call, made zero on F
-    (rational_linalg._solutions: nothing to do at full column rank), with
-    the last arc's q zeros padded back, and expanded from the merged arcs:
-    x_{i,s} = x_{rep,s} + c_{i,s}, in integers over the last Bareiss pivot
-    D, and an arc with c = 0 shares its representative's row. Row i, entry
-    j-1 is the coefficient of the lift of branch arc i to sheet j; the coset
-    that starts at sheet 1+s is bounded by x_s[i][j] = x_0[i][(j - s) mod q].
+    Row i, entry j-1 is the coefficient of the lift of branch arc i to
+    sheet j; the coset that starts at sheet 1+s is bounded by x_s[i][j] =
+    x_0[i][(j - s) mod q]. Solved on the first call: on M(t) (`_alexander`)
+    on a rational homology sphere, off the sparse factorization otherwise
+    (`_sparse_solutions`). Either route gives integers over one
+    denominator, divided by their gcd once (`_reduced`) before the
+    Fractions are made.
     """
     solutions = cover._memo.get("solutions")
     if solutions is None:
-        q = cover.q
-        factors, curves, width, (block, consts) = _factorization(cover)
-        solutions = {}
-        for ci, c, solution in zip(curves, consts, _solutions(factors, width + q)):  # the last block is 0
-            if solution is None:
-                solutions[ci] = None
-                continue
-            x, D = solution
-            runs = [_fractions(x[k:k + q], D) for k in range(0, len(x), q)]
-            solutions[ci] = [
-                runs[k] if ck is None else _fractions([v + D * u for v, u in zip(x[k * q:k * q + q], ck)], D)
-                for k, ck in zip(block, c)
-            ]
+        solutions = _alexander(cover)
+        if solutions is None:
+            solutions = _sparse_solutions(cover)
         cover._memo["solutions"] = solutions
+    return solutions
+
+
+def _sparse_solutions(cover: CoverStructure) -> dict:
+    """`_first_solutions` off the sparse factorization: made zero on F
+    (rational_linalg._solutions: nothing to do at full column rank), with
+    the last arc's q zeros padded back, and expanded from the merged arcs:
+    x_{i,s} = x_{rep,s} + c_{i,s} over the last Bareiss pivot D, and an arc
+    with c = 0 shares its representative's row."""
+    q = cover.q
+    factors, curves, width, (block, consts) = _factorization(cover)
+    solutions = {}
+    for ci, c, solution in zip(curves, consts, _solutions(factors, width + q)):  # the last block is 0
+        if solution is None:
+            solutions[ci] = None
+            continue
+        x, D = _reduced(*solution)
+        runs = _fraction_rows(x, D, q)
+        solutions[ci] = [
+            runs[k] if ck is None else _fractions([v + D * u for v, u in zip(x[k * q:k * q + q], ck)], D)
+            for k, ck in zip(block, c)
+        ]
     return solutions
 
 
@@ -385,18 +439,18 @@ def minimal_bounding_multiple(cover: CoverStructure, curve: int | str, coset) ->
     the system, so d is the same on every coset of the curve and solved once.
 
     On a rational homology sphere it is the lcm of the denominators of the
-    curve's first solution x_0. There the system `_factorization` factors,
-    whose multiple is the cover's, has full column rank, so x_0 on the
-    runs' representatives is its only solution: an integral solution of
-    A y = d b is d times it, and the least such d makes d x_0 integral, as
-    the merged arcs add integral constants. Other covers take the Hermite
-    reduction (rational_linalg._multiple).
+    curve's first solution x_0, on either route: whenever M(t) answered
+    (`_alexander`), whose solution is unique, and when the system
+    `_factorization` factors has full column rank. That system's multiple
+    is the cover's, so x_0 on the runs' representatives is its only
+    solution: an integral solution of A y = d b is d times it, and the least
+    such d makes d x_0 integral, as the merged arcs add integral constants.
+    Other covers take the Hermite reduction (rational_linalg._multiple).
     """
     ci, _ = _lift(cover, curve, coset)
     orders = cover._memo.setdefault("orders", {})
     if ci not in orders:
-        factors, curves, _, _ = _factorization(cover)
-        if not factors.free:  # full column rank
+        if _alexander(cover) is not None or not _factorization(cover)[0].free:  # full column rank
             rows = _first_solutions(cover)[ci]
             d = None if rows is None else lcm(*(v.denominator for row in rows for v in row))
             _log_debug(
@@ -404,6 +458,7 @@ def minimal_bounding_multiple(cover: CoverStructure, curve: int | str, coset) ->
                 "no chain" if d is None else f"{d.bit_length()} bits",
             )
         else:
+            factors, curves, _, _ = _factorization(cover)
             d = _multiple(factors, curves.index(ci))
         orders[ci] = d
     return orders[ci]

@@ -9,8 +9,6 @@ linking numbers are all of one strict sign.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cover import build_cover
 from .diagram import LinkDiagram, _Record, pairwise_linking
 from .homology import minimal_bounding_multiple

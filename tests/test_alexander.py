@@ -1,0 +1,169 @@
+"""The Alexander-matrix route against the sparse route and sympy.
+
+On a rational homology sphere the cover's chains are solved on M(t), the
+branch's Alexander matrix over Z[t, 1/t] (cyclink.alexander). The oracles:
+the sparse route's chains, read off `_factorization` and `_solutions`; the
+sparse route's own test of full column rank for when the route is taken;
+sympy's determinant of M(t) read off the sheet system's rows, for the last
+Bareiss pivot D; sympy's gcd for when D is invertible mod t^q - 1; and
+Fox's formula |H_1| = |Res(Delta, (t^q - 1)/(t - 1))| for the multiples.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+import sympy
+from sympy.polys.matrices import DomainMatrix
+
+from conftest import CORPUS_AND_SWEEP, battery_covers, clasped_wire_diagram, fixture, trefoil_diagram
+from cyclink import alexander, build_cover, minimal_bounding_multiple, normalize_writhe, writhe
+from cyclink.homology import _curves, _factorization, _sparse_solutions, _system_matrix
+
+t = sympy.Symbol("t")
+
+
+def check_routes_agree(cover) -> bool:
+    """The route answers exactly when the sparse factorization has no free
+    column, and then with the sparse route's chains; whether it answered."""
+    found = alexander._solve(cover, _curves(cover))
+    assert (found is not None) == (not _factorization(cover)[0].free)
+    if found is None:
+        return False
+    q = cover.q
+    for ci, rows in _sparse_solutions(cover).items():
+        if found[ci] is None:
+            assert rows is None, ci
+            continue
+        x, den = found[ci]
+        assert [[Fraction(v, den) for v in x[k:k + q]] for k in range(0, len(x), q)] == [list(row) for row in rows], ci
+    return True
+
+
+@pytest.mark.parametrize("name, q", CORPUS_AND_SWEEP + [("twobridge_m2", 29), ("twobridge_m2", 37), ("stevedore_w0", 200)])
+def test_the_route_takes_every_corpus_cover_with_the_sparse_chains(name, q):
+    assert check_routes_agree(build_cover(fixture(name).diagram, q))
+
+
+@pytest.mark.parametrize("q", range(2, 7))
+def test_the_route_on_the_battery(q):
+    fallbacks = [seed for seed, cover in battery_covers(q) if not check_routes_agree(cover)]
+    # The four covers with nullity above q - 1 (test_homology).
+    assert len(fallbacks) == (4 if q == 6 else 0), fallbacks
+
+
+@pytest.mark.parametrize("q", range(2, 13))
+def test_a_trefoil_branch_falls_back_exactly_where_phi6_divides_t_q_minus_1(q):
+    # The trefoil's Alexander polynomial is t^2 - t + 1, the sixth
+    # cyclotomic polynomial: a zero divisor mod t^q - 1 exactly when 6 | q.
+    for diagram in (trefoil_diagram(), clasped_wire_diagram()):
+        assert check_routes_agree(build_cover(normalize_writhe(diagram, q), q)) == (q % 6 != 0)
+
+
+def laurent(p: dict):
+    return sum(c * t**e for e, c in p.items())
+
+
+def normal(p) -> list:
+    """The coefficients of p with t^k and the sign divided out, low first."""
+    coeffs = sympy.Poly(sympy.expand(p * t**200), t).all_coeffs()[::-1]
+    coeffs = coeffs[next(i for i, c in enumerate(coeffs) if c):]
+    while not coeffs[-1]:
+        coeffs.pop()
+    return coeffs if coeffs[-1] > 0 else [-c for c in coeffs]
+
+
+def sympy_first_minor(cover, drop: int):
+    """The minor of M(t) without the last arc's column and row `drop`, from
+    the sheet system: R_{i,0} reads row i of M(t) with x_{j,s} as t^-s,
+    its exponent lifted from mod q to (-q/2, q/2]."""
+    rows, width = _system_matrix(cover)
+    q = cover.q
+    n = width // q
+    M = []
+    for i in range(n):
+        if i == drop:
+            continue
+        entries = [{} for _ in range(n - 1)]
+        for col, v in rows[n + i * q].items():
+            j, s = divmod(col, q)
+            if j < n - 1:
+                e = -s % q
+                e = e - q if e > q // 2 else e
+                entries[j][e] = entries[j].get(e, 0) + v
+        low = min(e for p in entries for e in p)  # times t^-low, a unit, for polynomial entries
+        M.append([sum(c * t ** (e - low) for e, c in p.items()) for p in entries])
+    return DomainMatrix.from_list_sympy(n - 1, n - 1, M).convert_to(sympy.ZZ[t]).det().as_expr()
+
+
+WRITHE_ZERO = sorted({name for name, _ in CORPUS_AND_SWEEP if writhe(fixture(name).diagram, fixture(name).diagram.branch) == 0})
+
+
+def alexander_pivot(name: str) -> dict:
+    """D at a q where no entry folds: on a writhe-0 branch M(t) is the same
+    at every q."""
+    cover = build_cover(fixture(name).diagram, 101)
+    D = alexander._factor(cover, [])[3]
+    assert max(D) - min(D) < 50
+    return D
+
+
+@pytest.mark.parametrize("name", WRITHE_ZERO)
+def test_the_last_pivot_is_a_first_minor_of_the_alexander_matrix(name):
+    D = normal(laurent(alexander_pivot(name)))
+    cover = build_cover(fixture(name).diagram, 101)
+    n = cover.diagram.components[cover.diagram.branch].arc_count
+    for drop in (0, n - 1):
+        assert normal(sympy_first_minor(cover, drop)) == D
+
+
+@pytest.mark.parametrize(
+    "name, delta",
+    [
+        ("stevedore_w0", (t - 2) * (2 * t - 1)),
+        ("twobridge_m1", (t**3 - 6 * t**2 + 8 * t - 2) * (2 * t**3 - 8 * t**2 + 6 * t - 1)),
+        ("twobridge_m2", (t**5 - 10 * t**4 + 32 * t**3 - 38 * t**2 + 16 * t - 2) * (2 * t**5 - 16 * t**4 + 38 * t**3 - 32 * t**2 + 10 * t - 1)),
+    ],
+)
+def test_the_last_pivot_is_the_alexander_polynomial(name, delta):
+    assert normal(laurent(alexander_pivot(name))) == normal(delta)
+
+
+@pytest.mark.parametrize("name, q", [(name, q) for name, q in CORPUS_AND_SWEEP if name in WRITHE_ZERO])
+def test_the_multiple_divides_the_order_of_the_first_homology(name, q):
+    # Fox: |H_1| = |Res(Delta, 1 + t + ... + t^(q-1))| on a rational
+    # homology sphere, and d times every lift bounds integrally for d = |H_1|.
+    D = alexander_pivot(name)
+    delta = sympy.Poly(sympy.expand(laurent(D) * t ** -min(D)), t)
+    order = abs(int(sympy.resultant(delta, sympy.Poly(sum(t**k for k in range(q)), t))))
+    cover = build_cover(fixture(name).diagram, q)
+    for ci in _curves(cover):
+        assert order % minimal_bounding_multiple(cover, ci, 1) == 0
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_the_inverse_mod_t_q_minus_1_against_sympy(seed):
+    rng = random.Random(seed)
+    q = rng.choice([1, 2, 3, 4, 5, 6, 7, 8, 12, 30, 97])
+    shift = rng.randint(-40, 40)
+    D = {e + shift: c for e in range(rng.randint(1, 6)) if (c := rng.randint(-4, 4))} or {shift: 3}
+    inverse = alexander._inverse(D, q)
+    poly = sympy.Poly(sympy.expand(laurent(D) * t ** (40 - shift)), t)
+    invertible = sympy.gcd(poly, sympy.Poly(t**q - 1, t)).degree() == 0
+    assert (inverse is not None) == invertible, (D, q)
+    if inverse is None:
+        return
+    u, den = inverse
+    assert sympy.gcd_list([den, *u]) == 1
+    product = [0] * q
+    for e, c in D.items():
+        for s, v in enumerate(u):
+            product[(e + s) % q] += c * v
+    assert product == [den] + [0] * (q - 1)
+
+
+def test_laurent_division_is_exact_or_refused():
+    a, b = {-3: 2, -1: -1, 4: 7}, {-1: 1, 0: -2, 2: 5}
+    assert alexander._divide(alexander._mul(a, b), b) == a
+    with pytest.raises(ArithmeticError):
+        alexander._divide(alexander._submul(alexander._mul(a, b), {0: 1}, {0: 1}), b)

@@ -545,8 +545,11 @@ def test_mutating_bounding_chains_result_leaves_the_cover_alone():
 
 
 def test_cover_factorization_logs_once_at_debug_only(caplog):
-    # One factorization per cover serves the multiple and the chains; each
-    # logs one DEBUG line, and nothing is logged above DEBUG.
+    # One solve per cover serves the multiple and the chains; each route
+    # logs one DEBUG line per cover, and nothing is logged above DEBUG. A
+    # rational homology sphere is solved on M(t); the trefoil's cover at
+    # q = 6 is not one, so its Alexander polynomial, the sixth cyclotomic
+    # polynomial, is a zero divisor and the sparse route takes it.
     def ask(cover):
         minimal_bounding_multiple(cover, "eta", 1)
         bounding_chains(cover, "eta")
@@ -557,13 +560,26 @@ def test_cover_factorization_logs_once_at_debug_only(caplog):
     assert caplog.records == []
     with caplog.at_level(logging.DEBUG, logger="cyclink"):
         ask(cover_for("stevedore_w0", 3))
+        ask(build_cover(normalize_writhe(trefoil_with_meridian(), 6), 6))
     assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
         (
             "cyclink",
             logging.DEBUG,
-            "cover system 23 x 21, 10 arcs merged to 8, the last fixed at 0: 19 unit steps, tail 4 x 2, rank 2, nullity 0",
+            "alexander route: M(t) 10 x 9, 8 unit steps, tail 2 x 1, D of degree 2, 3 bits, 1/D over 3 bits",
         ),
         ("cyclink", logging.DEBUG, "minimal multiple: lcm of the chain's denominators, 3 bits"),
+        (
+            "cyclink",
+            logging.DEBUG,
+            "alexander route: M(t) 7 x 6, 5 unit steps, tail 2 x 1, D of degree 2, 1 bits, a zero divisor mod t^6 - 1",
+        ),
+        (
+            "cyclink",
+            logging.DEBUG,
+            "sparse route: cover system 35 x 30, 7 arcs merged to 6, the last fixed at 0: 28 unit steps, tail 7 x 2, rank 0, nullity 2, D 1 bits",
+        ),
+        ("cyclink", logging.DEBUG, "minimal multiple: 28 unit steps, tail 7 x 0, 0 rows independent, minor 1 bits"),
+        ("cyclink", logging.DEBUG, "null basis: nullity 2, |F| 2, G = F: False"),
     ]
 
 

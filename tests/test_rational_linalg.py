@@ -13,7 +13,7 @@ import pytest
 import sympy
 
 from conftest import CORPUS_AND_SWEEP, fixture, sympy_minimal_multiple, sympy_minimal_multiples, trefoil_diagram
-from cyclink import homology, rational_linalg
+from cyclink import alexander, homology, rational_linalg
 from cyclink.homology import _factorization, _first_solutions, _system_matrix, _system_rhs
 from cyclink.rational_linalg import _eliminate, _eliminate_units, _factor, _null_basis, _sparse_rows
 from cyclink import (
@@ -365,15 +365,27 @@ def test_cover_factorization_takes_one_pass(name, q, monkeypatch):
 
 @pytest.mark.parametrize("name, q", [("stevedore_w0", 3), ("twobridge_m1", 4), ("twobridge_m2", 11)])
 def test_the_multiple_eliminates_nothing_after_the_cover_factorization(name, q, monkeypatch):
+    # These covers are rational homology spheres, solved on M(t): once their
+    # chains are solved, the multiple eliminates nothing more.
     calls = []
 
     def counted(rows, m, n, width):
         calls.append((m, n))
         return _eliminate(rows, m, n, width)
 
+    def counting(step):
+        def counted_step(*args):
+            calls.append(step.__name__)
+            return step(*args)
+        return counted_step
+
     monkeypatch.setattr(rational_linalg, "_eliminate", counted)
+    monkeypatch.setattr(alexander, "_eliminate", counted)
+    monkeypatch.setattr(alexander, "_eliminate_units", counting(alexander._eliminate_units))
+    monkeypatch.setattr(alexander, "_bareiss", counting(alexander._bareiss))
     cover = build_cover(fixture(name).diagram, q)
-    _factorization(cover)
+    _first_solutions(cover)
+    assert calls
     calls.clear()
     d = minimal_bounding_multiple(cover, "eta", 1)
     assert calls == []
