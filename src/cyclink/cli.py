@@ -120,10 +120,12 @@ def cmd_order(args) -> int:
 
 def cmd_obstruct(args) -> int:
     verdict = evaluate_obstruction(load_diagram(args.file), args.q)
+    if args.json:  # the text holds no matrix, so only --json formats it
+        return _emit(args, verdict.to_dict(), None)
     flags = " ".join(
         f"{name}={'yes' if ok else 'no'}" for name, ok in verdict.hypotheses.items()
     )
-    return _emit(args, verdict.to_dict(), (
+    return _emit(args, None, (
         f"q={verdict.q} winding={verdict.winding} order={verdict.order}\n"
         f"hypotheses: {flags}\n"
         f"sign profile: {verdict.sign_profile}\n"

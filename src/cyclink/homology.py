@@ -26,10 +26,12 @@ fixed by leaving out the branch's last arc. Two routes solve it:
   imply dropped, and each chain is read off that factorization
   (rational_linalg._solutions). One generator writes the underpass rows
   R_{i,s} of both the full and the merged system (`_underpass_rows`).
+Either route gives each first solution as integer rows over one
+denominator d in lowest terms, and Fractions are made only for a TwoChain.
 On a rational homology sphere the solution is unique, and a curve's
-integral multiple is the lcm of its chain's denominators; on other covers
-it reads the sparse factorization. The `cyclink` logger reports each
-route's solve and each multiple at DEBUG level.
+integral multiple is that d, the lcm of its chain's denominators; on other
+covers it reads the sparse factorization. The `cyclink` logger reports
+each route's solve and each multiple at DEBUG level.
 """
 
 from __future__ import annotations
@@ -50,11 +52,12 @@ MAX_SYSTEM_ENTRIES = 4_000_000
 
 # The full system has n(q + 1) rows for n branch arcs; above this many the
 # cover is refused before either route builds a row. The cap bounds the
-# chain too, n q coefficients, which grow with q. stevedore_w0 at q=1999
-# (20,000 rows) has its chains in 0.42 s on M(t), against 1.6 s on the
-# sheet system, whose tail Bareiss grows with q, and twobridge_m2 at its cap
-# q=768 in 1.3 s (44 MB peak) against 20 s (92 MB); CPU time, one core of
-# a 2-vCPU host. Its linking sums take another 0.7 s at stevedore_w0.
+# chain too, n q coefficients, which grow with q. At stevedore_w0 q=1999
+# (20,000 rows) the first solutions take 0.2-0.3 s on M(t), as integers
+# over one denominator, and evaluate_obstruction 0.3-0.4 s in all; at
+# twobridge_m2's cap q=768, 0.4-0.5 s and 0.4-0.6 s (37 MB peak). A
+# chain's Fractions, made only when a TwoChain is asked for, take another
+# 0.2 s and 0.7 s there. CPU time, one core of a 2-vCPU host.
 MAX_SYSTEM_ROWS = 20_000
 
 
@@ -344,32 +347,35 @@ def _alexander(cover: CoverStructure):
 
         found = _solve(cover, _curves(cover))
         memo["alexander"] = found if found is None else {
-            ci: s and _fraction_rows(*_reduced(*s), cover.q) for ci, s in found.items()
+            ci: s and _reduced(*s, cover.q) for ci, s in found.items()
         }
     return memo["alexander"]
 
 
-def _reduced(x: list, D: int) -> tuple:
-    """x and D over gcd(D, *x), after which |D| is the lcm of the
-    denominators of x / D."""
+def _reduced(x: list, D: int, q: int) -> tuple:
+    """x / D as (rows, d): x and D over gcd(D, *x), with D's sign moved
+    into x so that d > 0, and x cut into rows of q. Then gcd(d, *x) = 1,
+    so d is the lcm of the denominators of x / D."""
     g = gcd(D, *x)
-    return ([v // g for v in x], D // g) if g > 1 else (x, D)
-
-
-def _fraction_rows(x: list, D: int, q: int) -> list:
-    return [_fractions(x[k:k + q], D) for k in range(0, len(x), q)]
+    if D < 0:
+        g = -g
+    if g != 1:
+        x = [v // g for v in x]
+    return [x[k:k + q] for k in range(0, len(x), q)], D // g
 
 
 def _first_solutions(cover: CoverStructure) -> dict:
-    """Each curve's first-coset solution, keyed by curve, or None if it has none.
+    """Each curve's first-coset solution as (rows, d), keyed by curve, or
+    None if it has none.
 
-    Row i, entry j-1 is the coefficient of the lift of branch arc i to
-    sheet j; the coset that starts at sheet 1+s is bounded by x_s[i][j] =
-    x_0[i][(j - s) mod q]. Solved on the first call: on M(t) (`_alexander`)
-    on a rational homology sphere, off the sparse factorization otherwise
-    (`_sparse_solutions`). Either route gives integers over one
-    denominator, divided by their gcd once (`_reduced`) before the
-    Fractions are made.
+    rows[i][j-1] / d is the coefficient of the lift of branch arc i to
+    sheet j, n rows of q ints over one denominator d > 0 in lowest terms
+    (`_reduced`), so d is the lcm of the chain's denominators. The coset
+    that starts at sheet 1+s is bounded by x_s[i][j] = x_0[i][(j - s) mod
+    q]. Solved on the first call: on M(t) (`_alexander`) on a rational
+    homology sphere, off the sparse factorization otherwise
+    (`_sparse_solutions`). Fractions are made only for a TwoChain
+    (`_chain`).
     """
     solutions = cover._memo.get("solutions")
     if solutions is None:
@@ -384,8 +390,9 @@ def _sparse_solutions(cover: CoverStructure) -> dict:
     """`_first_solutions` off the sparse factorization: made zero on F
     (rational_linalg._solutions: nothing to do at full column rank), with
     the last arc's q zeros padded back, and expanded from the merged arcs:
-    x_{i,s} = x_{rep,s} + c_{i,s} over the last Bareiss pivot D, and an arc
-    with c = 0 shares its representative's row."""
+    x_{i,s} = x_{rep,s} + c_{i,s}, d c added to the numerators over d, and
+    an arc with c = 0 shares its representative's row. The integral c
+    changes no denominator, so d stays the lcm of the chain's."""
     q = cover.q
     factors, curves, width, (block, consts) = _factorization(cover)
     solutions = {}
@@ -393,24 +400,31 @@ def _sparse_solutions(cover: CoverStructure) -> dict:
         if solution is None:
             solutions[ci] = None
             continue
-        x, D = _reduced(*solution)
-        runs = _fraction_rows(x, D, q)
+        runs, d = _reduced(*solution, q)
         solutions[ci] = [
-            runs[k] if ck is None else _fractions([v + D * u for v, u in zip(x[k * q:k * q + q], ck)], D)
+            runs[k] if ck is None else [v + d * u for v, u in zip(runs[k], ck)]
             for k, ck in zip(block, c)
-        ]
+        ], d
     return solutions
 
 
 def _chain(cover: CoverStructure, ci: int, group: tuple[int, ...]) -> TwoChain | None:
-    """The chain of a canonical lift, shifted from its curve's first solution
-    when first asked for and kept on the cover."""
+    """The chain of a canonical lift, made when first asked for and kept on
+    the cover: on the curve's first coset its first solution as Fractions,
+    on another that chain shifted by the deck group."""
     chains = cover._memo.setdefault("chains", {})
     if (ci, group) not in chains:
-        rows = _first_solutions(cover)[ci]
+        solution = _first_solutions(cover)[ci]
         q, s = cover.q, group[0] - 1  # the deck shift from the first coset
-        chains[(ci, group)] = None if rows is None else TwoChain(
-            ci, group, tuple(tuple(row[q - s:] + row[:q - s]) for row in rows))
+        if solution is None:
+            chain = None
+        elif s == 0:
+            rows, d = solution
+            chain = TwoChain(ci, group, [_fractions(row, d) for row in rows])
+        else:
+            x = _chain(cover, ci, cover.components_of[ci][0]).x
+            chain = TwoChain(ci, group, [row[q - s:] + row[:q - s] for row in x])
+        chains[(ci, group)] = chain
     return chains[(ci, group)]
 
 
@@ -438,8 +452,9 @@ def minimal_bounding_multiple(cover: CoverStructure, curve: int | str, coset) ->
     None when the curve does not even bound rationally. The deck shift permutes
     the system, so d is the same on every coset of the curve and solved once.
 
-    On a rational homology sphere it is the lcm of the denominators of the
-    curve's first solution x_0, on either route: whenever M(t) answered
+    On a rational homology sphere it is the denominator d of the curve's
+    first solution x_0 = rows / d, the lcm of its denominators
+    (`_first_solutions`), on either route: whenever M(t) answered
     (`_alexander`), whose solution is unique, and when the system
     `_factorization` factors has full column rank. That system's multiple
     is the cover's, so x_0 on the runs' representatives is its only
@@ -451,10 +466,10 @@ def minimal_bounding_multiple(cover: CoverStructure, curve: int | str, coset) ->
     orders = cover._memo.setdefault("orders", {})
     if ci not in orders:
         if _alexander(cover) is not None or not _factorization(cover)[0].free:  # full column rank
-            rows = _first_solutions(cover)[ci]
-            d = None if rows is None else lcm(*(v.denominator for row in rows for v in row))
+            solution = _first_solutions(cover)[ci]
+            d = None if solution is None else solution[1]
             _log_debug(
-                "minimal multiple: lcm of the chain's denominators, %s",
+                "minimal multiple: the chain's denominator, %s",
                 "no chain" if d is None else f"{d.bit_length()} bits",
             )
         else:

@@ -29,14 +29,16 @@ class UndefinedEntry(_Record):
         return {"undefined": self.reason}
 
 
-def _linking_sum(cover: CoverStructure, x, shift: int, bi: int, gb: tuple, gamma: int, group: tuple) -> Fraction:
+def _linking_sum(cover: CoverStructure, x, d: int, shift: int, bi: int, gb: tuple, gamma: int, group: tuple) -> Fraction:
     """lk of lift (gamma, group) with lift (bi, gb), bounded by the chain with
-    coefficients x shifted `shift` sheets up: x[i][(j - 1 - shift) mod q] at
-    the lift of branch arc i to sheet j.
+    coefficients x / d shifted `shift` sheets up: x[i][(j - 1 - shift) mod q]
+    / d at the lift of branch arc i to sheet j.
 
-    The wall coefficients met are summed as integer numerators over the
-    lcm of their denominators, so the call makes one Fraction. Sheets are
-    0-based here: the lift crossed from sheet j is on sheet j - 1 + off
+    x holds a first solution's integer rows over its d (`_first_solutions`),
+    or a TwoChain's Fractions with d = 1. The wall coefficients met are
+    summed as integer numerators over den, the lcm of their denominators (1
+    on integer rows), and the call makes one Fraction over den d. Sheets
+    are 0-based here: the lift crossed from sheet j is on sheet j - 1 + off
     mod q, and it lies in gb when that is gb[0] - 1 mod len(cosets of bi).
     """
     diagram = cover.diagram
@@ -55,9 +57,8 @@ def _linking_sum(cover: CoverStructure, x, shift: int, bi: int, gb: tuple, gamma
             elif oc == bi and (s - first) % g == 0:
                 crossings += up.sign
     den = lcm(*(v.denominator for _, v in walls))
-    return Fraction(
-        sum(sign * v.numerator * (den // v.denominator) for sign, v in walls) + crossings * den, den
-    )
+    total = sum(sign * v.numerator * (den // v.denominator) for sign, v in walls)
+    return Fraction(total + crossings * den * d, den * d)
 
 
 def linking_number(cover: CoverStructure, chain: TwoChain, gamma: int | str, coset_j) -> Fraction | UndefinedEntry:
@@ -74,7 +75,7 @@ def linking_number(cover: CoverStructure, chain: TwoChain, gamma: int | str, cos
         raise ValueError("self-pairing: that lifted curve is the chain's own boundary")
     if _first_solutions(cover)[lift[0]] is None:
         return UndefinedEntry(NOT_NULL_HOMOLOGOUS)
-    return _linking_sum(cover, chain.x, 0, *bounded, *lift)
+    return _linking_sum(cover, chain.x, 1, 0, *bounded, *lift)
 
 
 def _entry(cover: CoverStructure, ai: int, ga: tuple, bi: int, gb: tuple) -> Fraction | UndefinedEntry:
@@ -89,7 +90,7 @@ def _entry(cover: CoverStructure, ai: int, ga: tuple, bi: int, gb: tuple) -> Fra
     solutions = _first_solutions(cover)
     if solutions[bi] is None or solutions[ai] is None:
         return UndefinedEntry(NOT_NULL_HOMOLOGOUS)
-    return _linking_sum(cover, solutions[bi], gb[0] - 1, bi, gb, ai, ga)
+    return _linking_sum(cover, *solutions[bi], gb[0] - 1, bi, gb, ai, ga)
 
 
 class LinkingReport(_Record):
@@ -125,14 +126,15 @@ def linking_matrix(cover: CoverStructure, curve_a: int | str, curve_b: int | str
 
     The deck shift preserves linking numbers and carries coset i of each
     curve to coset i + 1, so entry (i, j) is entry (0, (j - i) mod g_b) for
-    g_b cosets of curve_b: only row 0 is summed. Self-pairings and
+    g_b cosets of curve_b: only row 0 is summed, and row i is row 0
+    rotated i places to the right, one slice each. Self-pairings and
     undefined entries follow the same orbits.
     """
     ai, _ = _lift(cover, curve_a, 1)  # sheet 1 lies in the first coset
     bi, _ = _lift(cover, curve_b, 1)
     cosets_a = cover.components_of[ai]
     cosets_b = cover.components_of[bi]
-    first = [_entry(cover, ai, cosets_a[0], bi, gb) for gb in cosets_b]
+    first = tuple(_entry(cover, ai, cosets_a[0], bi, gb) for gb in cosets_b)
     g = len(cosets_b)
-    entries = tuple(tuple(first[(j - i) % g] for j in range(g)) for i in range(len(cosets_a)))
+    entries = tuple(first[-i % g:] + first[:-i % g] for i in range(len(cosets_a)))
     return LinkingReport(ai, bi, cosets_a, cosets_b, entries)

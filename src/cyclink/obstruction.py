@@ -55,19 +55,22 @@ class ObstructionVerdict(_Record):
 
 
 def _sign_profile(report: LinkingReport) -> str:
-    off_diagonal = [
-        e
-        for i, row in enumerate(report.entries)
-        for j, e in enumerate(row)
-        if i != j
-    ]
+    """The signs of the off-diagonal entries of an eta x eta report.
+
+    The report is circulant (linking_matrix): entry (i, j) is entry
+    (0, (j - i) mod g), so its off-diagonal values are those of row 0 past
+    the self-pairing. Each is a Fraction, and its sign is its numerator's.
+    """
+    off_diagonal = report.entries[0][1:]
     if any(isinstance(e, UndefinedEntry) for e in off_diagonal):
         return UNDEFINED
-    if not off_diagonal or all(e == 0 for e in off_diagonal):
+    positive = any(e.numerator > 0 for e in off_diagonal)
+    negative = any(e.numerator < 0 for e in off_diagonal)
+    if not positive and not negative:
         return ALL_ZERO
-    if all(e >= 0 for e in off_diagonal):
+    if not negative:
         return ALL_NONNEG
-    if all(e <= 0 for e in off_diagonal):
+    if not positive:
         return ALL_NONPOS
     return MIXED
 

@@ -39,6 +39,10 @@ _ZERO = Fraction(0)
 
 def format_rational(value: Fraction | int) -> str:
     """Serialize as 'p/q' in lowest terms, or plain 'p' for integers."""
+    # An int or a Fraction prints so already; anything else, True or 0.5
+    # among them, is read as a Fraction first.
+    if type(value) is int or type(value) is Fraction:
+        return str(value)
     return str(Fraction(value))
 
 

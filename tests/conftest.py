@@ -9,6 +9,7 @@ meridian counts, mirror behaviour) rather than against its own output.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -97,6 +98,12 @@ SWEEP = (
 CORPUS_AND_SWEEP = [
     (name, q) for name in corpus_names() for q in fixture(name).writhe_zero_mod
 ] + SWEEP
+
+
+def solution_fractions(solution):
+    """A first solution (rows, d) of homology._first_solutions as its rows
+    of Fractions rows / d, or None."""
+    return None if solution is None else [[Fraction(v, solution[1]) for v in row] for row in solution[0]]
 
 
 def battery_covers(q: int, seeds=range(300)):

@@ -16,7 +16,7 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from conftest import CORPUS_AND_SWEEP, battery_covers, clasped_wire_diagram, fixture, trefoil_diagram
+from conftest import CORPUS_AND_SWEEP, battery_covers, clasped_wire_diagram, fixture, solution_fractions, trefoil_diagram
 from cyclink import alexander, build_cover, minimal_bounding_multiple, normalize_writhe, writhe
 from cyclink.homology import _curves, _factorization, _sparse_solutions, _system_matrix
 
@@ -31,12 +31,12 @@ def check_routes_agree(cover) -> bool:
     if found is None:
         return False
     q = cover.q
-    for ci, rows in _sparse_solutions(cover).items():
+    for ci, solution in _sparse_solutions(cover).items():
         if found[ci] is None:
-            assert rows is None, ci
+            assert solution is None, ci
             continue
         x, den = found[ci]
-        assert [[Fraction(v, den) for v in x[k:k + q]] for k in range(0, len(x), q)] == [list(row) for row in rows], ci
+        assert [[Fraction(v, den) for v in x[k:k + q]] for k in range(0, len(x), q)] == solution_fractions(solution), ci
     return True
 
 

@@ -15,6 +15,8 @@ from conftest import clasped_wire_diagram, hopf_pair_beside_unknot
 from cyclink import (
     LinkComponent,
     LinkDiagram,
+    LinkingReport,
+    ObstructionVerdict,
     OverstrandRef,
     TwoChain,
     Underpass,
@@ -282,6 +284,24 @@ def test_obstruct_text_and_json(capsys):
     data = json.loads(out)
     assert data["verdict"] == "obstructed"
     assert data["q"] == 2
+
+
+def test_obstruct_text_formats_no_matrix(capsys, monkeypatch):
+    # The text prints no matrix, and at the row cap, stevedore_w0 q=1999,
+    # formatting the 1999 x 1999 table it would not print ran out of memory.
+    def refuse(self):
+        raise AssertionError("the text mode formatted the matrix")
+
+    monkeypatch.setattr(ObstructionVerdict, "to_dict", refuse)
+    monkeypatch.setattr(LinkingReport, "to_dict", refuse)
+    code, out, err = run(capsys, "obstruct", str(fixture_diagram_path("stevedore_w0")), "-q", "5")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "q=5 winding=0 order=31",
+        "hypotheses: prime_power_degree=yes degree_divides_winding=yes integral_lifts=no odd_order_or_winding_multiple=yes",
+        "sign profile: all-nonneg-not-zero",
+        "verdict: obstructed",
+    ]
 
 
 def test_info_lists_lifts(capsys):

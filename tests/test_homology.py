@@ -5,6 +5,7 @@ import random
 import re
 import zlib
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -19,6 +20,7 @@ from conftest import (
     sympy_hermite_multiple,
     sympy_minimal_multiple,
     sympy_minimal_multiples,
+    solution_fractions,
     wire_with_meridian,
 )
 from cyclink import homology
@@ -567,7 +569,7 @@ def test_cover_factorization_logs_once_at_debug_only(caplog):
             logging.DEBUG,
             "alexander route: M(t) 10 x 9, 8 unit steps, tail 2 x 1, D of degree 2, 3 bits, 1/D over 3 bits",
         ),
-        ("cyclink", logging.DEBUG, "minimal multiple: lcm of the chain's denominators, 3 bits"),
+        ("cyclink", logging.DEBUG, "minimal multiple: the chain's denominator, 3 bits"),
         (
             "cyclink",
             logging.DEBUG,
@@ -636,7 +638,8 @@ def check_the_full_system_gives_the_same_answers(cover):
     assert len(dropped.tail) + len(dropped.retired) == len(rows) - (n - m) * (cover.q + 1) - (m + 1 if ups else 1)
     solutions = _first_solutions(cover)
     for t, (ci, x) in enumerate(zip(curves, [s and _fractions(*s) for s in _solutions(full, width)])):
-        assert (solutions[ci] and [v for row in solutions[ci] for v in row]) == x
+        chain = solution_fractions(solutions[ci])
+        assert (chain and [v for row in chain for v in row]) == x
         assert minimal_bounding_multiple(cover, ci, 1) == _multiple(full, t)
 
 
@@ -694,8 +697,25 @@ def check_the_merge(cover):
             else:
                 assert rep[block[i]] != i and sum(step) == 0
             if solutions[ci]:
-                x, y = solutions[ci][i], solutions[ci][rep[block[i]]]
-                assert [u - v for u, v in zip(x, y)] == step
+                rows, d = solutions[ci]
+                x, y = rows[i], rows[rep[block[i]]]
+                assert [u - v for u, v in zip(x, y)] == [d * c for c in step]
+
+
+def check_the_denominator_is_the_chains_lcm(cover):
+    # Each first solution's d is positive, shares no factor with all of its
+    # numerators, and is the lcm of the denominators of every chain that
+    # bounding_chains makes from it.
+    solutions = _first_solutions(cover)
+    for ci in curve_indices(cover.diagram):
+        chains = bounding_chains(cover, ci)
+        if solutions[ci] is None:
+            assert all(chain is None for chain in chains.values())
+            continue
+        rows, d = solutions[ci]
+        assert d > 0 and gcd(d, *(v for row in rows for v in row)) == 1
+        for chain in chains.values():
+            assert lcm(*(v.denominator for row in chain.x for v in row)) == d
 
 
 def hermite_calls(monkeypatch):
@@ -715,6 +735,9 @@ def check_the_rule_against_hermite(cover, monkeypatch):
     assert qhs == (not factors.free)
     for t, ci in enumerate(curves):
         assert minimal_bounding_multiple(cover, ci, 1) == _multiple(factors, t)
+        if qhs:
+            solution = _first_solutions(cover)[ci]
+            assert (solution and solution[1]) == _multiple(factors, t)
     assert calls == ([] if qhs else list(range(len(curves))))
     return qhs
 
@@ -727,6 +750,7 @@ def test_implied_rows_and_the_chain_multiple_on_the_corpus(name, q, monkeypatch)
     check_gauge_vectors(cover)
     check_the_last_arc_is_zero(cover)
     check_the_merge(cover)
+    check_the_denominator_is_the_chains_lcm(cover)
     assert check_the_rule_against_hermite(cover, monkeypatch)
 
 
@@ -739,6 +763,7 @@ def test_implied_rows_and_the_chain_multiple_on_the_battery(q, monkeypatch):
         check_gauge_vectors(cover)
         check_the_last_arc_is_zero(cover)
         check_the_merge(cover)
+        check_the_denominator_is_the_chains_lcm(cover)
         if not check_the_rule_against_hermite(cover, monkeypatch):
             hermite.append(seed)
     # Only four battery covers, all at q = 6, have nullity above q - 1.

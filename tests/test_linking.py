@@ -209,15 +209,44 @@ def test_linking_sum_equals_the_fraction_by_fraction_sum_on_the_corpus():
                     if chain is not None and ga != gb:
                         pairs += 1
                         expected = fraction_linking_sum(cover, chain.x, ci, gb, ci, ga)
-                        assert _linking_sum(cover, chain.x, 0, ci, gb, ci, ga) == expected, (name, q, gb, ga)
-                        first = _first_solutions(cover)[ci]
-                        assert _linking_sum(cover, first, s, ci, gb, ci, ga) == expected, (name, q, gb, ga)
+                        assert _linking_sum(cover, chain.x, 1, 0, ci, gb, ci, ga) == expected, (name, q, gb, ga)
+                        rows, d = _first_solutions(cover)[ci]
+                        assert _linking_sum(cover, rows, d, s, ci, gb, ci, ga) == expected, (name, q, gb, ga)
     assert pairs > 300, pairs
+
+
+@pytest.mark.parametrize("q", range(2, 7))
+def test_a_linking_sum_reads_its_rows_over_their_denominator(q):
+    # A first solution (rows, d) is the chain rows / d, so rows and d scaled
+    # together leave every linking number as it was. Where one curve passes
+    # under another, the crossing adds an integer, which must be read over
+    # d as well; no corpus pair has both such a crossing and d > 1.
+    crossed = 0
+    for _, cover in battery_covers(q, range(100)):
+        solutions = _first_solutions(cover)
+        curves = curve_indices(cover.diagram)
+        for b in curves:
+            if solutions[b] is None:
+                continue
+            rows, d = solutions[b]
+            scaled = [[7 * v for v in row] for row in rows]
+            for a in curves:
+                if a != b:
+                    crossed += any(up.over.component == b for up in cover.diagram.components[a].underpasses)
+                for s, gb in enumerate(cover.components_of[b]):
+                    for ga in cover.components_of[a]:
+                        if (a, ga) != (b, gb) and solutions[a] is not None:
+                            want = _entry(cover, a, ga, b, gb)
+                            assert _linking_sum(cover, scaled, 7 * d, s, b, gb, a, ga) == want, (a, b, ga, gb)
+    assert crossed > 20, crossed
 
 
 def check_circulant_matrices(cover):
     """linking_matrix, which sums row 0 only, equals the entry-by-entry table
-    for every ordered pair of curves; returns how many pairs have g_a != g_b."""
+    for every ordered pair of curves, and each defined entry, summed in
+    integers over the first solution's denominator, equals the oracle's
+    Fraction-by-Fraction sum on the chain bounding_chain makes; returns how
+    many pairs have g_a != g_b."""
     curves = curve_indices(cover.diagram)
     unequal = 0
     for a in curves:
@@ -225,6 +254,11 @@ def check_circulant_matrices(cover):
             cosets_a, cosets_b = cover.components_of[a], cover.components_of[b]
             table = tuple(tuple(_entry(cover, a, ga, b, gb) for gb in cosets_b) for ga in cosets_a)
             assert linking_matrix(cover, a, b).entries == table, (a, b)
+            for ga, row in zip(cosets_a, table):
+                for gb, e in zip(cosets_b, row):
+                    if not isinstance(e, UndefinedEntry):
+                        chain = bounding_chain(cover, b, gb)
+                        assert e == fraction_linking_sum(cover, chain.x, b, gb, a, ga), (a, b, ga, gb)
             unequal += len(cosets_a) != len(cosets_b)
     return unequal
 

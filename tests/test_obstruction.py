@@ -1,15 +1,21 @@
 """The satellite concordance obstruction."""
 
+from fractions import Fraction
+
 import pytest
 
-from conftest import fixture, hopf_diagram, wire_with_meridian
-from cyclink import evaluate_obstruction, is_prime_power, mirror, normalize_writhe
+from conftest import CORPUS_AND_SWEEP, fixture, hopf_diagram, wire_with_meridian
+from cyclink import LinkingReport, UndefinedEntry, evaluate_obstruction, is_prime_power, mirror, normalize_writhe
+from cyclink.linking import NOT_NULL_HOMOLOGOUS, SELF_PAIRING
 from cyclink.obstruction import (
     ALL_NONNEG,
     ALL_NONPOS,
     ALL_ZERO,
     INCONCLUSIVE,
+    MIXED,
     OBSTRUCTED,
+    UNDEFINED,
+    _sign_profile,
 )
 
 
@@ -127,3 +133,58 @@ def test_hopf_pattern_obstructed_at_degree_one():
     verdict = evaluate_obstruction(hopf_diagram(), 1)
     assert verdict.sign_profile == ALL_ZERO
     assert verdict.verdict == INCONCLUSIVE
+
+
+def full_sign_profile(report):
+    """The sign profile of every off-diagonal entry of the report, compared
+    as Fractions: the oracle for _sign_profile, which reads row 0 only."""
+    off_diagonal = [e for i, row in enumerate(report.entries) for j, e in enumerate(row) if i != j]
+    if any(isinstance(e, UndefinedEntry) for e in off_diagonal):
+        return UNDEFINED
+    if all(e == 0 for e in off_diagonal):
+        return ALL_ZERO
+    if all(e >= 0 for e in off_diagonal):
+        return ALL_NONNEG
+    if all(e <= 0 for e in off_diagonal):
+        return ALL_NONPOS
+    return MIXED
+
+
+@pytest.mark.parametrize("name, q", CORPUS_AND_SWEEP)
+def test_the_sign_profile_of_row_zero_is_that_of_the_whole_table(name, q):
+    verdict = evaluate_obstruction(fixture(name).diagram, q)
+    assert verdict.sign_profile == _sign_profile(verdict.matrix) == full_sign_profile(verdict.matrix)
+
+
+def circulant_report(first):
+    """An eta x eta report with row 0 `first`, each row i it rotated i
+    places to the right, as linking_matrix builds it."""
+    g = len(first)
+    cosets = tuple((k + 1,) for k in range(g))
+    entries = tuple(tuple(first[(j - i) % g] for j in range(g)) for i in range(g))
+    return LinkingReport(0, 0, cosets, cosets, entries)
+
+
+SELF = UndefinedEntry(SELF_PAIRING)
+LOOSE = UndefinedEntry(NOT_NULL_HOMOLOGOUS)
+
+
+@pytest.mark.parametrize(
+    "off_diagonal, profile",
+    [
+        ([], ALL_ZERO),
+        ([Fraction(0)], ALL_ZERO),
+        ([Fraction(0), Fraction(0), Fraction(0)], ALL_ZERO),
+        ([Fraction(1, 3), Fraction(0), Fraction(2, 3)], ALL_NONNEG),
+        ([Fraction(5, 7)], ALL_NONNEG),
+        ([Fraction(0), Fraction(-1, 9), Fraction(-1, 9)], ALL_NONPOS),
+        ([Fraction(-3)], ALL_NONPOS),
+        ([Fraction(1, 2), Fraction(-1, 2)], MIXED),
+        ([Fraction(0), Fraction(-7, 3), Fraction(0), Fraction(1, 99)], MIXED),
+        ([LOOSE, LOOSE], UNDEFINED),
+        ([Fraction(1), LOOSE, Fraction(1)], UNDEFINED),
+    ],
+)
+def test_the_sign_profile_on_hand_built_circulant_reports(off_diagonal, profile):
+    report = circulant_report([SELF, *off_diagonal])
+    assert _sign_profile(report) == full_sign_profile(report) == profile

@@ -12,7 +12,7 @@ from math import gcd, lcm
 import pytest
 import sympy
 
-from conftest import CORPUS_AND_SWEEP, fixture, sympy_minimal_multiple, sympy_minimal_multiples, trefoil_diagram
+from conftest import CORPUS_AND_SWEEP, fixture, solution_fractions, sympy_minimal_multiple, sympy_minimal_multiples, trefoil_diagram
 from cyclink import alexander, homology, rational_linalg
 from cyclink.homology import _factorization, _first_solutions, _system_matrix, _system_rhs
 from cyclink.rational_linalg import _eliminate, _eliminate_units, _factor, _null_basis, _sparse_rows
@@ -307,8 +307,9 @@ def test_kernel_matches_dense_bareiss_on_cover_systems(name, q):
     assert solve_many(matrix, rhss) == oracle
     # The cover path leaves out the last arc, which fixes the gauge, and
     # solves each curve's first coset; it must land on the same solution.
-    for ci, x in _first_solutions(cover).items():
+    for ci, solution in _first_solutions(cover).items():
         want = oracle[lifts.index((ci, cover.components_of[ci][0]))]
+        x = solution_fractions(solution)
         assert (x and [v for row in x for v in row]) == want, (name, q, ci)
 
 
@@ -838,6 +839,13 @@ def test_format_rational_omits_unit_denominator():
     assert format_rational(Fraction(3)) == "3"
     assert format_rational(7) == "7"
     assert format_rational(Fraction(-5, 7)) == "-5/7"
+
+
+@pytest.mark.parametrize("value, text", [(True, "1"), (False, "0"), (0.5, "1/2"), (-0.25, "-1/4")])
+def test_format_rational_reads_anything_but_an_int_or_a_fraction_as_a_fraction(value, text):
+    # An exact int or Fraction prints as it is; a bool or a float, whose
+    # str differs, goes through Fraction first.
+    assert format_rational(value) == text
 
 
 def test_parse_rational_round_trip():
