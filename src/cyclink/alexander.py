@@ -11,18 +11,22 @@ The t terms stand where the branch passes under itself (over arc `over`,
 sign eps), the right-hand side where it passes under the curve, and off is
 the wall offset before `% q` (cover._walk), so on a writhe-0 branch M(t) is
 the same at every q. I = sum_k t^(kg) holds the g-spaced sheets of the
-curve's first coset. The last arc's column is left out, which fixes the
-deck-group gauge as homology._factorization does; the sum rows need no
-row, as at t = 1 every row reads X_i(1) = X_{i+1}(1).
+curve's first coset. The sum rows need no row, as at t = 1 every row reads
+X_i(1) = X_{i+1}(1).
 
-`_solve` takes five steps.
+M(t) is written on the knot's own arcs, the runs of homology._runs: an
+underpass of another component ends no arc of the knot, and its row, X_i =
+X_{i+1} + b_i, is substituted before any row is built (`_alexander_matrix`).
+The last run's column is left out, which fixes the deck-group gauge as
+homology._factorization does. `_solve` then takes five steps.
 - A unit phase (`_eliminate_units`) pivots on entries +-t^a, as
-  rational_linalg._eliminate_units does on integers, on n rows instead of
-  n(q + 1). An entry whose exponents come to span q or more is folded mod
-  t^q - 1 (`_fold`): at most q terms at small q, and unreduced at large q.
+  rational_linalg._eliminate_units does on integers, on one row per kept
+  underpass instead of n(q + 1).
 - Fraction-free Bareiss (`_bareiss`) brings the small tail to echelon form
   over Z[t, 1/t], where every division is exact (`_divide`). Its last
   pivot D is +-t^k times a first minor of M(t), the Alexander polynomial.
+  Nothing so far is reduced mod t^q - 1, so on a writhe-0 branch the
+  factorization is the same at every q.
 - u = 1/D mod t^q - 1 comes from a linear recurrence and one deg D x deg D
   integer system (`_inverse`). If that system is singular, D is a zero
   divisor mod t^q - 1, the cover is no rational homology sphere, and
@@ -30,10 +34,10 @@ row, as at t = 1 every row reads X_i(1) = X_{i+1}(1).
 - The tail is back-substituted in Z[t, 1/t], which gives D times each of
   its columns; times u they are integer q-vectors over u's denominator,
   and the retired rows are back-substituted in R on those.
-- The rows are solved for the right-hand sides without I, and each column
-  is multiplied by I last. Only consistency needs I: the row that Bareiss
-  leaves below the rank must vanish there once multiplied by I, that is
-  mod t^g - 1.
+- The rows are solved for the right-hand sides without I, the runs are
+  expanded, and each column is multiplied by I last. Only consistency
+  needs I: the row that Bareiss leaves below the rank must vanish there
+  once multiplied by I, that is mod t^g - 1.
 
 With D a unit mod t^q - 1 the cover's solution is unique, so it is the one
 the sparse route would give, and its multiple is the lcm of the chain's
@@ -47,10 +51,11 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .cover import CoverStructure, _walk
+from .homology import _runs
 from .rational_linalg import _eliminate, _log_debug
 
 # Laurent polynomials are {exponent: int} dicts without zero coefficients.
-_ONE = {0: 1}
+_ONE, _MINUS_ONE = {0: 1}, {0: -1}
 
 
 def _fold(p: dict, q: int) -> dict:
@@ -117,27 +122,55 @@ def _divide(a: dict, b: dict) -> dict:
 
 
 def _alexander_matrix(cover: CoverStructure, curves: list[int]):
-    """M(t) less the last arc's column, as {col: Laurent} rows, one per
-    branch underpass, and each curve's right-hand side without I."""
-    branch = cover.diagram.branch
-    comp = cover.diagram.components[branch]
-    n = comp.arc_count
+    """M(t) on the branch's runs (homology._runs), less the last run's
+    column, as {col: Laurent} rows, one per kept underpass; each curve's
+    right-hand side on them, without I; and the merge map (block, consts).
+
+    Across an underpass i < n - 1 under another component, row i reads
+    X_i - X_{i+1} = b_i, so X_i = X_{i+1} + b_i: arc i joins a run, and
+    X_i = X_rep + c_i with the curve's Laurent constant c_i = c_{i+1} + b_i
+    (consts[t][i], {} at a representative). The rows kept are the branch's
+    self-underpasses and underpass n - 1. Row i of them reads X_i - X_{i+1}
+    + K_i X_over = b_i, K_i = eps (t^-(off+1) - t^-off), and on the runs
+    its right-hand side is b_i + c_{i+1} - K_i c_over, as i represents its
+    run.
+    """
+    diagram = cover.diagram
+    branch = diagram.branch
+    ups = diagram.components[branch].underpasses
+    offs = _walk(diagram)[1][branch]
+    joins, block = _runs(diagram)
+    n, last = len(block), block[-1]
+    bs, consts = [], []
+    for ci in curves:
+        b = [{-off: up.sign, -off - 1: -up.sign} if up.over.component == ci else {} for up, off in zip(ups, offs)]
+        c = [{}] * n
+        for i in range(n - 2, -1, -1):
+            if joins[i]:
+                c[i] = _submul(c[i + 1], _MINUS_ONE, b[i]) if b[i] else c[i + 1]
+        bs.append(b)
+        consts.append(c)
     rows, rhs = [], [[] for _ in curves]
-    for i, (up, off) in enumerate(zip(comp.underpasses, _walk(cover.diagram)[1][branch])):
-        oc, eps = up.over.component, up.sign
-        row = {i: {0: 1}, (i + 1) % n: {0: -1}}  # at n = 1 both are arc 0, the last
-        if oc == branch:
-            row[up.over.arc] = _submul(row.get(up.over.arc, {}), {0: eps}, {-off: 1, -off - 1: -1})
-        rows.append({col: p for col, p in row.items() if col < n - 1 and p})  # the last arc is 0
-        for ci, b in zip(curves, rhs):
-            b.append({-off: eps, -off - 1: -eps} if oc == ci else {})
-    return rows, rhs
+    for i in range(len(ups)):
+        if joins[i]:
+            continue
+        up, off, ahead = ups[i], offs[i], (i + 1) % n
+        row = {block[i]: _ONE, block[ahead]: _MINUS_ONE}  # one entry where both are the last run
+        k = over = None
+        if up.over.component == branch:
+            k, over = {-off - 1: up.sign, -off: -up.sign}, up.over.arc
+            row[block[over]] = _submul(row.get(block[over], {}), _MINUS_ONE, k)
+        rows.append({col: p for col, p in row.items() if col < last and p})  # the last run is 0
+        for b, c, r in zip(bs, consts, rhs):
+            v = _submul(b[i], _MINUS_ONE, c[ahead]) if c[ahead] else b[i]
+            r.append(_submul(v, k, c[over]) if k and c[over] else v)
+    return rows, rhs, (block, consts)
 
 
-def _eliminate_units(rows, rhs, q: int):
+def _eliminate_units(rows, rhs):
     """rational_linalg._eliminate_units on {col: Laurent} rows: the units are
-    +-t^a, and each product is folded (`_fold`). A row retires as
-    (col, a, u, rest, b): u t^a x_col + rest . x = b, u = +-1.
+    +-t^a, and every entry stays in Z[t, 1/t], unreduced mod t^q - 1. A row
+    retires as (col, a, u, rest, b): u t^a x_col + rest . x = b, u = +-1.
 
     Returns the live rows, each right-hand side on them, and the retired
     rows in pivot order.
@@ -173,7 +206,7 @@ def _eliminate_units(rows, rhs, q: int):
             # row_i -= k * row_r clears col: k u t^a is row_i's entry there.
             k = {e - a: v * u for e, v in row_i.pop(col).items()}
             for j, v in items:
-                new = _fold(_submul(row_i.get(j, {}), k, v), q)
+                new = _submul(row_i.get(j, {}), k, v)
                 if new:
                     if j not in row_i:
                         where[j].add(i)
@@ -182,7 +215,7 @@ def _eliminate_units(rows, rhs, q: int):
                     where[j].remove(i)
             for b, v in zip(rhs, b_r):
                 if v:
-                    b[i] = _fold(_submul(b[i], k, v), q)
+                    b[i] = _submul(b[i], k, v)
             heappush(queue, (len(row_i), i))
         retired.append((col, a, u, row_r, b_r))
     live = [i for i, row in enumerate(rows) if row is not None]
@@ -271,39 +304,43 @@ def _inverse(D: dict, q: int):
 
 def _times(p: dict, x: list, q: int) -> list:
     """p x mod t^q - 1, x a list of q coefficients."""
-    out = [0] * q
+    shifts = defaultdict(int)  # p mod t^q - 1, as x's rotations
     for e, c in p.items():
-        s = -e % q
-        out = [o + c * v for o, v in zip(out, x[s:] + x[:s])]
+        shifts[-e % q] += c
+    out = [0] * q
+    for s, c in shifts.items():
+        if c:
+            out = [o + c * v for o, v in zip(out, x[s:] + x[:s])]
     return out
 
 
 def _factor(cover: CoverStructure, curves: list[int]):
-    """M(t) with each curve's right-hand side through the unit phase and
-    Bareiss: the tail's echelon rows, the right-hand sides riding along;
-    the tail's columns; the retired rows; and D, the last pivot, or None if
-    the tail's columns are dependent over Q(t)."""
-    n = cover.diagram.components[cover.diagram.branch].arc_count
-    tail, rhs, retired = _eliminate_units(*_alexander_matrix(cover, curves), cover.q)
+    """M(t) on the runs with each curve's right-hand side through the unit
+    phase and Bareiss, all in Z[t, 1/t], so the same at every q on a
+    writhe-0 branch: the tail's echelon rows, the right-hand sides riding
+    along; the tail's columns; the retired rows; D, the last pivot, or None
+    if the tail's columns are dependent over Q(t); and the merge map."""
+    rows, rhs, merge = _alexander_matrix(cover, curves)
+    tail, rhs, retired = _eliminate_units(rows, rhs)
     pivoted = {col for col, *_ in retired}
-    cols = [j for j in range(n - 1) if j not in pivoted]
+    cols = [j for j in range(merge[0][-1]) if j not in pivoted]
     echelon = [[row.get(j, {}) for j in cols] + [b[i] for b in rhs] for i, row in enumerate(tail)]
-    return echelon, cols, retired, _bareiss(echelon, len(cols))
+    return echelon, cols, retired, _bareiss(echelon, len(cols)), merge
 
 
 def _solve(cover: CoverStructure, curves: list[int]):
     """Each curve's first solution as (x, den), x[i*q + s] / den the
     coefficient of the lift of branch arc i to sheet s + 1, or None where
     the curve bounds no chain; None for the whole cover if D is a zero
-    divisor mod t^q - 1. Logs one DEBUG line."""
+    divisor mod t^q - 1. The runs are expanded last: x_i = x_rep + c_i,
+    den c_i added before the product with I. Logs one DEBUG line."""
     q = cover.q
-    n = cover.diagram.components[cover.diagram.branch].arc_count
-    echelon, cols, retired, D = _factor(cover, curves)
+    echelon, cols, retired, D, (block, consts) = _factor(cover, curves)
     c = len(cols)
     inverse = None if D is None else _inverse(D, q)
     _log_debug(
         "alexander route: M(t) %d x %d, %d unit steps, tail %d x %d, %s",
-        len(retired) + len(echelon), n - 1, len(retired), len(echelon), c,
+        len(retired) + len(echelon), block[-1], len(retired), len(echelon), c,
         "tail columns dependent" if D is None else
         f"D of degree {max(D) - min(D)}, {max(abs(v) for v in D.values()).bit_length()} bits, "
         + (f"a zero divisor mod t^{q} - 1" if inverse is None else f"1/D over {inverse[1].bit_length()} bits"),
@@ -312,6 +349,7 @@ def _solve(cover: CoverStructure, curves: list[int]):
         return None
     u, den = inverse
     solutions = {}
+    zero = [0] * q  # the last run
     for t, ci in enumerate(curves):
         g = len(cover.components_of[ci])
         # Below the rank each row must vanish times I, that is mod t^g - 1.
@@ -335,10 +373,14 @@ def _solve(cover: CoverStructure, curves: list[int]):
             s = a % q  # x_col = sign t^-a acc
             x[col] = [sign * v for v in acc[s:] + acc[:s]]
         flat = []
-        for i in range(n - 1):
-            row = x[i]
+        for k, ck in zip(block, consts[t]):
+            row = x.get(k, zero)
+            if ck:
+                row = row[:]
+                for e, v in ck.items():
+                    row[e % q] += den * v
             if g < q:  # times I: entry s sums the entries congruent to s mod g
                 row = [sum(row[s::g]) for s in range(g)] * (q // g)
             flat += row
-        solutions[ci] = (flat + [0] * q, den)
+        solutions[ci] = (flat, den)
     return solutions

@@ -18,6 +18,14 @@ from .linking import NOT_NULL_HOMOLOGOUS, UndefinedEntry, _entry, linking_matrix
 from .obstruction import evaluate_obstruction
 from .rational_linalg import format_rational
 
+# A linking table that `matrix` or `obstruct --json` would print above this
+# many characters is refused, exit 2, before more than its row 0 is
+# formatted. At stevedore_w0 q=1999, the row cap, the eta x eta table is
+# 1999 x 1999 rationals of about 1,050 characters, 4.2 * 10**9 in all,
+# which ran out of memory. The corpus and sweep tables take at most about
+# 1,100 characters, and twobridge_m2 q=200 about 2 * 10**7.
+MAX_TABLE_CHARS = 10**8
+
 
 def _coset_text(coset) -> str:
     return "{" + ",".join(str(s) for s in coset) + "}"
@@ -27,6 +35,18 @@ def _entry_text(entry) -> str:
     if isinstance(entry, UndefinedEntry):
         return f"undefined ({entry.reason})"
     return format_rational(entry)
+
+
+def _refuse_table(report) -> None:
+    """ValueError if the report's table is above MAX_TABLE_CHARS. Every row
+    is a rotation of row 0 (linking_matrix), so the table's entries take
+    g_a times row 0's characters."""
+    size = len(report.cosets_a) * sum(len(_entry_text(e)) for e in report.entries[0])
+    if size > MAX_TABLE_CHARS:
+        raise ValueError(
+            f"the linking table would be {len(report.cosets_a)} x {len(report.cosets_b)} "
+            f"entries, about {size} characters, above the limit of {MAX_TABLE_CHARS}"
+        )
 
 
 def _cover(args):
@@ -106,9 +126,12 @@ def cmd_lk(args) -> int:
 
 def cmd_matrix(args) -> int:
     report = linking_matrix(_cover(args), args.a, args.b)
+    _refuse_table(report)
+    if args.json:
+        return _emit(args, report.to_dict(), None)
     table = [["", *map(_coset_text, report.cosets_b)]]
     table += [[_coset_text(c), *map(_entry_text, row)] for c, row in zip(report.cosets_a, report.entries)]
-    return _emit(args, report.to_dict(), "\n".join("\t".join(cells) for cells in table))
+    return _emit(args, None, "\n".join("\t".join(cells) for cells in table))
 
 
 def cmd_order(args) -> int:
@@ -121,6 +144,7 @@ def cmd_order(args) -> int:
 def cmd_obstruct(args) -> int:
     verdict = evaluate_obstruction(load_diagram(args.file), args.q)
     if args.json:  # the text holds no matrix, so only --json formats it
+        _refuse_table(verdict.matrix)
         return _emit(args, verdict.to_dict(), None)
     flags = " ".join(
         f"{name}={'yes' if ok else 'no'}" for name, ok in verdict.hypotheses.items()

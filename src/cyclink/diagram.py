@@ -28,7 +28,8 @@ class _Record:
     TypeError. Two records are equal when they are of the same class with
     equal fields, and hash as the tuple of their fields; repr reads like
     the constructor call. Pickle and copy rebuild a record from its fields
-    by position.
+    by position. `_make` builds a record of values in _fields order
+    without the argument binding, for records built in bulk.
     """
 
     __slots__ = ()
@@ -54,6 +55,13 @@ class _Record:
             args = [values[name] for name in fields]
         for setter, value in zip(self._setters, args):
             setter(self, value)
+
+    @classmethod
+    def _make(cls, values):
+        self = object.__new__(cls)
+        for setter, value in zip(cls._setters, values):
+            setter(self, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -137,22 +145,26 @@ def validate(diagram: LinkDiagram) -> list[str]:
     elif not 0 <= diagram.branch < len(diagram.components):
         problems.append(f"branch index {diagram.branch} out of range")
     seen: set[str] = set()
-    for ci, comp in enumerate(diagram.components):
+    components = diagram.components
+    for ci, comp in enumerate(components):
         if comp.name in seen:
             problems.append(f"duplicate component name {comp.name!r}")
         seen.add(comp.name)
         for ai, up in enumerate(comp.underpasses):
+            sign, oc, arc = up.sign, up.over.component, up.over.arc
+            # The location is formatted only for an underpass with a problem.
+            if type(sign) is int and sign in (1, -1) and type(oc) is int and 0 <= oc < len(components) and type(arc) is int and 0 <= arc < components[oc].arc_count:
+                continue
             where = f"component {ci} ({comp.name}) underpass {ai}"
-            if type(up.sign) is not int or up.sign not in (1, -1):
-                problems.append(f"{where}: sign {up.sign!r} is not +1 or -1")
-            oc, arc = up.over.component, up.over.arc
+            if type(sign) is not int or sign not in (1, -1):
+                problems.append(f"{where}: sign {sign!r} is not +1 or -1")
             if type(oc) is not int:
                 problems.append(f"{where}: overstrand component {oc!r} is not an integer")
                 continue
-            if not 0 <= oc < len(diagram.components):
+            if not 0 <= oc < len(components):
                 problems.append(f"{where}: overstrand component {oc} out of range")
                 continue
-            target = diagram.components[oc]
+            target = components[oc]
             if type(arc) is not int:
                 problems.append(f"{where}: overstrand arc {arc!r} is not an integer")
             elif not 0 <= arc < target.arc_count:
@@ -213,7 +225,7 @@ def normalize_writhe(diagram: LinkDiagram, q: int) -> LinkDiagram:
     comp = diagram.components[diagram.branch]
     ups = list(comp.underpasses)
     for _ in range(count):
-        ups.append(Underpass(sign, OverstrandRef(diagram.branch, len(ups))))
+        ups.append(Underpass._make((sign, OverstrandRef._make((diagram.branch, len(ups))))))
     comps = list(diagram.components)
     comps[diagram.branch] = LinkComponent(comp.name, tuple(ups))
     return LinkDiagram(tuple(comps), diagram.branch)
@@ -223,7 +235,7 @@ def mirror(diagram: LinkDiagram) -> LinkDiagram:
     """The mirror diagram: every crossing sign negated, over/under kept."""
     comps = []
     for comp in diagram.components:
-        ups = tuple(Underpass(-u.sign, u.over) for u in comp.underpasses)
+        ups = tuple([Underpass._make((-u.sign, u.over)) for u in comp.underpasses])
         comps.append(LinkComponent(comp.name, ups))
     return LinkDiagram(tuple(comps), diagram.branch)
 
@@ -261,17 +273,23 @@ def diagram_from_dict(data: dict) -> LinkDiagram:
     fmt = data.get("format")
     if fmt != FORMAT:
         raise ValueError(f"unsupported diagram format {fmt!r}, expected {FORMAT!r}")
+    make_ref, make_up = OverstrandRef._make, Underpass._make
     try:
         comps = []
         for ci, c in enumerate(data["components"]):
             ups = []
             for ui, u in enumerate(c["underpasses"]):
+                over = u["over"]
+                # Read and checked in this order, as _integer reads them below.
+                if type(oc := over["component"]) is int and type(arc := over["arc"]) is int and type(sign := u["sign"]) is int:
+                    ups.append(make_up((sign, make_ref((oc, arc)))))
+                    continue
+                # The first field that is not an int raises; only then is
+                # its location formatted.
                 at = f"component {ci} underpass {ui}: "
-                over = OverstrandRef(
-                    _integer(u["over"]["component"], at + "over.component"),
-                    _integer(u["over"]["arc"], at + "over.arc"),
-                )
-                ups.append(Underpass(_integer(u["sign"], at + "sign"), over))
+                _integer(over["component"], at + "over.component")
+                _integer(over["arc"], at + "over.arc")
+                _integer(u["sign"], at + "sign")
             name = c["name"]
             # str() would turn null into "None" and ["e"] into "['e']".
             if not isinstance(name, str):

@@ -17,14 +17,14 @@ shift of it. The deck-group gauge, which changes no linking number, is
 fixed by leaving out the branch's last arc. Two routes solve it:
 - On a rational homology sphere, read as the last Bareiss pivot D of the
   branch's Alexander matrix M(t) being a unit mod t^q - 1, the chains are
-  solved on M(t), n Laurent rows (cyclink.alexander, `_alexander`). Every
-  corpus cover is one; the module is imported only once a cover is solved.
+  solved on M(t), one Laurent row per run of the branch (`_runs`), in
+  cyclink.alexander (`_alexander`). Every corpus cover is one; the module
+  is imported only once a cover is solved.
 - Other covers, such as a trefoil branch at q = 6, take the sparse route:
   the sheet system is factored once (`_factorization`), with the first
-  coset of each curve riding along, the branch arcs joined by underpasses
-  of other components merged (`_merged_system`) and the rows that others
-  imply dropped, and each chain is read off that factorization
-  (rational_linalg._solutions). One generator writes the underpass rows
+  coset of each curve riding along, the same runs merged (`_merged_system`)
+  and the rows that others imply dropped, and each chain is read off that
+  factorization (rational_linalg._solutions). One generator writes the underpass rows
   R_{i,s} of both the full and the merged system (`_underpass_rows`).
 Either route gives each first solution as integer rows over one
 denominator d in lowest terms, and Fractions are made only for a TwoChain.
@@ -209,6 +209,23 @@ def assemble_system(cover: CoverStructure, curve: int | str, coset):
     return dense, _system_rhs(cover, ci, group), columns
 
 
+def _runs(diagram) -> tuple[list[bool], list[int]]:
+    """The branch's runs, which both routes solve on: joins[i] says that
+    arc i joins arc i + 1's run, across an underpass i < n - 1 of another
+    component, and block[i] numbers arc i's run from 0. Underpass n - 1
+    never joins, so runs do not wrap, each run's highest arc is its
+    representative, and arc n - 1 represents the last run, block[-1]."""
+    branch = diagram.branch
+    ups = diagram.components[branch].underpasses
+    n = max(1, len(ups))
+    joins = [i < n - 1 and up.over.component != branch for i, up in enumerate(ups)] or [False]
+    block, m = [], 0
+    for join in joins:
+        block.append(m)
+        m += not join
+    return joins, block
+
+
 def _merged_system(cover: CoverStructure, curves: list[int]):
     """The cover system with the branch's runs merged and its last arc fixed
     at 0, less the rows that others imply, as {col: int} rows; each curve's
@@ -218,26 +235,22 @@ def _merged_system(cover: CoverStructure, curves: list[int]):
     Across an underpass i < n - 1 of the branch under another component,
     the rows R_{i,s} read x_{i,s} - x_{i+1,s} = b_{i,s} on every sheet, so
     x_{i,s} = x_{i+1,s} + b_{i,s} is substituted for all q sheets. Arc i
-    then joins a run represented by its highest arc; block[i] is the run's
-    column block, and consts[t][i] holds x_i - x_rep(i) per sheet for curve
-    t, c_{i,s} = c_{i+1,s} + b_{i,s}, in integers (None where it is 0). The
-    constants move to the right-hand sides of the rows that stay. Underpass
-    n - 1 never merges, so runs do not wrap and arc n - 1 is the last
-    block's representative; that block's columns and sum row are left out
-    (`_factorization`). A branch with no self-crossings keeps its closing
-    condition, sum_i b_{i,s} = 0, as rows with no entries. A merged arc's
-    sum row is its representative's, as sum_s c_{i,s} = 0 telescopes, and
-    is dropped.
+    then joins a run represented by its highest arc (the run map `_runs`,
+    which the M(t) route reads too); block[i] is the run's column block,
+    and consts[t][i] holds x_i - x_rep(i) per sheet for curve t, c_{i,s} =
+    c_{i+1,s} + b_{i,s}, in integers (None where it is 0). The constants
+    move to the right-hand sides of the rows that stay. Arc n - 1 is the
+    last block's representative; that block's columns and sum row are left
+    out (`_factorization`). A branch with no self-crossings keeps its
+    closing condition, sum_i b_{i,s} = 0, as rows with no entries. A merged
+    arc's sum row is its representative's, as sum_s c_{i,s} = 0
+    telescopes, and is dropped.
     """
     q = cover.q
     branch = cover.diagram.branch
     ups = cover.diagram.components[branch].underpasses
-    n = max(1, len(ups))
-    joins = [i < n - 1 and up.over.component != branch for i, up in enumerate(ups)] or [False]
-    block, m = [], 0
-    for join in joins:
-        block.append(m)
-        m += not join
+    joins, block = _runs(cover.diagram)
+    n, m = len(block), block[-1] + 1
     width = (m - 1) * q  # the last block is left out: it is 0
     underpass_rhs, consts = [], []
     for ci in curves:

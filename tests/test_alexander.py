@@ -18,6 +18,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from conftest import CORPUS_AND_SWEEP, battery_covers, clasped_wire_diagram, fixture, solution_fractions, trefoil_diagram
 from cyclink import alexander, build_cover, minimal_bounding_multiple, normalize_writhe, writhe
+from cyclink.fixtures import corpus_names
 from cyclink.homology import _curves, _factorization, _sparse_solutions, _system_matrix
 
 t = sympy.Symbol("t")
@@ -43,6 +44,12 @@ def check_routes_agree(cover) -> bool:
 @pytest.mark.parametrize("name, q", CORPUS_AND_SWEEP + [("twobridge_m2", 29), ("twobridge_m2", 37), ("stevedore_w0", 200)])
 def test_the_route_takes_every_corpus_cover_with_the_sparse_chains(name, q):
     assert check_routes_agree(build_cover(fixture(name).diagram, q))
+
+
+@pytest.mark.parametrize("name", sorted(corpus_names()))
+def test_the_route_takes_every_fixture_at_q_1_to_13_with_the_sparse_chains(name):
+    for q in range(1, 14):
+        assert check_routes_agree(build_cover(normalize_writhe(fixture(name).diagram, q), q)), q
 
 
 @pytest.mark.parametrize("q", range(2, 7))
@@ -100,12 +107,38 @@ WRITHE_ZERO = sorted({name for name, _ in CORPUS_AND_SWEEP if writhe(fixture(nam
 
 
 def alexander_pivot(name: str) -> dict:
-    """D at a q where no entry folds: on a writhe-0 branch M(t) is the same
-    at every q."""
-    cover = build_cover(fixture(name).diagram, 101)
-    D = alexander._factor(cover, [])[3]
-    assert max(D) - min(D) < 50
-    return D
+    """D, which on a writhe-0 branch is the same at every q
+    (test_the_factorization_is_the_same_at_every_q)."""
+    return alexander._factor(build_cover(fixture(name).diagram, 3), [])[3]
+
+
+@pytest.mark.parametrize("name", WRITHE_ZERO)
+def test_the_factorization_is_the_same_at_every_q(name):
+    # Nothing is reduced mod t^q - 1 before the inverse, so the echelon, the
+    # retired rows and D do not depend on q; the curves' right-hand sides
+    # ride along without I.
+    covers = [build_cover(fixture(name).diagram, q) for q in (3, 7, 101)]
+    factors = [alexander._factor(cover, _curves(cover)) for cover in covers]
+    for echelon, cols, retired, D, merge in factors[1:]:
+        assert (echelon, cols, retired, D, merge) == factors[0]
+    assert factors[0][3] is not None
+
+
+@pytest.mark.parametrize("name, q", CORPUS_AND_SWEEP)
+def test_the_alexander_matrix_has_a_row_per_kept_underpass_and_a_column_per_run(name, q):
+    # A run is a set of arcs joined by underpasses of other components
+    # (homology._runs); rows stay at the branch's self-underpasses and at
+    # underpass n - 1, and the last run's column is left out.
+    cover = build_cover(fixture(name).diagram, q)
+    branch = cover.diagram.branch
+    ups = cover.diagram.components[branch].underpasses
+    kept = [i for i, up in enumerate(ups) if up.over.component == branch or i == len(ups) - 1]
+    rows, rhs, (block, consts) = alexander._alexander_matrix(cover, _curves(cover))
+    assert len(rows) == len(kept) and all(len(r) == len(kept) for r in rhs)
+    assert block[-1] == len(kept) - 1 == len(set(block)) - 1
+    assert set().union(*rows) == set(range(block[-1]))
+    for c in consts:  # a run's representative, its highest arc, carries no constant
+        assert all(not c[i] for i in kept)
 
 
 @pytest.mark.parametrize("name", WRITHE_ZERO)

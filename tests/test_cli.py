@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import clasped_wire_diagram, hopf_pair_beside_unknot
+from conftest import CORPUS_AND_SWEEP, clasped_wire_diagram, fixture, hopf_pair_beside_unknot
 from cyclink import (
     LinkComponent,
     LinkDiagram,
@@ -21,10 +21,12 @@ from cyclink import (
     TwoChain,
     Underpass,
     build_cover,
+    linking_matrix,
     normalize_writhe,
     save_diagram,
     verify_boundary,
 )
+from cyclink import cli
 from cyclink.cli import main
 from cyclink.fixtures import fixture_diagram_path
 
@@ -302,6 +304,39 @@ def test_obstruct_text_formats_no_matrix(capsys, monkeypatch):
         "sign profile: all-nonneg-not-zero",
         "verdict: obstructed",
     ]
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [("matrix", ("--a", "eta", "--b", "eta")), ("matrix", ("--a", "eta", "--b", "eta", "--json")), ("obstruct", ("--json",))],
+)
+def test_a_table_above_the_bound_is_refused_before_it_is_formatted(capsys, monkeypatch, command, options):
+    # stevedore_w0 q=3: three cosets of eta, so the table is 3 x 3 and each
+    # row a rotation of row 0, "undefined (self-pairing)", 1/7 and 1/7: 30
+    # characters, 90 for the table.
+    path = str(fixture_diagram_path("stevedore_w0"))
+    monkeypatch.setattr(cli, "MAX_TABLE_CHARS", 89)
+    formatted = []
+    monkeypatch.setattr(LinkingReport, "to_dict", lambda self: formatted.append(self))
+    code, out, err = run(capsys, command, path, "-q", "3", *options)
+    assert (code, out, formatted) == (2, "", [])
+    assert err == "error: the linking table would be 3 x 3 entries, about 90 characters, above the limit of 89\n"
+    # At the bound it prints; the obstruction's text holds no table.
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "MAX_TABLE_CHARS", 90)
+    assert run(capsys, command, path, "-q", "3", *options)[0] == 0
+    monkeypatch.setattr(cli, "MAX_TABLE_CHARS", 0)
+    code, out, err = run(capsys, "obstruct", path, "-q", "3")
+    assert (code, err) == (0, "") and out.startswith("q=3 winding=0 ")
+
+
+@pytest.mark.parametrize("name, q", CORPUS_AND_SWEEP)
+def test_every_corpus_and_sweep_table_is_below_the_bound(name, q):
+    cover = build_cover(fixture(name).diagram, q)
+    curves = [ci for ci in range(len(cover.diagram.components)) if ci != cover.diagram.branch]
+    for a in curves:
+        for b in curves:
+            cli._refuse_table(linking_matrix(cover, a, b))
 
 
 def test_info_lists_lifts(capsys):

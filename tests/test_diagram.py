@@ -232,6 +232,28 @@ def test_from_dict_rejects_non_integer_fields(path, value):
         diagram_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "underpass, message",
+    [
+        ({"sign": True, "over": {"component": 0, "arc": 0}}, "sign must be an integer, not True"),
+        ({"sign": 1, "over": {"component": 0, "arc": 1.9}}, "over.arc must be an integer, not 1.9"),
+        ({"sign": 1, "over": {"component": "0", "arc": 0}}, "over.component must be an integer, not '0'"),
+        # Fields are read in order, so a bad field is named before a later one is missed.
+        ({"over": {"component": None}}, "over.component must be an integer, not None"),
+        ({"over": {"component": 0, "arc": False}}, "over.arc must be an integer, not False"),
+        ({"sign": 1, "over": {"arc": 0}}, "malformed diagram JSON: 'component'"),
+        ({"over": {"component": 0, "arc": 0}}, "malformed diagram JSON: 'sign'"),
+    ],
+)
+def test_from_dict_names_the_first_bad_underpass_field_exactly(underpass, message):
+    data = diagram_to_dict(hopf_diagram())
+    data["components"][1]["underpasses"][0] = underpass
+    prefix = "" if message.startswith("malformed") else "component 1 underpass 0: "
+    with pytest.raises(ValueError) as info:
+        diagram_from_dict(data)
+    assert str(info.value) == prefix + message
+
+
 @pytest.mark.parametrize("value", [None, ["e"], 3])
 def test_from_dict_rejects_non_string_names(value):
     # str() would have read null as "None" and ["e"] as "['e']".

@@ -567,13 +567,13 @@ def test_cover_factorization_logs_once_at_debug_only(caplog):
         (
             "cyclink",
             logging.DEBUG,
-            "alexander route: M(t) 10 x 9, 8 unit steps, tail 2 x 1, D of degree 2, 3 bits, 1/D over 3 bits",
+            "alexander route: M(t) 8 x 7, 6 unit steps, tail 2 x 1, D of degree 2, 3 bits, 1/D over 3 bits",
         ),
         ("cyclink", logging.DEBUG, "minimal multiple: the chain's denominator, 3 bits"),
         (
             "cyclink",
             logging.DEBUG,
-            "alexander route: M(t) 7 x 6, 5 unit steps, tail 2 x 1, D of degree 2, 1 bits, a zero divisor mod t^6 - 1",
+            "alexander route: M(t) 6 x 5, 4 unit steps, tail 2 x 1, D of degree 2, 1 bits, a zero divisor mod t^6 - 1",
         ),
         (
             "cyclink",

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import cyclink
-from conftest import fixture
+from conftest import fixture, trefoil_diagram
 from cyclink import (
     CoverStructure,
     LinkComponent,
@@ -25,7 +25,12 @@ from cyclink import (
     Underpass,
     bounding_chain,
     build_cover,
+    diagram_from_dict,
+    diagram_to_dict,
+    mirror,
+    normalize_writhe,
 )
+from cyclink.diagram import _Record
 from cyclink.fixtures import Expectation, Fixture
 
 UP = Underpass(-1, OverstrandRef(1, 7))
@@ -156,6 +161,53 @@ def test_pickle_and_copies_rebuild_an_equal_record(row):
     assert copy.copy(record) == record
     deep = copy.deepcopy(record)
     assert deep == record and type(deep) is cls
+
+
+# _make skips the argument binding and any __init__ of the class's own, so
+# it serves the records without one, such as those built per underpass.
+BULK_ROWS = [row for row in ROWS if row[0].__init__ is _Record.__init__]
+
+
+@pytest.mark.parametrize("row", BULK_ROWS, ids=[row[0].__name__ for row in BULK_ROWS])
+def test_the_bulk_constructor_builds_the_same_record(row):
+    cls, args, _, text = row
+    made, record = cls._make(args), cls(*args)
+    assert type(made) is cls and made == record and not made != record
+    assert repr(made) == repr(record) == text
+    try:
+        expected = hash(record)
+    except TypeError:
+        expected = None
+    if expected is not None:
+        assert hash(made) == expected
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copied = pickle.loads(pickle.dumps(made, protocol))
+        assert copied == record and type(copied) is cls
+
+
+def test_diagrams_loaded_and_built_by_keyword_agree():
+    # diagram_from_dict, normalize_writhe and mirror build their underpasses
+    # with _make; keyword construction is the reference.
+    def rebuilt(d):
+        return LinkDiagram(
+            components=tuple(
+                LinkComponent(
+                    name=c.name,
+                    underpasses=tuple(
+                        Underpass(sign=u.sign, over=OverstrandRef(component=u.over.component, arc=u.over.arc))
+                        for u in c.underpasses
+                    ),
+                )
+                for c in d.components
+            ),
+            branch=d.branch,
+        )
+
+    d = trefoil_diagram()  # writhe 3, so one positive kink at q = 4
+    for made in (normalize_writhe(d, 4), mirror(d), diagram_from_dict(diagram_to_dict(mirror(d)))):
+        assert made == rebuilt(made) and hash(made) == hash(rebuilt(made)) and repr(made) == repr(rebuilt(made))
+    n = len(d.components[d.branch].underpasses)
+    assert normalize_writhe(d, 4).components[d.branch].underpasses[n:] == (Underpass(1, OverstrandRef(d.branch, n)),)
 
 
 def test_the_cover_memo_is_not_a_field():
