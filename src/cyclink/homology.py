@@ -17,15 +17,17 @@ shift of it. The deck-group gauge, which changes no linking number, is
 fixed by leaving out the branch's last arc. Two routes solve it:
 - On a rational homology sphere, read as the last Bareiss pivot D of the
   branch's Alexander matrix M(t) being a unit mod t^q - 1, the chains are
-  solved on M(t), one Laurent row per run of the branch (`_runs`), in
+  solved on M(t), one Laurent row per run of the branch, in
   cyclink.alexander (`_alexander`). Every corpus cover is one; the module
   is imported only once a cover is solved.
 - Other covers, such as a trefoil branch at q = 6, take the sparse route:
-  the sheet system is factored once (`_factorization`), with the first
-  coset of each curve riding along, the same runs merged (`_merged_system`)
-  and the rows that others imply dropped, and each chain is read off that
-  factorization (rational_linalg._solutions). One generator writes the underpass rows
-  R_{i,s} of both the full and the merged system (`_underpass_rows`).
+  M(t) is written out on the sheets, the rows that others imply left out
+  (alexander._sheet_system), and factored once (`_factorization`), with
+  the first coset of each curve riding along; each chain is read off that
+  factorization (rational_linalg._solutions).
+The full system (`assemble_system`, `_system_matrix`, `_system_rhs`) is
+written on its own, arc by arc and sheet by sheet, and neither route
+solves on it, so it checks both.
 Either route gives each first solution as integer rows over one
 denominator d in lowest terms, and Fractions are made only for a TwoChain.
 On a rational homology sphere the solution is unique, and a curve's
@@ -129,17 +131,24 @@ def _refuse_rows(n: int, q: int) -> None:
         )
 
 
-def _underpass_rows(cover: CoverStructure, block, kept, sheets: int, width: int):
-    """R_{i,s} for each branch underpass i in kept and sheet s < sheets, as
-    {col: int} rows: branch arc k's q columns start at block[k] * q, sheets
-    are 0-based and reduced mod q, and entries at or past width are left out."""
+def _system_matrix(cover: CoverStructure):
+    """The coefficient matrix of assemble_system as {col: int} rows, with its width.
+
+    Column i*q + s holds the lift of branch arc i to sheet s + 1: the sum
+    rows, then R_{i,s} for every underpass i and sheet s. Neither route
+    solves on it, so it checks them.
+    """
     q, branch = cover.q, cover.diagram.branch
-    ups = cover.diagram.components[branch].underpasses
-    for i in kept:
-        up, off = ups[i], cover.sigma[branch][i]
-        here, ahead = block[i] * q, block[(i + 1) % len(block)] * q
-        over = block[up.over.arc] * q if up.over.component == branch else None
-        for s in range(sheets):
+    comp = cover.diagram.components[branch]
+    n = comp.arc_count
+    _refuse_rows(n, q)
+    # Vertical walls are built from sheet-gap cells, so the per-arc
+    # coefficients must sum to zero.
+    rows = [{i * q + s: 1 for s in range(q)} for i in range(n)]
+    for i, (up, off) in enumerate(zip(comp.underpasses, cover.sigma[branch])):
+        here, ahead = i * q, (i + 1) % n * q
+        over = up.over.arc * q if up.over.component == branch else None
+        for s in range(q):
             row = defaultdict(int)
             row[here + s] += 1
             row[ahead + s] -= 1
@@ -147,23 +156,7 @@ def _underpass_rows(cover: CoverStructure, block, kept, sheets: int, width: int)
                 row[over + (s + off) % q] -= up.sign
                 row[over + (s + 1 + off) % q] += up.sign
             # Curve walls have fixed coefficients; _system_rhs carries them.
-            yield {col: v for col, v in row.items() if v and col < width}
-
-
-def _system_matrix(cover: CoverStructure):
-    """The coefficient matrix of assemble_system as {col: int} rows, with its width.
-
-    Column i*q + s holds the lift of branch arc i to sheet s + 1: the sum
-    rows, then R_{i,s} for every underpass i and sheet s.
-    """
-    q = cover.q
-    comp = cover.diagram.components[cover.diagram.branch]
-    n = comp.arc_count
-    _refuse_rows(n, q)
-    # Vertical walls are built from sheet-gap cells, so the per-arc
-    # coefficients must sum to zero.
-    rows = [{i * q + s: 1 for s in range(q)} for i in range(n)]
-    rows += _underpass_rows(cover, range(n), range(len(comp.underpasses)), q, n * q)
+            rows.append({col: v for col, v in row.items() if v})
     return rows, n * q
 
 
@@ -209,98 +202,17 @@ def assemble_system(cover: CoverStructure, curve: int | str, coset):
     return dense, _system_rhs(cover, ci, group), columns
 
 
-def _runs(diagram) -> tuple[list[bool], list[int]]:
-    """The branch's runs, which both routes solve on: joins[i] says that
-    arc i joins arc i + 1's run, across an underpass i < n - 1 of another
-    component, and block[i] numbers arc i's run from 0. Underpass n - 1
-    never joins, so runs do not wrap, each run's highest arc is its
-    representative, and arc n - 1 represents the last run, block[-1]."""
-    branch = diagram.branch
-    ups = diagram.components[branch].underpasses
-    n = max(1, len(ups))
-    joins = [i < n - 1 and up.over.component != branch for i, up in enumerate(ups)] or [False]
-    block, m = [], 0
-    for join in joins:
-        block.append(m)
-        m += not join
-    return joins, block
-
-
-def _merged_system(cover: CoverStructure, curves: list[int]):
-    """The cover system with the branch's runs merged and its last arc fixed
-    at 0, less the rows that others imply, as {col: int} rows; each curve's
-    first-coset right-hand side on them; the factored width; the merge map
-    (block, consts).
-
-    Across an underpass i < n - 1 of the branch under another component,
-    the rows R_{i,s} read x_{i,s} - x_{i+1,s} = b_{i,s} on every sheet, so
-    x_{i,s} = x_{i+1,s} + b_{i,s} is substituted for all q sheets. Arc i
-    then joins a run represented by its highest arc (the run map `_runs`,
-    which the M(t) route reads too); block[i] is the run's column block,
-    and consts[t][i] holds x_i - x_rep(i) per sheet for curve t, c_{i,s} =
-    c_{i+1,s} + b_{i,s}, in integers (None where it is 0). The constants
-    move to the right-hand sides of the rows that stay. Arc n - 1 is the
-    last block's representative; that block's columns and sum row are left
-    out (`_factorization`). A branch with no self-crossings keeps its
-    closing condition, sum_i b_{i,s} = 0, as rows with no entries. A merged
-    arc's sum row is its representative's, as sum_s c_{i,s} = 0
-    telescopes, and is dropped.
-    """
-    q = cover.q
-    branch = cover.diagram.branch
-    ups = cover.diagram.components[branch].underpasses
-    joins, block = _runs(cover.diagram)
-    n, m = len(block), block[-1] + 1
-    width = (m - 1) * q  # the last block is left out: it is 0
-    underpass_rhs, consts = [], []
-    for ci in curves:
-        full = _system_rhs(cover, ci, cover.components_of[ci][0])
-        b = [full[k:k + q] for k in range(n, len(full), q)]
-        c = [None] * n
-        for i in range(n - 2, -1, -1):
-            if joins[i]:
-                run = [u + v for u, v in zip(b[i], c[i + 1] or [0] * q)]
-                c[i] = run if any(run) else None
-        underpass_rhs.append(b)
-        consts.append(c)
-
-    kept = [i for i in range(len(ups)) if not joins[i]]
-    # Let S_i be arc i's sum row and R_{i,s} its underpass row on sheet s.
-    # Summed over s, R_{i,s} gives S_i - S_{i+1}: the over-arc terms are
-    # sheet shifts of one another and telescope, and so do the right-hand
-    # sides, before the merge and after it, with S_{i+1} read as its
-    # representative's (0 = 0 for the last arc). So R_{i,q-1} = S_i -
-    # S_{i+1} - sum_{s<q-1} R_{i,s} in integers, and it is dropped at every
-    # kept underpass: that changes neither the rational nor the integral
-    # solutions, so neither F, the chains nor the multiples. (Dropping sum
-    # rows instead steers the unit phase to larger tails.)
-    rows = [{k * q + s: 1 for s in range(q)} for k in range(m - 1)]
-    rows += _underpass_rows(cover, block, kept, q - 1, width)
-    rhss = [[0] * (m - 1) for _ in curves]
-    for i in kept:
-        up, off = ups[i], cover.sigma[branch][i]
-        over = up.over.arc if up.over.component == branch else None
-        for b, c, rhs in zip(underpass_rhs, consts, rhss):
-            cn, co = c[(i + 1) % n], None if over is None else c[over]
-            for s in range(q - 1):
-                v = b[i][s]
-                if cn:
-                    v += cn[s]
-                if co:
-                    v += up.sign * (co[(s + off) % q] - co[(s + 1 + off) % q])
-                rhs.append(v)
-    return rows, rhss, width, (block, consts)
-
-
 def _curves(cover: CoverStructure) -> list[int]:
     # components_of is None at the branch, which has no lifts to bound.
     return [ci for ci, cosets in enumerate(cover.components_of) if cosets]
 
 
 def _factorization(cover: CoverStructure) -> tuple:
-    """The merged cover system (`_merged_system`) factored once
+    """M(t) on the sheets (alexander._sheet_system) factored once
     (rational_linalg._factor), with each curve's first coset riding
     along; those curves in order; the factored width; the merge map.
+    The run merge and the constants c_i are M(t)'s
+    (alexander._alexander_matrix).
 
     The answers are those of the full system. A chain is defined up to the
     deck-group gauge, and the gauge is fixed by leaving out the last arc:
@@ -336,7 +248,10 @@ def _factorization(cover: CoverStructure) -> tuple:
     if memo is None:
         _refuse_rows(cover.diagram.components[cover.diagram.branch].arc_count, cover.q)
         curves = _curves(cover)
-        rows, rhss, width, merge = _merged_system(cover, curves)
+        # Imported here, as in _alexander.
+        from .alexander import _sheet_system
+
+        rows, rhss, width, merge = _sheet_system(cover, curves)
         factors = _factor(rows, rhss, width)
         _log_debug(
             "sparse route: cover system %d x %d, %d arcs merged to %d, the last fixed at 0: %d unit steps, tail %d x %d, rank %d, nullity %d, D %d bits",
@@ -403,9 +318,10 @@ def _sparse_solutions(cover: CoverStructure) -> dict:
     """`_first_solutions` off the sparse factorization: made zero on F
     (rational_linalg._solutions: nothing to do at full column rank), with
     the last arc's q zeros padded back, and expanded from the merged arcs:
-    x_{i,s} = x_{rep,s} + c_{i,s}, d c added to the numerators over d, and
-    an arc with c = 0 shares its representative's row. The integral c
-    changes no denominator, so d stays the lcm of the chain's."""
+    x_{i,s} = x_{rep,s} + c_{i,s}, c_i I on the sheets, d c added to the
+    numerators over d, and an arc with c = 0 shares its representative's
+    row. The integral c changes no denominator, so d stays the lcm of the
+    chain's."""
     q = cover.q
     factors, curves, width, (block, consts) = _factorization(cover)
     solutions = {}
@@ -435,8 +351,10 @@ def _chain(cover: CoverStructure, ci: int, group: tuple[int, ...]) -> TwoChain |
             rows, d = solution
             chain = TwoChain(ci, group, [_fractions(row, d) for row in rows])
         else:
+            # The first chain's rows are tuples of checked entries, so the
+            # shifted rows need no check (TwoChain._make).
             x = _chain(cover, ci, cover.components_of[ci][0]).x
-            chain = TwoChain(ci, group, [row[q - s:] + row[:q - s] for row in x])
+            chain = TwoChain._make((ci, group, tuple(row[q - s:] + row[:q - s] for row in x)))
         chains[(ci, group)] = chain
     return chains[(ci, group)]
 

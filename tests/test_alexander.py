@@ -127,7 +127,7 @@ def test_the_factorization_is_the_same_at_every_q(name):
 @pytest.mark.parametrize("name, q", CORPUS_AND_SWEEP)
 def test_the_alexander_matrix_has_a_row_per_kept_underpass_and_a_column_per_run(name, q):
     # A run is a set of arcs joined by underpasses of other components
-    # (homology._runs); rows stay at the branch's self-underpasses and at
+    # (alexander._runs); rows stay at the branch's self-underpasses and at
     # underpass n - 1, and the last run's column is left out.
     cover = build_cover(fixture(name).diagram, q)
     branch = cover.diagram.branch

@@ -24,7 +24,8 @@ from conftest import (
     wire_with_meridian,
 )
 from cyclink import homology
-from cyclink.homology import _factorization, _first_solutions, _merged_system, _system_matrix, _system_rhs
+from cyclink.alexander import _sheet_system
+from cyclink.homology import _factorization, _first_solutions, _system_matrix, _system_rhs
 from cyclink.rational_linalg import _consistent, _eliminate_units, _factor, _fractions, _multiple, _null_basis, _solutions, _sparse_rows
 from cyclink import (
     TwoChain,
@@ -461,6 +462,12 @@ def test_corpus_chains_equal_the_per_lift_solve(name, q):
     ci = cover.diagram.component_index("eta")
     for coset in lift_components(cover, "eta"):
         assert bounding_chain(cover, "eta", coset) == per_lift_chain(cover, ci, coset), coset
+    # The shifted chains skip the entry check: each must be what the
+    # checking constructor makes, rows of exact int and Fraction entries.
+    for chain in bounding_chains(cover, "eta").values():
+        assert chain == TwoChain(chain.curve, chain.coset, chain.x)
+        assert type(chain.x) is tuple and all(type(row) is tuple for row in chain.x)
+        assert {type(v) for row in chain.x for v in row} <= {int, Fraction}
 
 
 def test_deck_shift_differs_from_the_per_lift_solve_by_a_gauge_vector():
@@ -887,7 +894,7 @@ def test_large_covers_read_the_multiple_off_the_chain(name, q, monkeypatch):
 
 
 @pytest.mark.parametrize("make", [trefoil_with_meridian, clasped_wire_diagram])
-@pytest.mark.parametrize("q", [2, 3, 5, 6, 12])
+@pytest.mark.parametrize("q", [2, 3, 5, 6, 12, 60])
 def test_trefoil_branch_chains_are_zero_on_the_last_arc(make, q):
     # From q = 6 on these covers are no rational homology spheres; the
     # gauge is fixed on the last arc all the same.
@@ -905,7 +912,7 @@ def test_a_one_arc_branch_factors_with_no_columns(make, q):
     # condition, and consistency is read off their right-hand sides.
     cover = build_cover(make(), q)
     factors, curves, width, _ = _factorization(cover)
-    rows, _, _, _ = _merged_system(cover, curves)
+    rows, _, _, _ = _sheet_system(cover, curves)
     assert width == 0 and factors.cols == [] and factors.pivots == []
     assert rows == ([] if make is hopf_pair_beside_unknot else [{}] * (q - 1))
     for ci in curves:
