@@ -41,10 +41,8 @@ homology._factorization does. `_solve` then takes five steps.
 
 With D a unit mod t^q - 1 the cover's solution is unique, so it is the one
 the sparse route would give, and its multiple is the lcm of the chain's
-denominators (homology.minimal_bounding_multiple). The sparse route reads
-M(t) too: `_sheet_system` writes its rows out on the sheets, the system
-homology._factorization factors, so the run merge and its constants are
-computed here alone.
+denominators (homology.minimal_bounding_multiple). The sparse route
+(homology._factorization) reads nothing here but `_solve`'s None.
 """
 
 from __future__ import annotations
@@ -124,7 +122,7 @@ def _divide(a: dict, b: dict) -> dict:
 
 
 def _runs(diagram) -> tuple[list[bool], list[int]]:
-    """The branch's runs, which both routes solve on: joins[i] says that
+    """The branch's runs, which M(t) is written on: joins[i] says that
     arc i joins arc i + 1's run, across an underpass i < n - 1 of another
     component, and block[i] numbers arc i's run from 0. Underpass n - 1
     never joins, so runs do not wrap, each run's highest arc is its
@@ -143,9 +141,8 @@ def _runs(diagram) -> tuple[list[bool], list[int]]:
 def _alexander_matrix(cover: CoverStructure, curves: list[int]):
     """M(t) on the branch's runs (`_runs`), less the last run's column,
     as {col: Laurent} rows, one per kept underpass; each curve's
-    right-hand side on them, without I; and the merge map (block, consts).
-    Both routes solve on these rows: `_factor` in Z[t, 1/t], and the
-    sparse route on the sheets (`_sheet_system`).
+    right-hand side on them, without I; and the merge map (block, consts),
+    with which `_solve` expands the runs.
 
     Across an underpass i < n - 1 under another component, row i reads
     X_i - X_{i+1} = b_i, so X_i = X_{i+1} + b_i: arc i joins a run, and
@@ -333,46 +330,6 @@ def _times(p: dict, x: list, q: int) -> list:
         if c:
             out = [o + c * v for o, v in zip(out, x[s:] + x[:s])]
     return out
-
-
-def _sheet_system(cover: CoverStructure, curves: list[int]):
-    """M(t) written out on the sheets, for the sparse route
-    (homology._factorization): {col: int} rows, with run k's q columns
-    from k q; each curve's first-coset right-hand side on them; the
-    factored width; the merge map (block, consts), each constant c_i I
-    as q ints, None where it is 0.
-
-    One sum row per run but the last comes first. Each Laurent row is then
-    written at sheets s = 0..q-2, an entry c t^e in column k going to
-    column k q + (s - e) mod q. Let S_i be arc i's sum row and R_{i,s} its
-    row on sheet s. Summed over s, R_{i,s} gives S_i - S_{i+1}: the t
-    terms are sheet shifts and telescope, and so do the right-hand sides,
-    with the runs' constants summing to 0 over the sheets, S_{i+1} read as
-    its run's and 0 = 0 on the last run. So R_{i,q-1} is implied, in
-    integers, and is left out: that changes neither the rational nor the
-    integral solutions. (Leaving out sum rows instead steers the unit
-    phase to larger tails.) A branch with no self-crossings keeps its
-    closing condition, sum_i b_i = 0, as rows with no entries.
-    """
-    q = cover.q
-    rows, rhs, (block, consts) = _alexander_matrix(cover, curves)
-    last = block[-1]
-    system = [{k * q + s: 1 for s in range(q)} for k in range(last)]
-    for row in rows:
-        terms = [(k * q, e, c) for k, p in row.items() for e, c in p.items()]
-        for s in range(q - 1):
-            out = defaultdict(int)
-            for base, e, c in terms:
-                out[base + (s - e) % q] += c
-            system.append({col: v for col, v in out.items() if v})
-    rhss, sheet_consts = [], []
-    for ci, r, c in zip(curves, rhs, consts):
-        I = [0] * q
-        for j in cover.components_of[ci][0]:
-            I[j - 1] = 1
-        rhss.append([0] * last + [v for b in r for v in _times(b, I, q)[:q - 1]])
-        sheet_consts.append([v if any(v) else None for v in (_times(ck, I, q) for ck in c)])
-    return system, rhss, last * q, (block, sheet_consts)
 
 
 def _factor(cover: CoverStructure, curves: list[int]):

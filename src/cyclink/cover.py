@@ -45,8 +45,8 @@ class CoverStructure(_Record):
     and the deck group carries coset 0 to coset s in s sheet shifts.
 
     _memo keeps what cyclink.homology solves on this cover: one solve, on
-    the Alexander matrix or off the sparse factorization and its merge map,
-    one solution and one multiple per curve, and the chains asked for. It
+    the Alexander matrix or off the sparse factorization, one solution and
+    one multiple per curve, and the chains asked for. It
     starts empty and is not a field: equality, hashing and repr ignore it,
     and a copy starts empty too.
     """

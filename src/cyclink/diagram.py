@@ -132,18 +132,24 @@ class LinkDiagram(_Record):
         raise ValueError(f"no component named {key!r}")
 
 
+def _branch_problem(diagram: LinkDiagram) -> str | None:
+    # An exact type test: True == 1 would pass as a branch index, and 0.5
+    # as one in range until it is used as an index.
+    if type(diagram.branch) is not int:
+        return f"branch index {diagram.branch!r} is not an integer"
+    if not 0 <= diagram.branch < len(diagram.components):
+        return f"branch index {diagram.branch} out of range"
+    return None
+
+
 def validate(diagram: LinkDiagram) -> list[str]:
     """Check structural consistency; returns a list of violations, empty if valid."""
     problems: list[str] = []
     if not diagram.components:
         problems.append("diagram has no components")
         return problems
-    # An exact type test: True == 1 would pass as a sign, and 0.5 as an arc
-    # in range until it is used as an index.
-    if type(diagram.branch) is not int:
-        problems.append(f"branch index {diagram.branch!r} is not an integer")
-    elif not 0 <= diagram.branch < len(diagram.components):
-        problems.append(f"branch index {diagram.branch} out of range")
+    if problem := _branch_problem(diagram):
+        problems.append(problem)
     seen: set[str] = set()
     components = diagram.components
     for ci, comp in enumerate(components):
@@ -216,6 +222,8 @@ def normalize_writhe(diagram: LinkDiagram, q: int) -> LinkDiagram:
     # An exact type test, as in build_cover: True would pass as q = 1.
     if type(q) is not int or q < 1:
         raise ValueError("q must be a positive integer")
+    if problem := _branch_problem(diagram):
+        raise ValueError(problem)
     w = writhe(diagram, diagram.branch)
     r_pos = (-w) % q
     r_neg = w % q

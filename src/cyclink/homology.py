@@ -21,13 +21,11 @@ fixed by leaving out the branch's last arc. Two routes solve it:
   cyclink.alexander (`_alexander`). Every corpus cover is one; the module
   is imported only once a cover is solved.
 - Other covers, such as a trefoil branch at q = 6, take the sparse route:
-  M(t) is written out on the sheets, the rows that others imply left out
-  (alexander._sheet_system), and factored once (`_factorization`), with
-  the first coset of each curve riding along; each chain is read off that
-  factorization (rational_linalg._solutions).
-The full system (`assemble_system`, `_system_matrix`, `_system_rhs`) is
-written on its own, arc by arc and sheet by sheet, and neither route
-solves on it, so it checks both.
+  the full system of assemble_system is factored once without the last
+  arc and the rows that others imply (`_factorization`), the first coset
+  of each curve riding along, and each chain is read off that
+  factorization (rational_linalg._solutions). M(t) shares no row with the
+  full system, so the full system checks that route.
 Either route gives each first solution as integer rows over one
 denominator d in lowest terms, and Fractions are made only for a TwoChain.
 On a rational homology sphere the solution is unique, and a curve's
@@ -38,7 +36,6 @@ each route's solve and each multiple at DEBUG level.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -100,9 +97,14 @@ class TwoChain(_Record):
 
     @classmethod
     def from_dict(cls, data: dict) -> "TwoChain":
-        curve = _integer(data["curve"], "curve")
-        coset = tuple(_integer(s, f"coset[{k}]") for k, s in enumerate(data["coset"]))
-        x = data["x"]
+        if not isinstance(data, dict):
+            raise ValueError("chain JSON must be an object")
+        try:
+            curve = _integer(data["curve"], "curve")
+            coset = tuple(_integer(s, f"coset[{k}]") for k, s in enumerate(data["coset"]))
+            x = data["x"]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed chain JSON: {exc}") from exc
         # A string row would be read one character at a time.
         if not isinstance(x, list) or not all(isinstance(row, list) for row in x):
             raise ValueError(f"x must be a list of lists of rationals, not {x!r}")
@@ -135,8 +137,8 @@ def _system_matrix(cover: CoverStructure):
     """The coefficient matrix of assemble_system as {col: int} rows, with its width.
 
     Column i*q + s holds the lift of branch arc i to sheet s + 1: the sum
-    rows, then R_{i,s} for every underpass i and sheet s. Neither route
-    solves on it, so it checks them.
+    rows, then R_{i,s} for every underpass i and sheet s. The sparse route
+    factors it with the gauge fixed; M(t) shares no row with it.
     """
     q, branch = cover.q, cover.diagram.branch
     comp = cover.diagram.components[branch]
@@ -146,17 +148,17 @@ def _system_matrix(cover: CoverStructure):
     # coefficients must sum to zero.
     rows = [{i * q + s: 1 for s in range(q)} for i in range(n)]
     for i, (up, off) in enumerate(zip(comp.underpasses, cover.sigma[branch])):
-        here, ahead = i * q, (i + 1) % n * q
+        here, ahead, eps = i * q, (i + 1) % n * q, up.sign
         over = up.over.arc * q if up.over.component == branch else None
         for s in range(q):
-            row = defaultdict(int)
-            row[here + s] += 1
-            row[ahead + s] -= 1
+            row = {here + s: 1}
+            row[ahead + s] = row.get(ahead + s, 0) - 1
             if over is not None:
-                row[over + (s + off) % q] -= up.sign
-                row[over + (s + 1 + off) % q] += up.sign
+                a, b = over + (s + off) % q, over + (s + 1 + off) % q
+                row[a] = row.get(a, 0) - eps
+                row[b] = row.get(b, 0) + eps
             # Curve walls have fixed coefficients; _system_rhs carries them.
-            rows.append({col: v for col, v in row.items() if v})
+            rows.append({col: v for col, v in row.items() if v} if 0 in row.values() else row)
     return rows, n * q
 
 
@@ -208,11 +210,9 @@ def _curves(cover: CoverStructure) -> list[int]:
 
 
 def _factorization(cover: CoverStructure) -> tuple:
-    """M(t) on the sheets (alexander._sheet_system) factored once
-    (rational_linalg._factor), with each curve's first coset riding
-    along; those curves in order; the factored width; the merge map.
-    The run merge and the constants c_i are M(t)'s
-    (alexander._alexander_matrix).
+    """The cover system (`_system_matrix`, `_system_rhs`) factored once
+    (rational_linalg._factor) with the gauge fixed, each curve's first
+    coset riding along; those curves in order; the factored width.
 
     The answers are those of the full system. A chain is defined up to the
     deck-group gauge, and the gauge is fixed by leaving out the last arc:
@@ -234,31 +234,27 @@ def _factorization(cover: CoverStructure) -> tuple:
       0 on the last arc, so the multiple is unchanged too.
     - The nullity drops by q - 1: a cover is a rational homology sphere,
       nullity q - 1, exactly when what is factored has full column rank.
-    A one-arc branch leaves no column; consistency is then read off the
-    right-hand sides of empty rows.
-
-    Every substitution of the merge is a +-1 row pivot, so rational and
-    integral solutions of the merged and the unmerged system correspond one
-    to one, and with c integral the multiple is the same. A kernel vector
-    has v_{i,s} = v_{rep,s} with rep > i, so no merged column is free, and
-    the representatives keep their order: F, and with it the solution that
-    is zero on F, is the same in both systems.
+    Summed over s, R_{i,s} gives S_i - S_{i+1}, S_i arc i's sum row, as the
+    over-arc terms and the right-hand sides telescope. So each R_{i,q-1} is
+    implied in integers and is left out too. A one-arc branch leaves no
+    column; consistency is then read off the right-hand sides of empty rows.
     """
     memo = cover._memo.get("factorization")
     if memo is None:
-        _refuse_rows(cover.diagram.components[cover.diagram.branch].arc_count, cover.q)
-        curves = _curves(cover)
-        # Imported here, as in _alexander.
-        from .alexander import _sheet_system
-
-        rows, rhss, width, merge = _sheet_system(cover, curves)
-        factors = _factor(rows, rhss, width)
+        q, curves = cover.q, _curves(cover)
+        rows, width = _system_matrix(cover)
+        n, width = width // q, width - q
+        # Left out: the last arc's sum row, and R_{i,q-1} for every underpass i.
+        keep = [k for k in range(len(rows)) if k < n - 1 or k >= n and (k - n) % q < q - 1]
+        rows = [row if max(row, default=0) < width else {col: v for col, v in row.items() if col < width} for row in map(rows.__getitem__, keep)]
+        rhss = [_system_rhs(cover, ci, cover.components_of[ci][0]) for ci in curves]
+        factors = _factor(rows, [[b[k] for k in keep] for b in rhss], width)
         _log_debug(
-            "sparse route: cover system %d x %d, %d arcs merged to %d, the last fixed at 0: %d unit steps, tail %d x %d, rank %d, nullity %d, D %d bits",
-            len(rows), width, len(merge[0]), width // cover.q + 1, len(factors.retired),
-            len(factors.tail), len(factors.cols), len(factors.pivots), len(factors.free), abs(factors.D).bit_length(),
+            "sparse route: cover system %d x %d, the last arc fixed at 0: %d unit steps, tail %d x %d, rank %d, nullity %d, D %d bits",
+            len(rows), width, len(factors.retired), len(factors.tail), len(factors.cols),
+            len(factors.pivots), len(factors.free), abs(factors.D).bit_length(),
         )
-        memo = cover._memo["factorization"] = (factors, curves, width, merge)
+        memo = cover._memo["factorization"] = (factors, curves, width)
     return memo
 
 
@@ -317,24 +313,9 @@ def _first_solutions(cover: CoverStructure) -> dict:
 def _sparse_solutions(cover: CoverStructure) -> dict:
     """`_first_solutions` off the sparse factorization: made zero on F
     (rational_linalg._solutions: nothing to do at full column rank), with
-    the last arc's q zeros padded back, and expanded from the merged arcs:
-    x_{i,s} = x_{rep,s} + c_{i,s}, c_i I on the sheets, d c added to the
-    numerators over d, and an arc with c = 0 shares its representative's
-    row. The integral c changes no denominator, so d stays the lcm of the
-    chain's."""
-    q = cover.q
-    factors, curves, width, (block, consts) = _factorization(cover)
-    solutions = {}
-    for ci, c, solution in zip(curves, consts, _solutions(factors, width + q)):  # the last block is 0
-        if solution is None:
-            solutions[ci] = None
-            continue
-        runs, d = _reduced(*solution, q)
-        solutions[ci] = [
-            runs[k] if ck is None else [v + d * u for v, u in zip(runs[k], ck)]
-            for k, ck in zip(block, c)
-        ], d
-    return solutions
+    the last arc's q zeros padded back."""
+    factors, curves, width = _factorization(cover)
+    return {ci: s and _reduced(*s, cover.q) for ci, s in zip(curves, _solutions(factors, width + cover.q))}
 
 
 def _chain(cover: CoverStructure, ci: int, group: tuple[int, ...]) -> TwoChain | None:
@@ -388,10 +369,10 @@ def minimal_bounding_multiple(cover: CoverStructure, curve: int | str, coset) ->
     (`_first_solutions`), on either route: whenever M(t) answered
     (`_alexander`), whose solution is unique, and when the system
     `_factorization` factors has full column rank. That system's multiple
-    is the cover's, so x_0 on the runs' representatives is its only
-    solution: an integral solution of A y = d b is d times it, and the least
-    such d makes d x_0 integral, as the merged arcs add integral constants.
-    Other covers take the Hermite reduction (rational_linalg._multiple).
+    is the cover's, and x_0 off the last arc is its only solution: an
+    integral solution of A y = d b is d times it, and the least such d
+    makes d x_0 integral. Other covers take the Hermite reduction
+    (rational_linalg._multiple).
     """
     ci, _ = _lift(cover, curve, coset)
     orders = cover._memo.setdefault("orders", {})
@@ -404,7 +385,7 @@ def minimal_bounding_multiple(cover: CoverStructure, curve: int | str, coset) ->
                 "no chain" if d is None else f"{d.bit_length()} bits",
             )
         else:
-            factors, curves, _, _ = _factorization(cover)
+            factors, curves, _ = _factorization(cover)
             d = _multiple(factors, curves.index(ci))
         orders[ci] = d
     return orders[ci]

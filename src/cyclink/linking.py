@@ -99,6 +99,9 @@ class LinkingReport(_Record):
     __slots__ = _fields = ("curve_a", "curve_b", "cosets_a", "cosets_b", "entries")
 
     def entry(self, i: int, j: int) -> Fraction | UndefinedEntry:
+        # Exact type tests, as in TwoChain.coefficient: True would read row 1, and -1 wraps.
+        if type(i) is not int or type(j) is not int or not (0 <= i < len(self.entries) and 0 <= j < len(self.entries[i])):
+            raise ValueError(f"no entry at row {i!r}, column {j!r}")
         return self.entries[i][j]
 
     def to_dict(self) -> dict:

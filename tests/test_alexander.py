@@ -17,7 +17,8 @@ import sympy
 from sympy.polys.matrices import DomainMatrix
 
 from conftest import CORPUS_AND_SWEEP, battery_covers, clasped_wire_diagram, fixture, solution_fractions, trefoil_diagram
-from cyclink import alexander, build_cover, minimal_bounding_multiple, normalize_writhe, writhe
+from cyclink import alexander, build_cover, evaluate_obstruction, minimal_bounding_multiple, normalize_writhe, writhe
+from cyclink import cover as cover_module
 from cyclink.fixtures import corpus_names
 from cyclink.homology import _curves, _factorization, _sparse_solutions, _system_matrix
 
@@ -200,3 +201,25 @@ def test_laurent_division_is_exact_or_refused():
     assert alexander._divide(alexander._mul(a, b), b) == a
     with pytest.raises(ArithmeticError):
         alexander._divide(alexander._submul(alexander._mul(a, b), {0: 1}, {0: 1}), b)
+
+
+def test_a_sparse_route_cover_builds_m_of_t_once(monkeypatch):
+    # The clasped wire at q = 6 is no rational homology sphere. M(t) is
+    # built once, to find D a zero divisor, and the diagram is walked for
+    # sigma and for M(t); the sparse route factors the cover system and
+    # reads neither.
+    calls = []
+
+    def counting(f):
+        def counted(*args):
+            calls.append(f.__name__)
+            return f(*args)
+        return counted
+
+    diagram = normalize_writhe(clasped_wire_diagram(), 6)
+    walk = counting(cover_module._walk)
+    monkeypatch.setattr(cover_module, "_walk", walk)
+    monkeypatch.setattr(alexander, "_walk", walk)
+    monkeypatch.setattr(alexander, "_alexander_matrix", counting(alexander._alexander_matrix))
+    assert evaluate_obstruction(diagram, 6).order is None
+    assert (calls.count("_alexander_matrix"), calls.count("_walk")) == (1, 2)

@@ -178,6 +178,17 @@ def test_normalize_writhe_rejects_bad_degree():
         normalize_writhe(trefoil_diagram(), 0)
 
 
+@pytest.mark.parametrize("branch, message", [(5, "branch index 5 out of range"), (-1, "branch index -1 out of range"), (True, "branch index True is not an integer"), (0.0, "branch index 0.0 is not an integer")])
+def test_normalize_writhe_refuses_a_branch_index_it_cannot_read(branch, message):
+    # Indexed as they were, 5 and True (read as 1) raised IndexError, -1
+    # kinked the last component, and 0.0 raised TypeError.
+    d = trefoil_diagram()
+    bad = LinkDiagram(d.components, branch)
+    assert message in validate(bad)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        normalize_writhe(bad, 2)
+
+
 def test_mirror_negates_signs_and_is_an_involution():
     d = hopf_diagram()
     m = mirror(d)

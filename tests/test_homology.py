@@ -24,7 +24,7 @@ from conftest import (
     wire_with_meridian,
 )
 from cyclink import homology
-from cyclink.alexander import _sheet_system
+from cyclink.alexander import _alexander_matrix, _times
 from cyclink.homology import _factorization, _first_solutions, _system_matrix, _system_rhs
 from cyclink.rational_linalg import _consistent, _eliminate_units, _factor, _fractions, _multiple, _null_basis, _solutions, _sparse_rows
 from cyclink import (
@@ -351,7 +351,7 @@ def test_large_degree_multiple_against_sympy_hermite_form(name, q, multiple):
 @pytest.mark.parametrize("name, q", [(name, q) for name, q in CORPUS_PAIRS if name.startswith("cable")])
 def test_the_hermite_oracle_on_rank_zero_tails(name, q):
     # Every cable row leaves a tail of rank 0, both after the unit phase on
-    # the full system and in the cover's merged factorization.
+    # the full system and in the cover's factorization with the gauge fixed.
     cover = build_cover(fixture(name).diagram, q)
     assert _factorization(cover)[0].pivots == []
     for ci in curve_indices(cover.diagram):
@@ -427,6 +427,24 @@ def test_two_chain_from_dict_rejects_non_integer_fields(data):
     reason = "" if field == "x" else ".*must be an integer"
     with pytest.raises(ValueError, match=rf"^{field}\b{reason}"):
         TwoChain.from_dict({**good, **data})
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([], "chain JSON must be an object"),
+        ("x", "chain JSON must be an object"),
+        (None, "chain JSON must be an object"),
+        ({"curve": 1, "x": []}, "malformed chain JSON: 'coset'"),
+        ({"coset": [1], "x": []}, "malformed chain JSON: 'curve'"),
+        ({"curve": 1, "coset": [1]}, "malformed chain JSON: 'x'"),
+        ({"curve": 1, "coset": 1, "x": []}, "malformed chain JSON: 'int' object is not iterable"),
+    ],
+)
+def test_two_chain_from_dict_rejects_a_malformed_document(data, message):
+    # As diagram_from_dict does; these raised KeyError and TypeError.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TwoChain.from_dict(data)
 
 
 def test_a_curve_named_by_a_bool_or_a_float_is_refused_and_leaves_the_memo_alone():
@@ -585,9 +603,9 @@ def test_cover_factorization_logs_once_at_debug_only(caplog):
         (
             "cyclink",
             logging.DEBUG,
-            "sparse route: cover system 35 x 30, 7 arcs merged to 6, the last fixed at 0: 28 unit steps, tail 7 x 2, rank 0, nullity 2, D 1 bits",
+            "sparse route: cover system 41 x 36, the last arc fixed at 0: 34 unit steps, tail 7 x 2, rank 0, nullity 2, D 1 bits",
         ),
-        ("cyclink", logging.DEBUG, "minimal multiple: 28 unit steps, tail 7 x 0, 0 rows independent, minor 1 bits"),
+        ("cyclink", logging.DEBUG, "minimal multiple: 34 unit steps, tail 7 x 0, 0 rows independent, minor 1 bits"),
         ("cyclink", logging.DEBUG, "null basis: nullity 2, |F| 2, G = F: False"),
     ]
 
@@ -639,10 +657,10 @@ def check_the_full_system_gives_the_same_answers(cover):
     rows, width = _system_matrix(cover)
     rhss = [_system_rhs(cover, ci, cover.components_of[ci][0]) for ci in curves]
     full = _factor(rows, rhss, width)
-    dropped, _, merged, _ = _factorization(cover)
-    n, m = width // cover.q, merged // cover.q + 1
+    dropped = _factorization(cover)[0]
+    n = width // cover.q
     ups = cover.diagram.components[cover.diagram.branch].underpasses
-    assert len(dropped.tail) + len(dropped.retired) == len(rows) - (n - m) * (cover.q + 1) - (m + 1 if ups else 1)
+    assert len(dropped.tail) + len(dropped.retired) == len(rows) - (n + 1 if ups else 1)
     solutions = _first_solutions(cover)
     for t, (ci, x) in enumerate(zip(curves, [s and _fractions(*s) for s in _solutions(full, width)])):
         chain = solution_fractions(solutions[ci])
@@ -691,17 +709,19 @@ def check_the_merge(cover):
     # over the sheets and are x_i - x_rep(i) on the first solution.
     branch = cover.diagram.branch
     ups = cover.diagram.components[branch].underpasses
-    _, curves, merged, (block, consts) = _factorization(cover)
+    q, curves = cover.q, curve_indices(cover.diagram)
+    _, _, (block, consts) = _alexander_matrix(cover, curves)
     n = len(block)
     assert [block[i] == block[i + 1] for i in range(n - 1)] == [up.over.component != branch for up in ups[:n - 1]]
-    assert merged == block[-1] * cover.q
     rep = {k: i for i, k in enumerate(block)}  # each run's highest arc
     solutions = _first_solutions(cover)
     for ci, c in zip(curves, consts):
-        for i, step in enumerate(c):
-            if step is None:
-                step = [0] * cover.q
-            else:
+        I = [0] * q
+        for j in cover.components_of[ci][0]:
+            I[j - 1] = 1
+        for i, ck in enumerate(c):
+            step = _times(ck, I, q)
+            if any(step):
                 assert rep[block[i]] != i and sum(step) == 0
             if solutions[ci]:
                 rows, d = solutions[ci]
@@ -737,7 +757,7 @@ def check_the_rule_against_hermite(cover, monkeypatch):
     # the Hermite reduction on the same factorization; other covers call it.
     cover = build_cover(cover.diagram, cover.q)  # nothing memoized yet
     calls = hermite_calls(monkeypatch)
-    factors, curves, _, _ = _factorization(cover)
+    factors, curves, _ = _factorization(cover)
     qhs = len(factors.cols) == len(factors.pivots)
     assert qhs == (not factors.free)
     for t, ci in enumerate(curves):
@@ -887,7 +907,7 @@ def test_large_covers_read_the_multiple_off_the_chain(name, q, monkeypatch):
     order = evaluate_obstruction(fixture(name).diagram, q).order
     assert calls == []
     cover = build_cover(fixture(name).diagram, q)
-    factors, curves, _, _ = _factorization(cover)
+    factors, curves, _ = _factorization(cover)
     assert order == _multiple(factors, curves.index(cover.diagram.component_index("eta")))
     if name == "stevedore_w0":
         assert order == 3 * (2**q - 1)  # the closed form at even q
@@ -911,8 +931,8 @@ def test_a_one_arc_branch_factors_with_no_columns(make, q):
     # Hopf link's eta it keeps q - 1 rows with no entries, the closing
     # condition, and consistency is read off their right-hand sides.
     cover = build_cover(make(), q)
-    factors, curves, width, _ = _factorization(cover)
-    rows, _, _, _ = _sheet_system(cover, curves)
+    factors, curves, width = _factorization(cover)
+    rows = factors.tail
     assert width == 0 and factors.cols == [] and factors.pivots == []
     assert rows == ([] if make is hopf_pair_beside_unknot else [{}] * (q - 1))
     for ci in curves:

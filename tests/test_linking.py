@@ -55,6 +55,16 @@ def test_published_sample_value():
     assert report.entry(0, 0).reason == SELF_PAIRING
 
 
+@pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (True, 0), (0, True), (2, 0), (0, 2), (0.0, 0), (0, "1")])
+def test_an_entry_refuses_a_row_or_column_the_report_does_not_have(i, j):
+    # Rows and columns are 0..1. Indexed as they were, -1 read the last
+    # row, True row 1, and 0.0 a TypeError.
+    report = linking_matrix(cover_for("stevedore_w0", 2), "eta", "eta")
+    assert report.entry(1, 0) == report.entries[1][0]
+    with pytest.raises(ValueError, match="^no entry at row"):
+        report.entry(i, j)
+
+
 def test_matrix_is_symmetric_where_defined():
     report = linking_matrix(cover_for("stevedore_w0", 4), "eta", "eta")
     size = len(report.cosets_a)

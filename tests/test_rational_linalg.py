@@ -421,7 +421,7 @@ def test_cover_factorization_takes_one_pass_on_a_trefoil_branch(q, nullity, capl
     calls = count_factor_calls(monkeypatch)
     cover = build_cover(normalize_writhe(trefoil_diagram(), q), q)
     with caplog.at_level(logging.DEBUG, logger="cyclink"):
-        factors, _, n, _ = _factorization(cover)
+        factors, _, n = _factorization(cover)
         basis = [[Fraction(w.get(j, 0), w[f]) for j in range(n)] for f, w in _null_basis(factors)]
     assert len(calls) == 1
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("null basis")]
