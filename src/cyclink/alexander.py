@@ -1,4 +1,4 @@
-"""Chains on a rational-homology-sphere cover, solved on its Alexander matrix.
+"""Chains on a cyclic branched cover, solved on its Alexander matrix.
 
 Let X_i = sum_s x_{i,s} t^s collect the coefficients of branch arc i's
 wall lifts, sheets s = 0..q-1, in R = Z[t]/(t^q - 1), t the deck shift.
@@ -17,8 +17,8 @@ X_i(1) = X_{i+1}(1).
 M(t) is written on the knot's own arcs, the runs of `_runs`: an
 underpass of another component ends no arc of the knot, and its row, X_i =
 X_{i+1} + b_i, is substituted before any row is built (`_alexander_matrix`).
-The last run's column is left out, which fixes the deck-group gauge as
-homology._factorization does. `_solve` then takes five steps.
+The last run's column is left out: it is 0, which fixes the deck-group
+gauge on the branch's last arc. `_solve` then takes these steps.
 - A unit phase (`_eliminate_units`) pivots on entries +-t^a, as
   rational_linalg._eliminate_units does on integers, on one row per kept
   underpass instead of n(q + 1).
@@ -29,20 +29,19 @@ homology._factorization does. `_solve` then takes five steps.
   factorization is the same at every q.
 - u = 1/D mod t^q - 1 comes from a linear recurrence and one deg D x deg D
   integer system (`_inverse`). If that system is singular, D is a zero
-  divisor mod t^q - 1, the cover is no rational homology sphere, and
-  `_solve` returns None, for the sparse route to take it.
-- The tail is back-substituted in Z[t, 1/t], which gives D times each of
-  its columns; times u they are integer q-vectors over u's denominator,
-  and the retired rows are back-substituted in R on those.
-- The rows are solved for the right-hand sides without I, the runs are
-  expanded, and each column is multiplied by I last. Only consistency
-  needs I: the row that Bareiss leaves below the rank must vanish there
-  once multiplied by I, that is mod t^g - 1.
-
-With D a unit mod t^q - 1 the cover's solution is unique, so it is the one
-the sparse route would give, and its multiple is the lcm of the chain's
-denominators (homology.minimal_bounding_multiple). The sparse route
-(homology._factorization) reads nothing here but `_solve`'s None.
+  divisor mod t^q - 1 and the cover no rational homology sphere.
+- If D is a unit, the echelon is back-substituted in Z[t, 1/t], which
+  gives D times each tail column; times u I they are integer q-vectors
+  over u's denominator. Only consistency needs I: the rows that Bareiss
+  leaves below the rank must vanish times I, that is mod t^g - 1.
+- If not, the unit phase's tail is written on the sheets, each right-hand
+  side times I, and factored once (rational_linalg._factor); the chains
+  are its solutions zero on its free columns, and the multiples its own
+  (rational_linalg._multiple). Both carry over to the full system: a
+  pivot +-t^a is a unit, X_i = X_rep + c_i I is integral, and with the
+  last run at 0 the sum rows are implied in integers.
+- Either way the retired rows are back-substituted in R, and the runs are
+  expanded: x_i = x_rep + den c_i I.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .cover import CoverStructure, _walk
-from .rational_linalg import _eliminate, _log_debug
+from .rational_linalg import _eliminate, _factor, _log_debug, _solutions
 
 # Laurent polynomials are {exponent: int} dicts without zero coefficients.
 _ONE, _MINUS_ONE = {0: 1}, {0: -1}
@@ -332,10 +331,38 @@ def _times(p: dict, x: list, q: int) -> list:
     return out
 
 
-def _factor(cover: CoverStructure, curves: list[int]):
+def _sheets(p: dict, g: int, q: int, scale: int = 1) -> list:
+    """scale p I mod t^q - 1 as q coefficients: entry s sums p's
+    coefficients at exponents congruent to s mod g."""
+    out = [0] * g
+    for e, c in p.items():
+        out[e % g] += scale * c
+    return out * (q // g)
+
+
+def _on_sheets(tail, rhs, cols, gs, q):
+    """The unit phase's tail as integer rows on the sheets, and each
+    right-hand side times I (g = gs[t]): row k q + s of tail row k holds
+    p_e at column k_j q + (s - e) mod q for each entry p of column j, k_j
+    its place in cols."""
+    at = {j: k * q for k, j in enumerate(cols)}
+    rows = []
+    for row in tail:
+        sheets = [{} for _ in range(q)]
+        for j, p in row.items():
+            for e, v in p.items():
+                for s, out in enumerate(sheets):
+                    k = at[j] + (s - e) % q
+                    out[k] = out.get(k, 0) + v
+        rows += [{k: v for k, v in out.items() if v} for out in sheets]
+    return rows, [[v for b in r for v in _sheets(b, g, q)] for r, g in zip(rhs, gs)]
+
+
+def _factor_laurent(cover: CoverStructure, curves: list[int]):
     """M(t) on the runs with each curve's right-hand side through the unit
     phase and Bareiss, all in Z[t, 1/t], so the same at every q on a
-    writhe-0 branch: the tail's echelon rows, the right-hand sides riding
+    writhe-0 branch: the tail and each right-hand side on it as the unit
+    phase left them; the tail's echelon rows, the right-hand sides riding
     along; the tail's columns; the retired rows; D, the last pivot, or None
     if the tail's columns are dependent over Q(t); and the merge map."""
     rows, rhs, merge = _alexander_matrix(cover, curves)
@@ -343,18 +370,19 @@ def _factor(cover: CoverStructure, curves: list[int]):
     pivoted = {col for col, *_ in retired}
     cols = [j for j in range(merge[0][-1]) if j not in pivoted]
     echelon = [[row.get(j, {}) for j in cols] + [b[i] for b in rhs] for i, row in enumerate(tail)]
-    return echelon, cols, retired, _bareiss(echelon, len(cols)), merge
+    return tail, rhs, echelon, cols, retired, _bareiss(echelon, len(cols)), merge
 
 
 def _solve(cover: CoverStructure, curves: list[int]):
     """Each curve's first solution as (x, den), x[i*q + s] / den the
     coefficient of the lift of branch arc i to sheet s + 1, or None where
-    the curve bounds no chain; None for the whole cover if D is a zero
-    divisor mod t^q - 1. The runs are expanded last: x_i = x_rep + c_i,
-    den c_i added before the product with I. Logs one DEBUG line."""
+    the curve bounds no chain; and the tail's sheet system factored
+    (rational_linalg._factor), or None if D is a unit mod t^q - 1. Logs
+    one DEBUG line, and a second on the sheets."""
     q = cover.q
-    echelon, cols, retired, D, (block, consts) = _factor(cover, curves)
-    c = len(cols)
+    tail, rhs, echelon, cols, retired, D, (block, consts) = _factor_laurent(cover, curves)
+    c, w = len(cols), len(cols) * q
+    gs = [len(cover.components_of[ci]) for ci in curves]
     inverse = None if D is None else _inverse(D, q)
     _log_debug(
         "alexander route: M(t) %d x %d, %d unit steps, tail %d x %d, %s",
@@ -363,29 +391,39 @@ def _solve(cover: CoverStructure, curves: list[int]):
         f"D of degree {max(D) - min(D)}, {max(abs(v) for v in D.values()).bit_length()} bits, "
         + (f"a zero divisor mod t^{q} - 1" if inverse is None else f"1/D over {inverse[1].bit_length()} bits"),
     )
-    if inverse is None:
-        return None
-    u, den = inverse
-    solutions = {}
+    found = {}  # t: ({tail column: q ints, times I}, den)
+    factors = None
+    if inverse:
+        u, den = inverse
+        for t, g in enumerate(gs):
+            # Below the rank each row must vanish times I, that is mod t^g - 1.
+            if any(_fold(row[c + t], g) for row in echelon[c:]):
+                continue
+            y = [None] * c  # D times the tail's columns, in Z[t, 1/t]
+            for k in range(c - 1, -1, -1):
+                row = echelon[k]
+                acc = _mul(D, row[c + t])
+                for j in range(k + 1, c):
+                    acc = _submul(acc, row[j], y[j])
+                y[k] = _divide(acc, row[k])
+            uI = u if g == q else [sum(u[s::g]) for s in range(g)] * (q // g)
+            found[t] = {col: _times(y[k], uI, q) for k, col in enumerate(cols)}, den
+    else:
+        sheet_rows, sheet_rhs = _on_sheets(tail, rhs, cols, gs, q)
+        factors = _factor(sheet_rows, sheet_rhs, w)
+        _log_debug(
+            "tail route: sheet system %d x %d, %d unit steps, rank %d, nullity %d",
+            len(sheet_rows), w, len(factors.retired), w - len(factors.free), len(factors.free),
+        )
+        for t, s in enumerate(_solutions(factors, w)):
+            if s:
+                found[t] = {col: s[0][k * q:k * q + q] for k, col in enumerate(cols)}, s[1]
+    solutions = dict.fromkeys(curves)
     zero = [0] * q  # the last run
-    for t, ci in enumerate(curves):
-        g = len(cover.components_of[ci])
-        # Below the rank each row must vanish times I, that is mod t^g - 1.
-        if any(_fold(row[c + t], g) for row in echelon[c:]):
-            solutions[ci] = None
-            continue
-        y = [None] * c  # D times the tail's columns, in Z[t, 1/t]
-        for k in range(c - 1, -1, -1):
-            row = echelon[k]
-            acc = _mul(D, row[c + t])
-            for j in range(k + 1, c):
-                acc = _submul(acc, row[j], y[j])
-            y[k] = _divide(acc, row[k])
-        x = {col: _times(y[k], u, q) for k, col in enumerate(cols)}
+    for t, (x, den) in found.items():
+        g = gs[t]
         for col, a, sign, rest, b in reversed(retired):
-            acc = [0] * q
-            for e, v in b[t].items():
-                acc[e % q] += den * v
+            acc = _sheets(b[t], g, q, den)
             for j, p in rest.items():
                 acc = [s - v for s, v in zip(acc, _times(p, x[j], q))]
             s = a % q  # x_col = sign t^-a acc
@@ -396,9 +434,9 @@ def _solve(cover: CoverStructure, curves: list[int]):
             if ck:
                 row = row[:]
                 for e, v in ck.items():
-                    row[e % q] += den * v
-            if g < q:  # times I: entry s sums the entries congruent to s mod g
-                row = [sum(row[s::g]) for s in range(g)] * (q // g)
+                    v *= den
+                    for s in range(e % g, q, g):
+                        row[s] += v
             flat += row
-        solutions[ci] = (flat, den)
-    return solutions
+        solutions[curves[t]] = (flat, den)
+    return solutions, factors

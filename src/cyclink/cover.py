@@ -44,9 +44,10 @@ class CoverStructure(_Record):
     s + 1, s + 1 + g, ... up to q, so sheet j lies in coset (j - 1) % g
     and the deck group carries coset 0 to coset s in s sheet shifts.
 
-    _memo keeps what cyclink.homology solves on this cover: one solve, on
-    the Alexander matrix or off the sparse factorization, one solution and
-    one multiple per curve, and the chains asked for. It
+    _memo keeps what cyclink.homology solves on this cover: one solve on
+    the Alexander matrix, with its tail factored on the sheets ("tail",
+    None on a rational homology sphere), one solution and one multiple per
+    curve, and the chains asked for. It
     starts empty and is not a field: equality, hashing and repr ignore it,
     and a copy starts empty too.
     """

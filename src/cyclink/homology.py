@@ -14,24 +14,21 @@ s + 1. The deck shift of the sheets permutes the cover system while
 carrying each lift of a curve to the next, so each curve's first coset is
 solved once per cover (`_first_solutions`), and every other chain is a
 shift of it. The deck-group gauge, which changes no linking number, is
-fixed by leaving out the branch's last arc. Two routes solve it:
-- On a rational homology sphere, read as the last Bareiss pivot D of the
-  branch's Alexander matrix M(t) being a unit mod t^q - 1, the chains are
-  solved on M(t), one Laurent row per run of the branch, in
-  cyclink.alexander (`_alexander`). Every corpus cover is one; the module
-  is imported only once a cover is solved.
-- Other covers, such as a trefoil branch at q = 6, take the sparse route:
-  the full system of assemble_system is factored once without the last
-  arc and the rows that others imply (`_factorization`), the first coset
-  of each curve riding along, and each chain is read off that
-  factorization (rational_linalg._solutions). M(t) shares no row with the
-  full system, so the full system checks that route.
-Either route gives each first solution as integer rows over one
-denominator d in lowest terms, and Fractions are made only for a TwoChain.
-On a rational homology sphere the solution is unique, and a curve's
-integral multiple is that d, the lcm of its chain's denominators; on other
-covers it reads the sparse factorization. The `cyclink` logger reports
-each route's solve and each multiple at DEBUG level.
+fixed by setting the branch's last arc to 0.
+
+Every cover is solved on the branch's Alexander matrix M(t), one Laurent
+row per run of the branch, in cyclink.alexander, which is imported only
+once a cover is solved. Where the last Bareiss pivot D of its unit
+phase's tail is a unit mod t^q - 1 the cover is a rational homology
+sphere, as every corpus cover is, and the chains come from 1/D. On other
+covers, such as a trefoil branch at q = 6, that tail is factored once on
+the sheets, and the chains and the multiples are read off it. M(t) shares
+no row with the full system of assemble_system, so the tests check both
+against it. Each first solution is integer rows over one denominator d
+in lowest terms, and Fractions are made only for a TwoChain. On a
+rational homology sphere the solution is unique, and a curve's integral
+multiple is that d, the lcm of its chain's denominators. The `cyclink`
+logger reports each solve and each multiple at DEBUG level.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ from math import gcd, lcm
 
 from .cover import CoverStructure, _lift
 from .diagram import _integer, _Record
-from .rational_linalg import _factor, _fractions, _log_debug, _multiple, _solutions
+from .rational_linalg import _fractions, _log_debug, _multiple
 from .rational_linalg import format_rational, parse_rational
 
 # assemble_system hands the system out dense, so above this many entries
@@ -49,14 +46,17 @@ from .rational_linalg import format_rational, parse_rational
 # about 4 * 10**4).
 MAX_SYSTEM_ENTRIES = 4_000_000
 
-# The full system has n(q + 1) rows for n branch arcs; above this many the
-# cover is refused before either route builds a row. The cap bounds the
-# chain too, n q coefficients, which grow with q. At stevedore_w0 q=1999
-# (20,000 rows) the first solutions take 0.2-0.3 s on M(t), as integers
-# over one denominator, and evaluate_obstruction 0.3-0.4 s in all; at
-# twobridge_m2's cap q=768, 0.4-0.5 s and 0.4-0.6 s (37 MB peak). A
-# chain's Fractions, made only when a TwoChain is asked for, take another
-# 0.2 s and 0.7 s there. CPU time, one core of a 2-vCPU host.
+# The full system would have n(q + 1) rows for n branch arcs, though no
+# solve builds it; above this many the cover is refused before M(t) is.
+# The cap bounds the chain, n q coefficients that grow with q, and the
+# tail's sheet system, q rows per tail row. At stevedore_w0 q=1999 (20,000
+# rows) the first solutions take 0.18-0.24 s, a chain's Fractions 0.14 s
+# more, evaluate_obstruction 0.28-0.34 s (50 MB peak); at twobridge_m2's
+# cap q=768, 0.34-0.37 s, 0.6 s more and 0.37-0.39 s (39 MB); at the
+# clasped wire's q=2496, no rational homology sphere, whose tail is 4,992
+# x 2,496 on the sheets, 0.05-0.07 s and 0.22-0.23 s (67 MB, mostly its
+# undefined 2496 x 2496 table). CPU time and peak RSS of one process on
+# one core of a 2-vCPU host.
 MAX_SYSTEM_ROWS = 20_000
 
 
@@ -137,8 +137,8 @@ def _system_matrix(cover: CoverStructure):
     """The coefficient matrix of assemble_system as {col: int} rows, with its width.
 
     Column i*q + s holds the lift of branch arc i to sheet s + 1: the sum
-    rows, then R_{i,s} for every underpass i and sheet s. The sparse route
-    factors it with the gauge fixed; M(t) shares no row with it.
+    rows, then R_{i,s} for every underpass i and sheet s. No solve builds
+    it; M(t) shares no row with it, so the tests read it as the oracle.
     """
     q, branch = cover.q, cover.diagram.branch
     comp = cover.diagram.components[branch]
@@ -209,73 +209,6 @@ def _curves(cover: CoverStructure) -> list[int]:
     return [ci for ci, cosets in enumerate(cover.components_of) if cosets]
 
 
-def _factorization(cover: CoverStructure) -> tuple:
-    """The cover system (`_system_matrix`, `_system_rhs`) factored once
-    (rational_linalg._factor) with the gauge fixed, each curve's first
-    coset riding along; those curves in order; the factored width.
-
-    The answers are those of the full system. A chain is defined up to the
-    deck-group gauge, and the gauge is fixed by leaving out the last arc:
-    - Let t_i be the sheet shift at the start of branch arc i and, for
-      s = 1..q-1, g_s the integral vector that is +1 at arc i on 0-based
-      sheet (s - t_i) mod q and -1 on sheet -t_i mod q, for every arc i.
-      Each g_s is in the kernel: it sums to 0 on every arc, and across an
-      underpass the over-arc terms cancel the step of t. On the last arc
-      the g_s are a sheet permutation of e_s - e_0, so their integral
-      combinations are its zero-sum integral vectors.
-    - Each sheet s >= 1 of the last arc is free, as a gauge combination is
-      e_s - e_0 there and has its last nonzero in that column. So the
-      solution that is zero on F is 0 on those sheets, the sum row makes
-      sheet 0 zero too, and on the other arcs, whose F is unchanged, it is
-      the solution of the system without the last arc.
-    - The columns left out lie in the span of the others, so consistency
-      is unchanged, and the sum row left out reads 0 = 0. An integral y
-      with A y = d b, less an integral gauge combination, is integral and
-      0 on the last arc, so the multiple is unchanged too.
-    - The nullity drops by q - 1: a cover is a rational homology sphere,
-      nullity q - 1, exactly when what is factored has full column rank.
-    Summed over s, R_{i,s} gives S_i - S_{i+1}, S_i arc i's sum row, as the
-    over-arc terms and the right-hand sides telescope. So each R_{i,q-1} is
-    implied in integers and is left out too. A one-arc branch leaves no
-    column; consistency is then read off the right-hand sides of empty rows.
-    """
-    memo = cover._memo.get("factorization")
-    if memo is None:
-        q, curves = cover.q, _curves(cover)
-        rows, width = _system_matrix(cover)
-        n, width = width // q, width - q
-        # Left out: the last arc's sum row, and R_{i,q-1} for every underpass i.
-        keep = [k for k in range(len(rows)) if k < n - 1 or k >= n and (k - n) % q < q - 1]
-        rows = [row if max(row, default=0) < width else {col: v for col, v in row.items() if col < width} for row in map(rows.__getitem__, keep)]
-        rhss = [_system_rhs(cover, ci, cover.components_of[ci][0]) for ci in curves]
-        factors = _factor(rows, [[b[k] for k in keep] for b in rhss], width)
-        _log_debug(
-            "sparse route: cover system %d x %d, the last arc fixed at 0: %d unit steps, tail %d x %d, rank %d, nullity %d, D %d bits",
-            len(rows), width, len(factors.retired), len(factors.tail), len(factors.cols),
-            len(factors.pivots), len(factors.free), abs(factors.D).bit_length(),
-        )
-        memo = cover._memo["factorization"] = (factors, curves, width)
-    return memo
-
-
-def _alexander(cover: CoverStructure):
-    """The cover's first solutions off M(t) (alexander._solve), as
-    `_first_solutions` gives them, tried once; None for a cover that is no
-    rational homology sphere, which the sparse route (`_factorization`)
-    takes."""
-    memo = cover._memo
-    if "alexander" not in memo:
-        _refuse_rows(cover.diagram.components[cover.diagram.branch].arc_count, cover.q)
-        # Imported here, so that validate and info never compile it.
-        from .alexander import _solve
-
-        found = _solve(cover, _curves(cover))
-        memo["alexander"] = found if found is None else {
-            ci: s and _reduced(*s, cover.q) for ci, s in found.items()
-        }
-    return memo["alexander"]
-
-
 def _reduced(x: list, D: int, q: int) -> tuple:
     """x / D as (rows, d): x and D over gcd(D, *x), with D's sign moved
     into x so that d > 0, and x cut into rows of q. Then gcd(d, *x) = 1,
@@ -290,32 +223,23 @@ def _reduced(x: list, D: int, q: int) -> tuple:
 
 def _first_solutions(cover: CoverStructure) -> dict:
     """Each curve's first-coset solution as (rows, d), keyed by curve, or
-    None if it has none.
+    None if it has none, solved once on M(t) (alexander._solve).
 
     rows[i][j-1] / d is the coefficient of the lift of branch arc i to
     sheet j, n rows of q ints over one denominator d > 0 in lowest terms
     (`_reduced`), so d is the lcm of the chain's denominators. The coset
     that starts at sheet 1+s is bounded by x_s[i][j] = x_0[i][(j - s) mod
-    q]. Solved on the first call: on M(t) (`_alexander`) on a rational
-    homology sphere, off the sparse factorization otherwise
-    (`_sparse_solutions`). Fractions are made only for a TwoChain
-    (`_chain`).
+    q]. Fractions are made only for a TwoChain (`_chain`).
     """
-    solutions = cover._memo.get("solutions")
-    if solutions is None:
-        solutions = _alexander(cover)
-        if solutions is None:
-            solutions = _sparse_solutions(cover)
-        cover._memo["solutions"] = solutions
-    return solutions
+    memo = cover._memo
+    if "solutions" not in memo:
+        _refuse_rows(cover.diagram.components[cover.diagram.branch].arc_count, cover.q)
+        # Imported here, so that validate and info never compile it.
+        from .alexander import _solve
 
-
-def _sparse_solutions(cover: CoverStructure) -> dict:
-    """`_first_solutions` off the sparse factorization: made zero on F
-    (rational_linalg._solutions: nothing to do at full column rank), with
-    the last arc's q zeros padded back."""
-    factors, curves, width = _factorization(cover)
-    return {ci: s and _reduced(*s, cover.q) for ci, s in zip(curves, _solutions(factors, width + cover.q))}
+        found, memo["tail"] = _solve(cover, _curves(cover))
+        memo["solutions"] = {ci: s and _reduced(*s, cover.q) for ci, s in found.items()}
+    return memo["solutions"]
 
 
 def _chain(cover: CoverStructure, ci: int, group: tuple[int, ...]) -> TwoChain | None:
@@ -343,7 +267,10 @@ def _chain(cover: CoverStructure, ci: int, group: tuple[int, ...]) -> TwoChain |
 def bounding_chain(cover: CoverStructure, curve: int | str, coset) -> TwoChain | None:
     """One rational chain bounding the lifted curve, or None if none exists.
 
-    The chain of the coset that starts at sheet 1+s is defined as the chain
+    The chain of the curve's first coset is 0 on the branch's last arc. On
+    a rational homology sphere it is the only such chain; on another cover
+    it is the one that is zero on the free columns of M(t)'s tail written
+    on the sheets (cyclink.alexander). The chain of the coset that starts at sheet 1+s is defined as the chain
     of the curve's first coset, shifted by the deck group s sheets up.
     """
     return _chain(cover, *_lift(cover, curve, coset))
@@ -364,29 +291,26 @@ def minimal_bounding_multiple(cover: CoverStructure, curve: int | str, coset) ->
     None when the curve does not even bound rationally. The deck shift permutes
     the system, so d is the same on every coset of the curve and solved once.
 
-    On a rational homology sphere it is the denominator d of the curve's
-    first solution x_0 = rows / d, the lcm of its denominators
-    (`_first_solutions`), on either route: whenever M(t) answered
-    (`_alexander`), whose solution is unique, and when the system
-    `_factorization` factors has full column rank. That system's multiple
-    is the cover's, and x_0 off the last arc is its only solution: an
-    integral solution of A y = d b is d times it, and the least such d
-    makes d x_0 integral. Other covers take the Hermite reduction
-    (rational_linalg._multiple).
+    On a rational homology sphere, D a unit mod t^q - 1, the solution x_0
+    that is 0 on the last arc is unique, and d is its denominator, the lcm
+    of its denominators (`_first_solutions`): an integral solution of
+    A y = d b, less an integral gauge vector, is d x_0. Other covers take
+    the Hermite reduction (rational_linalg._multiple) on M(t)'s tail on the
+    sheets, whose multiple is the cover's (cyclink.alexander).
     """
     ci, _ = _lift(cover, curve, coset)
     orders = cover._memo.setdefault("orders", {})
     if ci not in orders:
-        if _alexander(cover) is not None or not _factorization(cover)[0].free:  # full column rank
-            solution = _first_solutions(cover)[ci]
+        solution = _first_solutions(cover)[ci]
+        factors = cover._memo["tail"]
+        if factors is None:
             d = None if solution is None else solution[1]
             _log_debug(
                 "minimal multiple: the chain's denominator, %s",
                 "no chain" if d is None else f"{d.bit_length()} bits",
             )
         else:
-            factors, curves, _ = _factorization(cover)
-            d = _multiple(factors, curves.index(ci))
+            d = _multiple(factors, _curves(cover).index(ci))
         orders[ci] = d
     return orders[ci]
 

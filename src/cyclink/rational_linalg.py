@@ -17,9 +17,9 @@ then through the retired rows, reads answers off in integers over one
 denominator per vector, but for the tail's own free columns G. So the
 kernel vectors for G (`_kernel`) are reduced right to left to the basis
 for F (`_null_basis`), and each solution is made zero on F (`_solutions`,
-which `solve_many` and a cover's chains both read). A cover fixes its
-deck-group gauge before it factors (homology), so on a rational homology
-sphere it has no free column and nothing to reduce. The least d for which
+which `solve_many` and a cover's chains both read). A cover factors here
+only the tail of its Alexander matrix written on the sheets, and only when
+it is no rational homology sphere (cyclink.alexander). The least d for which
 A x = d b has an integer solution reads the same factorization
 (`_multiple`). The `cyclink` logger reports each reduction and each
 multiple's tail at DEBUG level.

@@ -175,3 +175,15 @@ def clasped_wire_diagram() -> LinkDiagram:
     cb.step(0, 1)
     k = cb.close()
     return cb.builder.to_diagram(branch=k, names={k: "K", clasp: "eta"})
+
+
+def torus_knot_with_eta(strands: int, crossings: int) -> LinkDiagram:
+    """The torus knot T(strands, crossings / (strands - 1)) as a closed
+    braid (sigma_1 ... sigma_{strands-1})^k, with eta around every strand
+    before the first crossing."""
+    cb = ClosedBraid(strands)
+    eta = cb.meridian(0, strands)
+    for i in range(crossings):
+        cb.step(i % (strands - 1), 1)
+    k = cb.close()
+    return cb.builder.to_diagram(branch=k, names={k: "K", eta: "eta"})

@@ -1,12 +1,13 @@
-"""The Alexander-matrix route against the sparse route and sympy.
+"""The Alexander-matrix route against the full cover system and sympy.
 
-On a rational homology sphere the cover's chains are solved on M(t), the
-branch's Alexander matrix over Z[t, 1/t] (cyclink.alexander). The oracles:
-the sparse route's chains, read off `_factorization` and `_solutions`; the
-sparse route's own test of full column rank for when the route is taken;
-sympy's determinant of M(t) read off the sheet system's rows, for the last
-Bareiss pivot D; sympy's gcd for when D is invertible mod t^q - 1; and
-Fox's formula |H_1| = |Res(Delta, (t^q - 1)/(t - 1))| for the multiples.
+The cover's chains are solved on M(t), the branch's Alexander matrix over
+Z[t, 1/t] (cyclink.alexander). The oracles: the chains read off the full
+system of assemble_system (`_factor` and `_solutions` on `_system_matrix`
+and `_system_rhs`, every row and column kept); its nullity for when D is a
+unit; sympy's determinant of M(t) read off the sheet system's rows, for
+the last Bareiss pivot D; sympy's gcd for when D is invertible mod t^q -
+1; and Fox's formula |H_1| = |Res(Delta, (t^q - 1)/(t - 1))| for the
+multiples.
 """
 
 import random
@@ -16,39 +17,57 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from conftest import CORPUS_AND_SWEEP, battery_covers, clasped_wire_diagram, fixture, solution_fractions, trefoil_diagram
+from conftest import CORPUS_AND_SWEEP, battery_covers, clasped_wire_diagram, fixture, trefoil_diagram
 from cyclink import alexander, build_cover, evaluate_obstruction, minimal_bounding_multiple, normalize_writhe, writhe
 from cyclink import cover as cover_module
 from cyclink.fixtures import corpus_names
-from cyclink.homology import _curves, _factorization, _sparse_solutions, _system_matrix
+from cyclink.homology import _curves, _system_matrix, _system_rhs
+from cyclink.rational_linalg import _factor, _solutions
 
 t = sympy.Symbol("t")
 
 
 def check_routes_agree(cover) -> bool:
-    """The route answers exactly when the sparse factorization has no free
-    column, and then with the sparse route's chains; whether it answered."""
-    found = alexander._solve(cover, _curves(cover))
-    assert (found is not None) == (not _factorization(cover)[0].free)
-    if found is None:
+    """D is a unit mod t^q - 1 exactly when the full system has nullity
+    q - 1, and then M(t)'s chains are the full system's; whether it is.
+
+    The full system's chain is its reduced-row-echelon solution, zero on
+    its free columns F. It is 0 on the branch's last arc, as M(t)'s is:
+    - Let t_i be the sheet shift at the start of branch arc i and, for
+      s = 1..q-1, g_s the integral vector that is +1 at arc i on 0-based
+      sheet (s - t_i) mod q and -1 on sheet -t_i mod q, for every arc i.
+      Each g_s is in the kernel: it sums to 0 on every arc, and across an
+      underpass the over-arc terms cancel the step of t. On the last arc
+      the g_s are a sheet permutation of e_s - e_0.
+    - So each sheet s >= 1 of the last arc is in F, as a gauge combination
+      is e_s - e_0 there and has its last nonzero in that column. The
+      solution is 0 on those sheets, and its sum row makes sheet 0 zero.
+    With nullity q - 1 the g_s span the kernel, so the solution that is 0
+    on the last arc is unique, and M(t)'s chain is that one.
+    """
+    curves = _curves(cover)
+    rows, width = _system_matrix(cover)
+    full = _factor(rows, [_system_rhs(cover, ci, cover.components_of[ci][0]) for ci in curves], width)
+    found, tail = alexander._solve(cover, curves)
+    assert (tail is None) == (len(full.free) == cover.q - 1)
+    if tail is not None:
         return False
-    q = cover.q
-    for ci, solution in _sparse_solutions(cover).items():
+    for ci, solution in zip(curves, _solutions(full, width)):
         if found[ci] is None:
             assert solution is None, ci
             continue
-        x, den = found[ci]
-        assert [[Fraction(v, den) for v in x[k:k + q]] for k in range(0, len(x), q)] == solution_fractions(solution), ci
+        (x, den), (y, D) = found[ci], solution
+        assert [Fraction(v, den) for v in x] == [Fraction(v, D) for v in y], ci
     return True
 
 
 @pytest.mark.parametrize("name, q", CORPUS_AND_SWEEP + [("twobridge_m2", 29), ("twobridge_m2", 37), ("stevedore_w0", 200)])
-def test_the_route_takes_every_corpus_cover_with_the_sparse_chains(name, q):
+def test_the_route_takes_every_corpus_cover_with_the_full_systems_chains(name, q):
     assert check_routes_agree(build_cover(fixture(name).diagram, q))
 
 
 @pytest.mark.parametrize("name", sorted(corpus_names()))
-def test_the_route_takes_every_fixture_at_q_1_to_13_with_the_sparse_chains(name):
+def test_the_route_takes_every_fixture_at_q_1_to_13_with_the_full_systems_chains(name):
     for q in range(1, 14):
         assert check_routes_agree(build_cover(normalize_writhe(fixture(name).diagram, q), q)), q
 
@@ -110,7 +129,7 @@ WRITHE_ZERO = sorted({name for name, _ in CORPUS_AND_SWEEP if writhe(fixture(nam
 def alexander_pivot(name: str) -> dict:
     """D, which on a writhe-0 branch is the same at every q
     (test_the_factorization_is_the_same_at_every_q)."""
-    return alexander._factor(build_cover(fixture(name).diagram, 3), [])[3]
+    return alexander._factor_laurent(build_cover(fixture(name).diagram, 3), [])[5]
 
 
 @pytest.mark.parametrize("name", WRITHE_ZERO)
@@ -119,10 +138,10 @@ def test_the_factorization_is_the_same_at_every_q(name):
     # retired rows and D do not depend on q; the curves' right-hand sides
     # ride along without I.
     covers = [build_cover(fixture(name).diagram, q) for q in (3, 7, 101)]
-    factors = [alexander._factor(cover, _curves(cover)) for cover in covers]
-    for echelon, cols, retired, D, merge in factors[1:]:
-        assert (echelon, cols, retired, D, merge) == factors[0]
-    assert factors[0][3] is not None
+    factors = [alexander._factor_laurent(cover, _curves(cover)) for cover in covers]
+    for factor in factors[1:]:
+        assert factor == factors[0]
+    assert factors[0][5] is not None
 
 
 @pytest.mark.parametrize("name, q", CORPUS_AND_SWEEP)
@@ -203,11 +222,10 @@ def test_laurent_division_is_exact_or_refused():
         alexander._divide(alexander._submul(alexander._mul(a, b), {0: 1}, {0: 1}), b)
 
 
-def test_a_sparse_route_cover_builds_m_of_t_once(monkeypatch):
+def test_a_zero_divisor_cover_builds_m_of_t_once(monkeypatch):
     # The clasped wire at q = 6 is no rational homology sphere. M(t) is
-    # built once, to find D a zero divisor, and the diagram is walked for
-    # sigma and for M(t); the sparse route factors the cover system and
-    # reads neither.
+    # built once, D is found a zero divisor, and its unit phase's tail is
+    # factored on the sheets; the diagram is walked for sigma and for M(t).
     calls = []
 
     def counting(f):

@@ -21,14 +21,16 @@ from conftest import (
     sympy_minimal_multiple,
     sympy_minimal_multiples,
     solution_fractions,
+    torus_knot_with_eta,
     wire_with_meridian,
 )
-from cyclink import homology
+from cyclink import alexander, homology
 from cyclink.alexander import _alexander_matrix, _times
-from cyclink.homology import _factorization, _first_solutions, _system_matrix, _system_rhs
+from cyclink.homology import _first_solutions, _system_matrix, _system_rhs
 from cyclink.rational_linalg import _consistent, _eliminate_units, _factor, _fractions, _multiple, _null_basis, _solutions, _sparse_rows
 from cyclink import (
     TwoChain,
+    linking_matrix,
     assemble_system,
     bounding_chain,
     bounding_chains,
@@ -46,6 +48,7 @@ from cyclink import (
 from cyclink.fixtures import corpus_names
 from property_checks import (
     check_against_per_lift_solve,
+    fraction_linking_sum,
     check_chains,
     chains_of,
     curve_indices,
@@ -350,10 +353,11 @@ def test_large_degree_multiple_against_sympy_hermite_form(name, q, multiple):
 
 @pytest.mark.parametrize("name, q", [(name, q) for name, q in CORPUS_PAIRS if name.startswith("cable")])
 def test_the_hermite_oracle_on_rank_zero_tails(name, q):
-    # Every cable row leaves a tail of rank 0, both after the unit phase on
-    # the full system and in the cover's factorization with the gauge fixed.
+    # Every cable row leaves a tail of rank 0 after the unit phase on the
+    # full system, and M(t)'s unit phase leaves no column at all.
     cover = build_cover(fixture(name).diagram, q)
-    assert _factorization(cover)[0].pivots == []
+    _, _, _, cols, _, D, _ = alexander._factor_laurent(cover, [])
+    assert cols == [] and D == {0: 1}
     for ci in curve_indices(cover.diagram):
         rows, rhs, _ = assemble_system(cover, ci, cover.components_of[ci][0])
         tail, _, _ = _eliminate_units(*_sparse_rows(rows, [rhs]))
@@ -572,11 +576,12 @@ def test_mutating_bounding_chains_result_leaves_the_cover_alone():
 
 
 def test_cover_factorization_logs_once_at_debug_only(caplog):
-    # One solve per cover serves the multiple and the chains; each route
-    # logs one DEBUG line per cover, and nothing is logged above DEBUG. A
-    # rational homology sphere is solved on M(t); the trefoil's cover at
-    # q = 6 is not one, so its Alexander polynomial, the sixth cyclotomic
-    # polynomial, is a zero divisor and the sparse route takes it.
+    # One solve per cover serves the multiple and the chains; M(t) logs one
+    # DEBUG line per cover, the tail's sheet system one more, and nothing is
+    # logged above DEBUG. A rational homology sphere is solved on M(t); the
+    # trefoil's cover at q = 6 is not one, as its Alexander polynomial, the
+    # sixth cyclotomic polynomial, is a zero divisor, and M(t)'s tail is
+    # factored on the sheets.
     def ask(cover):
         minimal_bounding_multiple(cover, "eta", 1)
         bounding_chains(cover, "eta")
@@ -603,17 +608,18 @@ def test_cover_factorization_logs_once_at_debug_only(caplog):
         (
             "cyclink",
             logging.DEBUG,
-            "sparse route: cover system 41 x 36, the last arc fixed at 0: 34 unit steps, tail 7 x 2, rank 0, nullity 2, D 1 bits",
+            "tail route: sheet system 12 x 6, 4 unit steps, rank 4, nullity 2",
         ),
-        ("cyclink", logging.DEBUG, "minimal multiple: 34 unit steps, tail 7 x 0, 0 rows independent, minor 1 bits"),
         ("cyclink", logging.DEBUG, "null basis: nullity 2, |F| 2, G = F: False"),
+        ("cyclink", logging.DEBUG, "minimal multiple: 4 unit steps, tail 8 x 0, 0 rows independent, minor 1 bits"),
     ]
 
 
-# The cover factorization drops the underpass rows that the sum rows imply,
-# and on a rational homology sphere reads the multiple off the chain. The
-# oracles below check each step on every corpus and sweep cover and on the
-# random_diagram battery (seeds 0-299, q = 2..6).
+# The cover is solved on M(t), its tail factored on the sheets when D is no
+# unit mod t^q - 1, and on a rational homology sphere the multiple is read
+# off the chain. The oracles below check each step against the full system
+# on every corpus and sweep cover and on the random_diagram battery (seeds
+# 0-299, q = 2..6).
 
 
 def gauge_vectors(cover):
@@ -651,20 +657,25 @@ def check_sum_row_differences_are_underpass_sums(cover):
 
 
 def check_the_full_system_gives_the_same_answers(cover):
-    # Factoring every row and column, the implied rows and the last arc
-    # too, gives the same chains and multiples as the cover's factorization.
+    # Factoring every row and column of the full system gives the same
+    # multiples and the same lifts bound. On a rational homology sphere
+    # the chains are the same too (test_alexander.check_routes_agree);
+    # elsewhere the cover's chain is zero on the free columns of M(t)'s
+    # tail on the sheets, and both bound their curve.
     curves = curve_indices(cover.diagram)
     rows, width = _system_matrix(cover)
     rhss = [_system_rhs(cover, ci, cover.components_of[ci][0]) for ci in curves]
     full = _factor(rows, rhss, width)
-    dropped = _factorization(cover)[0]
-    n = width // cover.q
-    ups = cover.diagram.components[cover.diagram.branch].underpasses
-    assert len(dropped.tail) + len(dropped.retired) == len(rows) - (n + 1 if ups else 1)
     solutions = _first_solutions(cover)
     for t, (ci, x) in enumerate(zip(curves, [s and _fractions(*s) for s in _solutions(full, width)])):
         chain = solution_fractions(solutions[ci])
-        assert (chain and [v for row in chain for v in row]) == x
+        assert (chain is None) == (x is None)
+        if len(full.free) == cover.q - 1:
+            assert (chain and [v for row in chain for v in row]) == x
+        elif x is not None:
+            q, coset = cover.q, cover.components_of[ci][0]
+            assert verify_boundary(cover, TwoChain(ci, coset, chain))
+            assert verify_boundary(cover, TwoChain(ci, coset, [x[k:k + q] for k in range(0, width, q)]))
         assert minimal_bounding_multiple(cover, ci, 1) == _multiple(full, t)
 
 
@@ -691,9 +702,9 @@ def check_gauge_vectors(cover):
 
 
 def check_the_last_arc_is_zero(cover):
-    # The cover factors its system without the branch's last arc. Every
-    # chain of every coset is 0 there, and the full system's reduced row
-    # echelon form has sheets 1..q-1 of that arc among its free columns.
+    # The last run of M(t) is 0, so every chain of every coset is 0 on the
+    # branch's last arc, and the full system's reduced row echelon form has
+    # sheets 1..q-1 of that arc among its free columns.
     q = cover.q
     rows, width = _system_matrix(cover)
     F = {f for f, _ in _null_basis(_factor(rows, [], width))}
@@ -754,12 +765,14 @@ def hermite_calls(monkeypatch):
 
 def check_the_rule_against_hermite(cover, monkeypatch):
     # The rule takes every curve of a cover with nullity q - 1, and equals
-    # the Hermite reduction on the same factorization; other covers call it.
+    # the Hermite reduction on the full system; other covers call it on the
+    # tail's sheet system.
     cover = build_cover(cover.diagram, cover.q)  # nothing memoized yet
     calls = hermite_calls(monkeypatch)
-    factors, curves, _ = _factorization(cover)
-    qhs = len(factors.cols) == len(factors.pivots)
-    assert qhs == (not factors.free)
+    curves = curve_indices(cover.diagram)
+    rows, width = _system_matrix(cover)
+    factors = _factor(rows, [_system_rhs(cover, ci, cover.components_of[ci][0]) for ci in curves], width)
+    qhs = len(factors.free) == cover.q - 1
     for t, ci in enumerate(curves):
         assert minimal_bounding_multiple(cover, ci, 1) == _multiple(factors, t)
         if qhs:
@@ -906,35 +919,96 @@ def test_large_covers_read_the_multiple_off_the_chain(name, q, monkeypatch):
     calls = hermite_calls(monkeypatch)
     order = evaluate_obstruction(fixture(name).diagram, q).order
     assert calls == []
-    cover = build_cover(fixture(name).diagram, q)
-    factors, curves, _ = _factorization(cover)
-    assert order == _multiple(factors, curves.index(cover.diagram.component_index("eta")))
     if name == "stevedore_w0":
         assert order == 3 * (2**q - 1)  # the closed form at even q
+        return
+    # The full system's Hermite reduction: 0.3 s here, 3 s at stevedore_w0
+    # q=256, where its tail carries the gauge columns.
+    cover = build_cover(fixture(name).diagram, q)
+    rows, width = _system_matrix(cover)
+    eta = cover.diagram.component_index("eta")
+    assert order == _multiple(_factor(rows, [_system_rhs(cover, eta, cover.components_of[eta][0])], width), 0)
 
 
 @pytest.mark.parametrize("make", [trefoil_with_meridian, clasped_wire_diagram])
 @pytest.mark.parametrize("q", [2, 3, 5, 6, 12, 60])
 def test_trefoil_branch_chains_are_zero_on_the_last_arc(make, q):
     # From q = 6 on these covers are no rational homology spheres; the
-    # gauge is fixed on the last arc all the same.
+    # gauge is fixed on the last arc all the same, as M(t)'s last run is 0.
     cover = build_cover(normalize_writhe(make(), q), q)
     check_the_last_arc_is_zero(cover)
     check_the_full_system_gives_the_same_answers(cover)
 
 
+def torus_3_4():
+    return torus_knot_with_eta(3, 8)
+
+
+def torus_2_5():
+    return torus_knot_with_eta(2, 5)
+
+
+def torus_2_7():
+    return torus_knot_with_eta(2, 7)
+
+
+TAIL_ROUTE = [(torus_3_4, 6, 2), (torus_3_4, 30, 2), (torus_2_5, 10, 1), (torus_2_5, 30, 1), (torus_2_7, 14, 1)] + [
+    (make, q, multiple) for make, multiple in ((trefoil_with_meridian, 1), (clasped_wire_diagram, None)) for q in (6, 12, 60)
+]
+
+
+@pytest.mark.parametrize("make, q, multiple", TAIL_ROUTE)
+def test_zero_divisor_covers_against_the_full_system(make, q, multiple):
+    # On each of these covers D is a zero divisor mod t^q - 1 and M(t)'s
+    # tail is factored on the sheets. The multiple is sympy's Hermite
+    # multiple of the full system, every chain bounds, the same lifts bound
+    # as in the full system, and every linking number reads the same off
+    # the full system's own chains, which differ from the cover's.
+    cover = build_cover(normalize_writhe(make(), q), q)
+    solutions = _first_solutions(cover)
+    assert cover._memo["tail"] is not None
+    curves = curve_indices(cover.diagram)
+    lifts = [(ci, coset) for ci in curves for coset in cover.components_of[ci]]
+    rows, width = _system_matrix(cover)
+    full = _solutions(_factor(rows, [_system_rhs(cover, *lift) for lift in lifts], width), width)
+    full = {lift: s and [_fractions(s[0][k:k + q], s[1]) for k in range(0, width, q)] for lift, s in zip(lifts, full)}
+    for ci in curves:
+        A, b, _ = assemble_system(cover, ci, cover.components_of[ci][0])
+        assert minimal_bounding_multiple(cover, ci, 1) == sympy_hermite_multiple(A, b) == multiple
+    # Each first solution is zero on the free columns of the tail's sheet
+    # system. Tail column k holds run cols[k], represented by its highest arc.
+    _, _, _, cols, _, _, (block, _) = alexander._factor_laurent(cover, [])
+    rep = {k: i for i, k in enumerate(block)}
+    for f, _ in _null_basis(cover._memo["tail"]):
+        k, s = divmod(f, q)
+        assert all(x is None or x[0][rep[cols[k]]][s] == 0 for x in solutions.values())
+    for lift in lifts:
+        chain = bounding_chain(cover, *lift)
+        assert (chain is None) == (full[lift] is None), lift
+        assert chain is None or verify_boundary(cover, chain)
+    for a in curves:
+        for b in curves:
+            report = linking_matrix(cover, a, b)
+            for i, ga in enumerate(report.cosets_a):
+                for j, gb in enumerate(report.cosets_b):
+                    x = full[(b, gb)]
+                    if (a, ga) != (b, gb) and x is not None and full[(a, ga)] is not None:
+                        assert report.entry(i, j) == fraction_linking_sum(cover, x, b, gb, a, ga)
+
+
 @pytest.mark.parametrize("make", [hopf_pair_beside_unknot, hopf_diagram])
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_a_one_arc_branch_factors_with_no_columns(make, q):
-    # The branch's only arc is its last, so no column is left. Beside the
-    # Hopf pair it passes under nothing and no row is left either; under the
-    # Hopf link's eta it keeps q - 1 rows with no entries, the closing
-    # condition, and consistency is read off their right-hand sides.
+    # The branch's only arc is its last run, so M(t) has no column. Beside
+    # the Hopf pair it passes under nothing and has no row either; under the
+    # Hopf link's eta it keeps one row with no entries, the closing
+    # condition, and consistency is read off its right-hand side.
     cover = build_cover(make(), q)
-    factors, curves, width = _factorization(cover)
-    rows = factors.tail
-    assert width == 0 and factors.cols == [] and factors.pivots == []
-    assert rows == ([] if make is hopf_pair_beside_unknot else [{}] * (q - 1))
+    curves = curve_indices(cover.diagram)
+    tail, _, _, cols, _, D, _ = alexander._factor_laurent(cover, curves)
+    assert cols == [] and D == {0: 1}
+    assert tail == ([] if make is hopf_pair_beside_unknot else [{}])
+    rows = [{}] * (q - 1) if tail else []
     for ci in curves:
         for chain in bounding_chains(cover, ci).values():
             assert chain is not None and verify_boundary(cover, chain) and not any(map(any, chain.x))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CORPUS_AND_SWEEP, fixture, hopf_diagram, wire_with_meridian
+from conftest import CORPUS_AND_SWEEP, fixture, hopf_diagram, torus_knot_with_eta, wire_with_meridian
 from cyclink import LinkingReport, UndefinedEntry, evaluate_obstruction, is_prime_power, mirror, normalize_writhe
 from cyclink.linking import NOT_NULL_HOMOLOGOUS, SELF_PAIRING
 from cyclink.obstruction import (
@@ -88,6 +88,27 @@ def test_meridian_pattern_is_inconclusive():
     assert verdict.verdict == INCONCLUSIVE
     assert verdict.order == 1
     assert verdict.hypotheses["integral_lifts"]
+
+
+@pytest.mark.parametrize(
+    "strands, crossings, q, order, entry",
+    [
+        (3, 8, 6, 2, Fraction(1, 2)),  # T(3, 4)
+        (3, 8, 30, 2, Fraction(5, 2)),
+        (2, 5, 10, 1, 1),  # T(2, 5)
+        (2, 5, 30, 1, 3),
+        (2, 7, 14, 1, 1),  # T(2, 7)
+    ],
+)
+def test_torus_knot_verdicts_on_zero_divisor_covers(strands, crossings, q, order, entry):
+    # Each cover is no rational homology sphere: the knot's Alexander
+    # polynomial is a zero divisor mod t^q - 1. These values are cyclink's
+    # own, not published ones; eta goes around every strand.
+    verdict = evaluate_obstruction(normalize_writhe(torus_knot_with_eta(strands, crossings), q), q)
+    assert verdict.order == order
+    assert verdict.matrix.entries[0][1:] == (entry,) * (len(verdict.matrix.entries[0]) - 1)
+    assert verdict.sign_profile == ALL_NONNEG
+    assert verdict.verdict == INCONCLUSIVE
 
 
 def test_mirror_does_not_change_the_verdict():

@@ -13,8 +13,8 @@ import pytest
 import sympy
 
 from conftest import CORPUS_AND_SWEEP, fixture, solution_fractions, sympy_minimal_multiple, sympy_minimal_multiples, trefoil_diagram
-from cyclink import alexander, homology, rational_linalg
-from cyclink.homology import _factorization, _first_solutions, _system_matrix, _system_rhs
+from cyclink import alexander, rational_linalg
+from cyclink.homology import _first_solutions, _system_matrix, _system_rhs
 from cyclink.rational_linalg import _eliminate, _eliminate_units, _factor, _null_basis, _sparse_rows
 from cyclink import (
     assemble_system,
@@ -325,7 +325,7 @@ LARGE_COVERS = [("stevedore_w0", 96), ("stevedore_w0", 160), ("twobridge_m2", 64
 
 
 def count_factor_calls(monkeypatch):
-    """The list that each `_factor` call, by homology or rational_linalg,
+    """The list that each `_factor` call, by alexander or rational_linalg,
     appends its width to."""
     calls = []
 
@@ -334,18 +334,18 @@ def count_factor_calls(monkeypatch):
         return _factor(rows, rhs, n)
 
     monkeypatch.setattr(rational_linalg, "_factor", counted)
-    monkeypatch.setattr(homology, "_factor", counted)
+    monkeypatch.setattr(alexander, "_factor", counted)
     return calls
 
 
 @pytest.mark.parametrize("name, q", CORPUS_AND_SWEEP + LARGE_COVERS)
-def test_cover_factorization_takes_one_pass(name, q, monkeypatch):
-    # These covers are rational homology spheres, so with the gauge fixed
-    # they have no free column, and nothing is left to canonicalize.
+def test_a_rational_homology_sphere_factors_no_sheet_system(name, q, monkeypatch):
+    # On these covers D is a unit mod t^q - 1, so the chains are read off
+    # M(t) and nothing is factored on the sheets.
     calls = count_factor_calls(monkeypatch)
     cover = build_cover(fixture(name).diagram, q)
-    _factorization(cover)
-    assert len(calls) == 1
+    _first_solutions(cover)
+    assert calls == []
     if (name, q) not in LARGE_COVERS:
         return
     for ci, cosets in enumerate(cover.components_of):
@@ -400,8 +400,11 @@ def test_the_multiple_eliminates_nothing_after_the_cover_factorization(name, q, 
 def test_the_multiple_reads_independent_rows_and_a_minor_off_the_factorization(name, q):
     # The first rank tail rows are Bareiss's pivot rows, and D, the last
     # pivot's absolute value, is the absolute determinant of those rows on
-    # the pivot columns; sympy shares no code with either.
-    factors = _factorization(build_cover(fixture(name).diagram, q))[0]
+    # the pivot columns; sympy shares no code with either. The full cover
+    # system has q - 1 free columns, the deck-group gauge.
+    rows, width = _system_matrix(build_cover(fixture(name).diagram, q))
+    factors = _factor(rows, [], width)
+    assert len(factors.free) == q - 1
     tail, cols, echelon, pivots = factors.tail, factors.cols, factors.echelon, factors.pivots
     r = len(pivots)
     # Pivot k leads echelon row k, and the rows below the rank are zero.
@@ -413,27 +416,33 @@ def test_the_multiple_reads_independent_rows_and_a_minor_off_the_factorization(n
 
 
 @pytest.mark.parametrize("q, nullity", [(2, 1), (3, 2), (5, 4), (6, 7), (12, 13)])
-def test_cover_factorization_takes_one_pass_on_a_trefoil_branch(q, nullity, caplog, monkeypatch):
+def test_a_trefoil_branch_factors_the_tail_on_the_sheets_from_q_6(q, nullity, caplog, monkeypatch):
     # The trefoil's Alexander polynomial is t^2 - t + 1, the sixth
-    # cyclotomic polynomial. From q = 6 on the cover is no rational homology
-    # sphere: with the gauge fixed it still has free columns, and the one
-    # pass's basis is brought to the reduced-row-echelon one afterwards.
+    # cyclotomic polynomial. From q = 6 on it is a zero divisor mod t^q - 1
+    # and the cover no rational homology sphere: M(t)'s tail is factored
+    # once on the sheets, where the nullity is the full system's less the
+    # gauge's q - 1, and its basis is brought to the reduced-row-echelon one.
     calls = count_factor_calls(monkeypatch)
     cover = build_cover(normalize_writhe(trefoil_diagram(), q), q)
-    with caplog.at_level(logging.DEBUG, logger="cyclink"):
-        factors, _, n = _factorization(cover)
-        basis = [[Fraction(w.get(j, 0), w[f]) for j in range(n)] for f, w in _null_basis(factors)]
-    assert len(calls) == 1
-    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("null basis")]
     free = nullity - (q - 1)
+    with caplog.at_level(logging.DEBUG, logger="cyclink"):
+        _, factors = alexander._solve(cover, [])
+    assert len(calls) == (1 if free else 0)
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("null basis")]
     assert lines == ([f"null basis: nullity {free}, |F| {free}, G = F: False"] if free else [])
-    assert len(basis) == free
     rows, width = _system_matrix(cover)
-    dense = sympy.Matrix([[row.get(j, 0) for j in range(width)] for row in rows]).nullspace()
-    assert len(dense) == nullity
-    # The free columns of the last arc come last; the other vectors are 0
-    # there, the factored basis with the last arc's q zeros padded back.
-    assert [[sympy.Rational(v) for v in z] + [0] * q for z in basis] == [list(z) for z in dense[:len(basis)]]
+    assert len(sympy.Matrix([[row.get(j, 0) for j in range(width)] for row in rows]).nullspace()) == nullity
+    if not free:
+        assert factors is None
+        return
+    basis = _null_basis(factors)
+    assert len(basis) == free
+    # Each vector is in the kernel of M(t)'s tail, multiplied out mod t^q - 1.
+    tail, _, _, cols, *_ = alexander._factor_laurent(cover, [])
+    for f, w in basis:
+        X = {j: [w.get(k * q + s, 0) for s in range(q)] for k, j in enumerate(cols)}
+        for row in tail:
+            assert not any(map(sum, zip([0] * q, *(alexander._times(p, X[j], q) for j, p in row.items()))))
 
 
 def test_kernel_matches_dense_bareiss_on_sparse_random_matrices():
