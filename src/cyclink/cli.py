@@ -3,6 +3,10 @@
 Exit codes: 0 for success (mathematically undefined results are reported
 in-band, not as failures), 2 for malformed input or violated preconditions,
 1 for internal errors.
+
+Each call is a fresh process, so each handler imports only the modules it
+runs: `validate` compiles `diagram` alone, and only `obstruct` compiles
+`obstruction`. tests/test_cli.py pins each subcommand's module set.
 """
 
 from __future__ import annotations
@@ -10,13 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-from .cover import _lift, build_cover
-from .diagram import load_diagram, pairwise_linking, validate, writhe
-from .homology import bounding_chain, minimal_bounding_multiple
-from .linking import NOT_NULL_HOMOLOGOUS, UndefinedEntry, _entry, linking_matrix
-from .obstruction import evaluate_obstruction
-from .rational_linalg import format_rational
 
 # A linking table that `matrix` or `obstruct --json` would print above this
 # many characters is refused, exit 2, before more than its row 0 is
@@ -31,17 +28,22 @@ def _coset_text(coset) -> str:
     return "{" + ",".join(str(s) for s in coset) + "}"
 
 
-def _entry_text(entry) -> str:
-    if isinstance(entry, UndefinedEntry):
-        return f"undefined ({entry.reason})"
-    return format_rational(entry)
+def _entry_texts(entries) -> list[str]:
+    """The text of each linking entry: a rational, or why it is undefined."""
+    from .linking import UndefinedEntry
+    from .rational_linalg import format_rational
+
+    return [
+        f"undefined ({e.reason})" if isinstance(e, UndefinedEntry) else format_rational(e)
+        for e in entries
+    ]
 
 
 def _refuse_table(report) -> None:
     """ValueError if the report's table is above MAX_TABLE_CHARS. Every row
     is a rotation of row 0 (linking_matrix), so the table's entries take
     g_a times row 0's characters."""
-    size = len(report.cosets_a) * sum(len(_entry_text(e)) for e in report.entries[0])
+    size = len(report.cosets_a) * sum(map(len, _entry_texts(report.entries[0])))
     if size > MAX_TABLE_CHARS:
         raise ValueError(
             f"the linking table would be {len(report.cosets_a)} x {len(report.cosets_b)} "
@@ -50,6 +52,9 @@ def _refuse_table(report) -> None:
 
 
 def _cover(args):
+    from .cover import build_cover
+    from .diagram import load_diagram
+
     return build_cover(load_diagram(args.file), args.q)
 
 
@@ -59,17 +64,23 @@ def _emit(args, data, text) -> int:
 
 
 def _undefined(args) -> int:
+    from .linking import NOT_NULL_HOMOLOGOUS, UndefinedEntry
+
     entry = UndefinedEntry(NOT_NULL_HOMOLOGOUS)
-    return _emit(args, entry.to_json(), _entry_text(entry))
+    return _emit(args, entry.to_json(), _entry_texts([entry])[0])
 
 
 def cmd_validate(args) -> int:
+    from .diagram import load_diagram, validate
+
     problems = validate(load_diagram(args.file))
     _emit(args, {"valid": not problems, "violations": problems}, "\n".join(problems) or "ok")
     return 0 if not problems else 2
 
 
 def cmd_info(args) -> int:
+    from .diagram import pairwise_linking, writhe
+
     # Two branches, so that --json never builds the text of every lift.
     cover = _cover(args)
     diagram = cover.diagram
@@ -88,7 +99,7 @@ def cmd_info(args) -> int:
             else:
                 entry["linking_with_branch"] = pairwise_linking(diagram, ci, branch)
                 entry["lbar"] = cover.lbar[ci]
-                entry["lifts"] = [list(c) for c in cover.components_of[ci]]
+                entry["lifts"] = cover.components_of[ci]  # json writes tuples as arrays
             comps.append(entry)
         return _emit(args, {"q": args.q, "branch": branch, "components": comps}, None)
     print(f"degree q={args.q}")
@@ -108,6 +119,9 @@ def cmd_info(args) -> int:
 
 
 def cmd_chain(args) -> int:
+    from .homology import bounding_chain
+    from .rational_linalg import format_rational
+
     cover = _cover(args)
     chain = bounding_chain(cover, args.curve, args.coset)
     if chain is None:
@@ -118,23 +132,31 @@ def cmd_chain(args) -> int:
 
 
 def cmd_lk(args) -> int:
+    from .cover import _lift
+    from .linking import UndefinedEntry, _entry
+
     cover = _cover(args)
     result = _entry(cover, *_lift(cover, args.a, args.i), *_lift(cover, args.b, args.j))
-    data = result.to_json() if isinstance(result, UndefinedEntry) else {"lk": format_rational(result)}
-    return _emit(args, data, _entry_text(result))
+    text = _entry_texts([result])[0]
+    data = result.to_json() if isinstance(result, UndefinedEntry) else {"lk": text}
+    return _emit(args, data, text)
 
 
 def cmd_matrix(args) -> int:
+    from .linking import linking_matrix
+
     report = linking_matrix(_cover(args), args.a, args.b)
     _refuse_table(report)
     if args.json:
         return _emit(args, report.to_dict(), None)
     table = [["", *map(_coset_text, report.cosets_b)]]
-    table += [[_coset_text(c), *map(_entry_text, row)] for c, row in zip(report.cosets_a, report.entries)]
+    table += [[_coset_text(c), *_entry_texts(row)] for c, row in zip(report.cosets_a, report.entries)]
     return _emit(args, None, "\n".join("\t".join(cells) for cells in table))
 
 
 def cmd_order(args) -> int:
+    from .homology import minimal_bounding_multiple
+
     order = minimal_bounding_multiple(_cover(args), args.curve, args.coset)
     if order is None:
         return _undefined(args)
@@ -142,6 +164,9 @@ def cmd_order(args) -> int:
 
 
 def cmd_obstruct(args) -> int:
+    from .diagram import load_diagram
+    from .obstruction import evaluate_obstruction
+
     verdict = evaluate_obstruction(load_diagram(args.file), args.q)
     if args.json:  # the text holds no matrix, so only --json formats it
         _refuse_table(verdict.matrix)

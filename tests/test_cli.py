@@ -547,13 +547,17 @@ def test_cli_import_does_not_import_logging():
     # and the `cyclink` DEBUG records need it only once a program has
     # configured logging. dataclasses, and the inspect it imports, cost
     # more still, for code generation the value classes do not need.
-    # cyclink.alexander is compiled only once a cover is first solved.
+    # cyclink.alexander is compiled only once a cover is first solved, and
+    # the solving modules only by the subcommands that run them.
     src = Path(__file__).resolve().parents[1] / "src"
+    banned = (
+        "logging", "dataclasses", "inspect", "cyclink.alexander", "cyclink.homology",
+        "cyclink.rational_linalg", "cyclink.linking", "cyclink.obstruction", "fractions",
+    )
     proc = subprocess.run(
         [
             sys.executable, "-c",
-            "import sys, cyclink.cli; "
-            "print([m for m in ('logging', 'dataclasses', 'inspect', 'cyclink.alexander') if m in sys.modules])",
+            f"import sys, cyclink.cli; print([m for m in {banned!r} if m in sys.modules])",
         ],
         capture_output=True,
         text=True,
@@ -561,6 +565,44 @@ def test_cli_import_does_not_import_logging():
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.stdout == "[]\n", proc.stderr
+
+
+_DIAGRAM_ONLY = ["cyclink", "cyclink.cli", "cyclink.diagram"]
+_SOLVED = [*_DIAGRAM_ONLY, "cyclink.alexander", "cyclink.cover", "cyclink.homology",
+           "cyclink.rational_linalg", "fractions"]
+
+
+_MODULES_OF = [
+    (["validate"], _DIAGRAM_ONLY),
+    (["info", "-q", "5"], [*_DIAGRAM_ONLY, "cyclink.cover"]),
+    (["chain", "-q", "5", "--curve", "eta", "--coset", "1"], _SOLVED),
+    (["order", "-q", "5", "--curve", "eta", "--coset", "1"], _SOLVED),
+    (["lk", "-q", "5", "--a", "eta", "--i", "1", "--b", "eta", "--j", "2"], [*_SOLVED, "cyclink.linking"]),
+    (["matrix", "-q", "5", "--a", "eta", "--b", "eta"], [*_SOLVED, "cyclink.linking"]),
+    (["obstruct", "-q", "5"], [*_SOLVED, "cyclink.linking", "cyclink.obstruction"]),
+]
+
+
+@pytest.mark.parametrize("argv, modules", _MODULES_OF, ids=[argv[0] for argv, _ in _MODULES_OF])
+def test_each_subcommand_loads_only_the_modules_it_runs(argv, modules):
+    # A fresh `python -S` process, so that sys.modules holds only what the
+    # call imported.
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = [argv[0], str(fixture_diagram_path("stevedore_w5")), *argv[1:]]
+    proc = subprocess.run(
+        [
+            sys.executable, "-S", "-c",
+            "import json, sys; from cyclink import cli; code = cli.main(sys.argv[1:]); "
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('cyclink') or m == 'fractions')]))",
+            *argv,
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, sorted(modules)]
 
 
 def _limit_address_space():

@@ -2,12 +2,17 @@
 
 Each row builds one record class from positional fields, a record that
 differs in one field, and the repr a frozen dataclass would print. The
-last test pins the names the package exports.
+last tests pin the names the package exports and how it loads them.
 """
 
 import copy
+import json
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -250,3 +255,99 @@ def test_the_public_names_are_pinned_and_resolve():
     assert sorted(cyclink.__all__) == PUBLIC and len(PUBLIC) == 39
     for name in PUBLIC:
         getattr(cyclink, name)
+
+
+# Where each public name is defined.
+HOMES = {
+    "cover": ["CoverStructure", "build_cover", "lift_components", "resolve_coset", "wrap_sheet"],
+    "diagram": [
+        "FORMAT", "LinkComponent", "LinkDiagram", "OverstrandRef", "Underpass",
+        "diagram_from_dict", "diagram_to_dict", "load_diagram", "mirror", "normalize_writhe",
+        "pairwise_linking", "save_diagram", "validate", "writhe",
+    ],
+    "homology": [
+        "TwoChain", "assemble_system", "bounding_chain", "bounding_chains",
+        "minimal_bounding_multiple", "verify_boundary",
+    ],
+    "linking": ["LinkingReport", "UndefinedEntry", "linking_matrix", "linking_number"],
+    "obstruction": ["ObstructionVerdict", "evaluate_obstruction", "is_prime_power"],
+    "rational_linalg": [
+        "format_rational", "minimal_scalar_integer_solution", "nullspace_basis",
+        "parse_rational", "solve_many", "solve_particular",
+    ],
+}
+
+
+def fresh(code: str):
+    """Run `code` in a new `python -S` with this checkout's cyclink; the
+    JSON it prints last."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_the_homes_cover_the_public_names():
+    assert sorted(["__version__", *(name for names in HOMES.values() for name in names)]) == PUBLIC
+
+
+def test_a_bare_import_loads_no_module_of_the_package():
+    loaded = fresh(
+        "import json, sys, cyclink; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('cyclink'))))"
+    )
+    assert loaded == ["cyclink"]
+
+
+@pytest.mark.parametrize("home_first", [False, True])
+def test_each_public_name_is_its_home_modules_object(home_first):
+    # With home_first the home modules are imported before any name is
+    # asked of the package; otherwise each name is asked first.
+    found = fresh(f"""
+import importlib, json, cyclink
+homes = {HOMES!r}
+if {home_first!r}:
+    for home in homes:
+        importlib.import_module("cyclink." + home)
+bad = []
+for home, names in homes.items():
+    for name in names:
+        value = getattr(cyclink, name)
+        if value is not getattr(importlib.import_module("cyclink." + home), name):
+            bad.append(name)
+        elif vars(cyclink)[name] is not value:
+            bad.append(name + " (not bound)")
+print(json.dumps(bad))
+""")
+    assert found == []
+
+
+def test_a_module_of_the_package_resolves_after_a_bare_import():
+    found = fresh(
+        "import json, cyclink; "
+        f"print(json.dumps([getattr(cyclink, home).__name__ for home in {sorted(HOMES)!r}]))"
+    )
+    assert found == [f"cyclink.{home}" for home in sorted(HOMES)]
+
+
+def test_a_star_import_binds_every_public_name_and_dir_lists_them():
+    found = fresh(
+        "import json, cyclink; listed = dir(cyclink); ns = {}; "
+        "exec('from cyclink import *', ns); "
+        "print(json.dumps([listed, sorted(n for n in ns if n != '__builtins__')]))"
+    )
+    listed, bound = found
+    assert set(PUBLIC) <= set(listed) and listed == sorted(listed)
+    assert bound == PUBLIC
+
+
+def test_an_unknown_name_is_an_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="^module 'cyclink' has no attribute 'no_such_name'$"):
+        cyclink.no_such_name
+    assert not hasattr(cyclink, "bounding_chain_")
